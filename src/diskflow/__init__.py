@@ -9,6 +9,7 @@ from .angles import (
     AngleSystem,
     ConformalClassSpec,
     class_basis,
+    class_lift,
     conformal_class_of,
     corner_angles,
     edge_psi,

@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .complexes import TopologicalTriangulation
 from .errors import ComplexMismatch, Infeasible, TooLarge
+from .reports import Report
 
 CHECK_TOL = 1e-9     # absolute tolerance for linear constraint checks
 CLASS_TOL = 1e-12    # tolerance for class equality
@@ -105,13 +107,9 @@ def vertex_angle_sums(x: AngleSystem) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AngleSystemReport:
-    ok: bool
+class AngleSystemReport(Report):
     corner_violations: list[tuple[int, int, float]]  # (face, corner, angle)
     vertex_violations: list[tuple[int, float]]       # (vertex, sum - 2pi)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_angle_system(x: AngleSystem, tol: float = CHECK_TOL) -> AngleSystemReport:
@@ -133,13 +131,9 @@ def is_angle_system(x: AngleSystem, tol: float = CHECK_TOL) -> AngleSystemReport
 
 
 @dataclass(frozen=True)
-class DelaunayReport:
-    ok: bool
+class DelaunayReport(Report):
     violations: list[tuple[int, float]]  # (edge, value)
     min_margin: float
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_delaunay(x: AngleSystem, tol: float = CHECK_TOL) -> DelaunayReport:
@@ -164,13 +158,9 @@ def face_curvatures(x: AngleSystem) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CurvatureReport:
-    ok: bool
+class CurvatureReport(Report):
     violations: list[tuple[int, float]]  # (face, curvature)
     max_curvature: float
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_negatively_curved(x: AngleSystem, tol: float = CHECK_TOL) -> CurvatureReport:
@@ -205,19 +195,24 @@ def class_basis(T: TopologicalTriangulation) -> np.ndarray:
     return B
 
 
+def class_lift(T: TopologicalTriangulation, d: np.ndarray) -> np.ndarray:
+    """Partial-angle move ``class_basis(T).T @ d``, as a signed scatter."""
+    flags = np.asarray(T.edges, dtype=np.int64)
+    out = np.empty(3 * T.face_count)
+    out[flags[:, 0]] = d
+    out[flags[:, 1]] = -d
+    return out
+
+
 # -- teleportability ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TeleportReport:
-    ok: bool
+class TeleportReport(Report):
     violating_set: tuple[int, ...] | None
     lhs: float
     rhs: float
     min_slack: float  # min over face sets of (slack sum - pi |S|); 0 is a tie
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _psi_edge_of(obj) -> tuple[TopologicalTriangulation, np.ndarray]:
@@ -288,35 +283,25 @@ def find_negative_delaunay(
     feasibility floor.
     """
     T = spec.complex
-    n = 3 * T.face_count
-    pe = spec.psi_edge
+    F, E = T.face_count, T.edge_count
+    n = 3 * F
 
-    # equality rows: one per edge
-    A_eq = np.zeros((T.edge_count, n + 1))
-    for e, (a, b) in enumerate(T.edges):
-        A_eq[e, a] = 1.0
-        A_eq[e, b] = 1.0
-    b_eq = pe.copy()
+    # equality rows: one per edge, over its two flags
+    flags = np.asarray(T.edges, dtype=np.int64)
+    A_eq = sparse.csr_array(
+        (np.ones(2 * E), (np.repeat(np.arange(E), 2), flags.reshape(-1))),
+        shape=(E, n + 1),
+    )
+    b_eq = spec.psi_edge.copy()
 
-    # inequality rows in `A_ub z <= b_ub` form, z = (p, eps)
-    rows = []
-    rhs = []
-    for t in range(T.face_count):
-        base = 3 * t
-        for c in range(3):
-            row = np.zeros(n + 1)
-            row[base + (c + 1) % 3] = -1.0
-            row[base + (c + 2) % 3] = -1.0
-            row[n] = 1.0  # eps - angle <= 0
-            rows.append(row)
-            rhs.append(0.0)
-        row = np.zeros(n + 1)
-        row[base : base + 3] = 2.0  # angle sum = 2 * sum of partials
-        row[n] = 1.0
-        rows.append(row)
-        rhs.append(np.pi)
-    A_ub = np.array(rows)
-    b_ub = np.array(rhs)
+    # inequality rows in `A_ub z <= b_ub` form, z = (p, eps); per face
+    # eps - angle_c <= 0 for corners c = 0, 1, 2 (angle c is the sum of the
+    # other two partials), then eps + angle sum <= pi
+    face_rows = np.array([[0, -1, -1], [-1, 0, -1], [-1, -1, 0], [2, 2, 2]], dtype=float)
+    A_ub = sparse.hstack(
+        [sparse.kron(sparse.eye_array(F), face_rows), sparse.csr_array(np.ones((4 * F, 1)))]
+    )
+    b_ub = np.tile([0.0, 0.0, 0.0, np.pi], F)
 
     c = np.zeros(n + 1)
     c[n] = -1.0  # maximize eps

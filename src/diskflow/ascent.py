@@ -1,0 +1,106 @@
+"""Damped Newton ascent with Armijo backtracking, shared by both solvers.
+
+The uniformizer (prism volume over a conformal class) and the log-Ricci flow
+(the averaged curvature functional) both maximize a concave objective over
+an open convex domain, with the same step policy and the same trace.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import NoConvergence
+
+ARMIJO = 1e-4      # fraction of the directional slope a step must gain
+SHRINK = 0.5       # backtracking factor
+MIN_STEP = 1e-18   # the line search stalls below this step
+FLAT = 1e-14       # float resolution of the objective, relative to 1 + |f|
+
+
+@dataclass(frozen=True)
+class TraceRecord:
+    """One iteration of the ascent.
+
+    ``objective`` and ``residual`` are taken at the iterate the record ends
+    on, ``grad_inf`` at the iterate it starts from.  ``step`` is the accepted
+    step length; the final record of a converged run has step 0 and stays on
+    the iterate it tested.
+    """
+
+    iteration: int
+    objective: float
+    grad_inf: float
+    step: float
+    newton: bool
+    residual: float
+
+
+def ascend(
+    x, *, objective, gradient, residual, converged, newton_dir, fallback_dir,
+    in_domain, move, max_iter: int,
+) -> tuple[object, list[TraceRecord]]:
+    """Maximize ``objective(x)`` in at most ``max_iter`` accepted steps.
+
+    ``gradient(x)`` returns a vector g; ``newton_dir(x, g)`` a direction d in
+    the same space, or declines by returning None or raising ``LinAlgError``;
+    ``fallback_dir(x, g)`` is the direction taken when Newton declines or its
+    slope g @ d is not positive.  ``move(x, step, d)`` is the candidate
+    iterate, accepted once ``in_domain(candidate)`` holds and the objective
+    gains the Armijo share of ``step * g @ d``; the step is halved otherwise.
+    ``residual(x)`` is computed once per iterate, recorded, and passed with
+    the sup norm of g to ``converged(grad_inf, residual)``, which is tested
+    at every iterate, the last one included.  Returns the converged iterate
+    and the trace; raises ``NoConvergence`` carrying both when the line
+    search stalls or the steps run out.
+    """
+    f = objective(x)
+    r = residual(x)
+    trace: list[TraceRecord] = []
+    for it in range(max_iter + 1):
+        g = gradient(x)
+        ginf = float(np.max(np.abs(g)))
+        if converged(ginf, r):
+            trace.append(TraceRecord(it, f, ginf, 0.0, False, r))
+            return x, trace
+        if it == max_iter:
+            break
+
+        try:
+            d = newton_dir(x, g)
+        except np.linalg.LinAlgError:  # a singular Newton system declines
+            d = None
+        slope = float(g @ d) if d is not None else np.nan
+        newton = bool(np.isfinite(slope) and slope > 0.0)
+        if not newton:
+            d = fallback_dir(x, g)
+            slope = float(g @ d)
+
+        # near the maximum the true gain drops below float resolution of f;
+        # the Armijo test is slackened by that resolution so the final
+        # quadratic Newton steps are not rejected as non-improving
+        flat = FLAT * (1.0 + abs(f))
+        step = 1.0
+        while step > MIN_STEP:
+            cand = move(x, step, d)
+            if in_domain(cand):
+                f_cand = objective(cand)
+                if f_cand >= f + ARMIJO * step * slope - flat:
+                    break
+            step *= SHRINK
+        else:
+            raise NoConvergence(
+                f"line search stalled at iteration {it} (grad_inf={ginf:.3e})",
+                best=x,
+                trace=trace,
+            )
+        x, f = cand, f_cand
+        r = residual(x)
+        trace.append(TraceRecord(it, f, ginf, step, newton, r))
+
+    raise NoConvergence(
+        f"no convergence in {max_iter} iterations (grad_inf={ginf:.3e})",
+        best=x,
+        trace=trace,
+    )

@@ -113,17 +113,18 @@ def _cmd_pattern(args) -> int:
 def _cmd_uniformize(args) -> int:
     spec = class_spec_from_dict(read_json(args.spec))
     opts = UniformizeOptions(tol=args.tol, max_iter=args.max_iter)
+    failure = None
     try:
         y, st, trace = uniformize(spec, opts)
     except NoConvergence as exc:
-        if args.trace and exc.trace is not None:
-            Path(args.trace).write_text(trace_csv(exc.trace), encoding="utf-8")
-        print(f"error: {exc}", file=sys.stderr)
+        trace, failure = exc.trace, exc
+    if args.trace:
+        Path(args.trace).write_text(trace_csv(trace), encoding="utf-8")
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     if args.out:
         write_json(args.out, structure_to_dict(st))
-    if args.trace:
-        Path(args.trace).write_text(trace_csv(trace), encoding="utf-8")
     if args.angles_out:
         write_json(args.angles_out, angle_system_to_dict(y))
     rep = pattern_report(st)
@@ -201,38 +202,28 @@ def _cmd_flow(args) -> int:
     if args.phi0:
         phi0 = np.asarray(read_json(args.phi0)["phi"], dtype=float)
     opts = FlowOptions(tol=args.tol, max_iter=args.max_iter)
+    failure = None
     try:
         phi, report = log_ricci_flow(mesh, phi0, opts)
     except NoConvergence as exc:
-        if args.out and exc.trace is not None and exc.best is not None:
-            rep = exc.trace
-            write_json(
-                args.out,
-                {
-                    "converged": False,
-                    "iterations": rep.iterations,
-                    "final_spread": rep.final_spread,
-                    "final_curvature_mean": rep.final_curvature_mean,
-                    "final_objective": rep.final_objective,
-                    "phi": exc.best,
-                    "objective": [s.objective for s in rep.steps],
-                    "grad_inf": [s.grad_inf for s in rep.steps],
-                },
-            )
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    payload = {
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "final_spread": report.final_spread,
-        "final_curvature_mean": report.final_curvature_mean,
-        "final_objective": report.final_objective,
-        "phi": phi,
-        "objective": [s.objective for s in report.steps],
-        "grad_inf": [s.grad_inf for s in report.steps],
-    }
+        phi, report, failure = exc.best, exc.trace, exc
     if args.out:
-        write_json(args.out, payload)
+        write_json(
+            args.out,
+            {
+                "converged": report.converged,
+                "iterations": report.iterations,
+                "final_spread": report.final_spread,
+                "final_curvature_mean": report.final_curvature_mean,
+                "final_objective": report.final_objective,
+                "phi": phi,
+                "objective": [s.objective for s in report.steps],
+                "grad_inf": [s.grad_inf for s in report.steps],
+            },
+        )
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     print(
         f"converged in {report.iterations} iterations; "
         f"spread={fmt_float(report.final_spread)} "

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, Delaunay as PlanarDelaunay
 
 from .errors import DegenerateSample, DegenerateTriple
+from .reports import Report
 from .surfaces import PointSample, _planar_circumcenter, circumdisk
 
 GENERIC_TOL = 1e-10
@@ -194,16 +195,12 @@ def _check_generic(dc: DelaunayComplex, tol: float) -> None:
 
 
 @dataclass(frozen=True)
-class DensityReport:
-    ok: bool
+class DensityReport(Report):
     covering_ok: bool
     generic_ok: bool
     max_circumradius: float
     delta: float
     detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _exhaustive_cocircular(sample: PointSample, delta: float, tol: float) -> bool:

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from .angles import AngleSystem, ConformalClassSpec
+from .ascent import TraceRecord
 from .complexes import TopologicalTriangulation
 from .smoothflow import MeshMetric
-from .uniformize import HyperbolicStructure, TraceRecord
+from .uniformize import HyperbolicStructure
 
 
 def fmt_float(x: float) -> str:
@@ -127,7 +128,7 @@ def trace_csv(trace: list[TraceRecord]) -> str:
     for r in trace:
         lines.append(
             f"{r.iteration},{fmt_float(r.objective)},{fmt_float(r.grad_inf)},"
-            f"{fmt_float(r.step)},{fmt_float(r.worst_length_mismatch)}"
+            f"{fmt_float(r.step)},{fmt_float(r.residual)}"
         )
     return "\n".join(lines) + "\n"
 

@@ -18,7 +18,8 @@ is defined where u > 0 and k < 0, vanishes at phi = 0 and at constants, has
 gradient S log|k_h|, and is strictly concave in mean-zero directions with
 second variation -[2 psi' S psi + sum m (Lap psi)^2 / u].  Its ascent flow
 drives log|k_h| to a constant; critical points are exactly the constant
-curvature factors, unique up to the additive constant.
+curvature factors, unique up to the additive constant.  ``log_ricci_flow``
+ascends it with the shared damped Newton driver of ``ascent``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ascent import TraceRecord, ascend
 from .complexes import TopologicalTriangulation
 from .errors import (
     NoConvergence,
@@ -52,6 +54,8 @@ class MeshMetric:
             raise ValueError(
                 f"expected {complex.edge_count} edge lengths, got {lengths.shape}"
             )
+        if not np.all(np.isfinite(lengths)):
+            raise ValueError("edge lengths must be finite")
         if np.any(lengths <= 0):
             raise ValueError("edge lengths must be positive")
         self.complex = complex
@@ -60,18 +64,14 @@ class MeshMetric:
         F = complex.face_count
         V = complex.vertex_count
         side_len = lengths[complex.edge_of_flag].reshape(F, 3)
-        for t in range(F):
-            a, b, c = side_len[t]
-            if a >= b + c or b >= a + c or c >= a + b:
-                raise ValueError(f"face {t} violates the triangle inequality")
+        a, b, c = side_len.T
+        broken = (a >= b + c) | (b >= a + c) | (c >= a + b)
+        if broken.any():
+            raise ValueError(f"face {int(np.argmax(broken))} violates the triangle inequality")
 
-        l2 = side_len**2
-        cos = np.empty((F, 3))
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            cos[:, i] = (l2[:, j] + l2[:, k] - l2[:, i]) / (
-                2.0 * side_len[:, j] * side_len[:, k]
-            )
+        # corner i sits opposite side i, between the two sides that follow it
+        nxt, prv = np.roll(side_len, -1, axis=1), np.roll(side_len, -2, axis=1)
+        cos = (nxt**2 + prv**2 - side_len**2) / (2.0 * nxt * prv)
         self.corner_angles = np.arccos(np.clip(cos, -1.0, 1.0))
         self.face_areas = 0.5 * side_len[:, 1] * side_len[:, 2] * np.sin(
             self.corner_angles[:, 0]
@@ -85,18 +85,19 @@ class MeshMetric:
             np.repeat(self.face_areas / 3.0, 3),
         )
 
+        # corner i weights side i, whose endpoints are the other two corners
+        u = np.roll(corner_vertex, -1, axis=1).reshape(-1)
+        w = np.roll(corner_vertex, -2, axis=1).reshape(-1)
+        weight = 0.5 / np.tan(self.corner_angles).reshape(-1)
+        keep = u != w  # a side whose endpoints coincide adds nothing
+        u, w, weight = u[keep], w[keep], weight[keep]
         S = np.zeros((V, V))
-        cot = 1.0 / np.tan(self.corner_angles)
-        for t in range(F):
-            for i in range(3):
-                u, w = corner_vertex[t, (i + 1) % 3], corner_vertex[t, (i + 2) % 3]
-                if u == w:
-                    continue
-                c = 0.5 * cot[t, i]
-                S[u, u] += c
-                S[w, w] += c
-                S[u, w] -= c
-                S[w, u] -= c
+        # entries accumulate corner by corner, in the order of the definition
+        np.add.at(
+            S,
+            (np.column_stack([u, w, u, w]), np.column_stack([u, w, w, u])),
+            np.column_stack([weight, weight, -weight, -weight]),
+        )
         self.stiffness = S
 
         angle_sums = np.zeros(V)
@@ -217,39 +218,31 @@ def entropy(mesh: MeshMetric, phi: np.ndarray) -> float:
     return -float(w @ (kh * np.log(np.abs(kh))))
 
 
+NEWTON_THRESHOLD = 1e-3  # sup-norm gradient below which Newton engages
+U_FLOOR = 1e-12          # backtracking keeps Lap phi - k above this
+
+
 @dataclass(frozen=True)
 class FlowOptions:
-    tol: float = 1e-6             # curvature_spread target
-    max_iter: int = 5000
-    newton_threshold: float = 1e-3  # sup-norm gradient below which Newton engages
-    u_floor: float = 1e-12
-    armijo: float = 1e-4
-    shrink: float = 0.5
-
-
-@dataclass(frozen=True)
-class FlowStep:
-    iteration: int
-    objective: float
-    grad_inf: float
-    spread: float
-    step: float
-    newton: bool
+    tol: float = 1e-6  # curvature_spread target
+    max_iter: int = 5000  # cap on accepted steps; the last iterate is tested too
 
 
 @dataclass(frozen=True)
 class FlowReport:
     converged: bool
     iterations: int
-    steps: list[FlowStep]
+    steps: list[TraceRecord]
     final_spread: float
     final_curvature_mean: float
     final_objective: float
 
 
-def _in_domain(mesh: MeshMetric, phi: np.ndarray, floor: float) -> bool:
-    u = mesh.laplacian(phi) - mesh.curvature
-    return bool(np.all(u > floor))
+def _newton(mesh: MeshMetric, phi: np.ndarray, G: np.ndarray) -> np.ndarray | None:
+    if np.max(np.abs(G)) >= NEWTON_THRESHOLD:
+        return None
+    d, *_ = np.linalg.lstsq(hessian_matrix(mesh, phi), -G, rcond=None)
+    return mean_zero(mesh, d)
 
 
 def log_ricci_flow(
@@ -263,81 +256,40 @@ def log_ricci_flow(
     mass-preconditioned gradient); damped Newton steps take over once the
     gradient is small.  Steps are backtracked to keep Lap phi - k positive
     and the objective nondecreasing.  Starts from the teleported factor by
-    default.  Raises ``NoConvergence`` with the best iterate and report
-    attached if the iteration cap is reached.
+    default.  The report's step residual is the curvature spread.  Raises
+    ``NoConvergence`` with the best iterate and report attached if the line
+    search stalls or ``max_iter`` steps do not reach ``tol``.
     """
     opts = opts or FlowOptions()
     phi = np.asarray(phi0, dtype=float).copy() if phi0 is not None else teleport(mesh)
-    _domain_u(mesh, phi)
 
-    steps: list[FlowStep] = []
-    I = evaluate_Ig(mesh, phi)
-    converged = False
-    it = 0
-    for it in range(opts.max_iter + 1):
-        G = gradient_Ig(mesh, phi)
-        ginf = float(np.max(np.abs(G)))
-        spread = curvature_spread(mesh, phi)
-        if spread < opts.tol:
-            converged = True
-            steps.append(FlowStep(it, I, ginf, spread, 0.0, False))
-            break
-        if it == opts.max_iter:
-            break
-
-        newton = ginf < opts.newton_threshold
-        d = None
-        if newton:
-            try:
-                d, *_ = np.linalg.lstsq(hessian_matrix(mesh, phi), -G, rcond=None)
-                d = mean_zero(mesh, d)
-                if not np.isfinite(d).all() or float(G @ d) <= 0.0:
-                    d = None
-            except np.linalg.LinAlgError:
-                d = None
-        if d is None:
-            newton = False
-            d = mean_zero(mesh, G / mesh.masses)
-        slope = float(G @ d)
-
-        flat = 1e-14 * (1.0 + abs(I))
-        s = 1.0
-        moved = False
-        while s > 1e-18:
-            cand = phi + s * d
-            if _in_domain(mesh, cand, opts.u_floor):
-                I_cand = evaluate_Ig(mesh, cand)
-                if I_cand >= I + opts.armijo * s * slope - flat:
-                    phi, I = cand, I_cand
-                    steps.append(FlowStep(it, I, ginf, spread, s, newton))
-                    moved = True
-                    break
-            s *= opts.shrink
-        if not moved:
-            report = _report(mesh, phi, steps, False, I)
-            raise NoConvergence(
-                f"flow line search stalled at iteration {it}", best=phi, trace=report
-            )
-
-    phi = mean_zero(mesh, phi)
-    report = _report(mesh, phi, steps, converged, evaluate_Ig(mesh, phi))
-    if not converged:
-        raise NoConvergence(
-            f"flow did not converge in {opts.max_iter} iterations",
-            best=phi,
-            trace=report,
+    failure = None
+    try:
+        phi, trace = ascend(
+            phi,
+            objective=lambda p: evaluate_Ig(mesh, p),
+            gradient=lambda p: gradient_Ig(mesh, p),
+            residual=lambda p: curvature_spread(mesh, p),
+            converged=lambda _, spread: spread < opts.tol,
+            newton_dir=lambda p, G: _newton(mesh, p, G),
+            fallback_dir=lambda p, G: mean_zero(mesh, G / mesh.masses),
+            in_domain=lambda p: np.all(mesh.laplacian(p) - mesh.curvature > U_FLOOR),
+            move=lambda p, step, d: p + step * d,
+            max_iter=opts.max_iter,
         )
-    return phi, report
-
-
-def _report(mesh, phi, steps, converged, I) -> FlowReport:
+    except NoConvergence as exc:
+        phi, trace, failure = exc.best, exc.trace, exc
+    phi = mean_zero(mesh, phi)
     kh = curvature_h(mesh, phi)
     w = mesh.masses * np.exp(2.0 * phi)
-    return FlowReport(
-        converged=converged,
-        iterations=steps[-1].iteration if steps else 0,
-        steps=steps,
+    report = FlowReport(
+        converged=failure is None,
+        iterations=trace[-1].iteration if trace else 0,
+        steps=trace,
         final_spread=curvature_spread(mesh, phi),
         final_curvature_mean=float(w @ kh / w.sum()),
-        final_objective=I,
+        final_objective=evaluate_Ig(mesh, phi),
     )
+    if failure is not None:
+        raise NoConvergence(f"flow: {failure}", best=phi, trace=report) from failure
+    return phi, report

@@ -95,6 +95,16 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def _draw_points(surface: SurfaceModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n i.i.d. area-uniform points on the surface."""
+    if surface.kind == "sphere":
+        z = rng.uniform(-1.0, 1.0, size=n)
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+    return rng.uniform([0.0, 0.0], [surface.width, surface.height], size=(n, 2))
+
+
 def sample_poisson(surface: SurfaceModel, intensity: float, seed) -> PointSample:
     """Poisson(intensity * area) many points, i.i.d. uniform for the area.
 
@@ -105,14 +115,7 @@ def sample_poisson(surface: SurfaceModel, intensity: float, seed) -> PointSample
         raise ValueError("intensity must be positive")
     rng = _generator(seed)
     n = int(rng.poisson(intensity * surface.area))
-    if surface.kind == "sphere":
-        z = rng.uniform(-1.0, 1.0, size=n)
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        pts = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-    else:
-        pts = rng.uniform([0.0, 0.0], [surface.width, surface.height], size=(n, 2))
-    return PointSample(surface, pts, float(intensity), seed)
+    return PointSample(surface, _draw_points(surface, rng, n), float(intensity), seed)
 
 
 def sample_fixed_count(surface: SurfaceModel, n: int, seed) -> PointSample:
@@ -122,14 +125,7 @@ def sample_fixed_count(surface: SurfaceModel, n: int, seed) -> PointSample:
     same triangulation and estimator machinery as the Poisson sample (the
     recorded intensity is the matching n / area).
     """
-    rng = _generator(seed)
-    if surface.kind == "sphere":
-        z = rng.uniform(-1.0, 1.0, size=n)
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        pts = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-    else:
-        pts = rng.uniform([0.0, 0.0], [surface.width, surface.height], size=(n, 2))
+    pts = _draw_points(surface, _generator(seed), n)
     return PointSample(surface, pts, n / surface.area, seed)
 
 

@@ -2,12 +2,12 @@
 
 The optimization variable is the per-edge class coordinate: iterates move only
 along the class basis, so every per-edge partial-angle sum and every vertex
-sum is preserved to floating accumulation.  Damped Newton steps (dense solve,
-gradient-ascent fallback) are backtracked until the iterate stays strictly
-inside the open polytope of valid hyperbolic faces and the objective does not
-decrease.  At the maximizer the two faces meeting along each edge assign it
-the same hyperbolic length, so the triangles assemble into an actual
-hyperbolic surface whose circumscribing disks form the empty pattern.
+sum is preserved to floating accumulation.  The ascent is the shared damped
+Newton driver of ``ascent`` (dense Newton solve, gradient fallback), with the
+domain being the open polytope of valid hyperbolic faces.  At the maximizer
+the two faces meeting along each edge assign it the same hyperbolic length,
+so the triangles assemble into an actual hyperbolic surface whose
+circumscribing disks form the empty pattern.
 """
 
 from __future__ import annotations
@@ -20,35 +20,28 @@ from .angles import (
     AngleSystem,
     ConformalClassSpec,
     all_corner_angles,
-    class_basis,
+    class_lift,
     edge_psi,
     find_negative_delaunay,
 )
+from .ascent import TraceRecord, ascend
 from .complexes import TopologicalTriangulation
-from .errors import ComplexMismatch, LengthMismatch, NoConvergence
+from .errors import ComplexMismatch, LengthMismatch
 from .hyperbolic import (
     class_grad,
     class_hessian,
     flag_edge_lengths,
     objective_H,
 )
+from .reports import Report
+
+INTERIOR_MARGIN = 1e-9  # backtracking keeps angles and defects this far inside
 
 
 @dataclass(frozen=True)
 class UniformizeOptions:
-    tol: float = 1e-10          # sup-norm gradient target
-    max_iter: int = 200
-    interior_margin: float = 1e-9  # backtracking keeps angles this far inside
-    armijo: float = 1e-4
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    iteration: int
-    objective: float
-    grad_inf: float
-    step: float
-    worst_length_mismatch: float
+    tol: float = 1e-10  # sup-norm gradient target
+    max_iter: int = 200  # cap on accepted steps; the last iterate is tested too
 
 
 @dataclass(frozen=True)
@@ -89,69 +82,34 @@ def uniformize(
     The start point defaults to the margin-maximizing LP representative
     (raising ``Infeasible`` when the class has no negatively curved Delaunay
     member).  Returns the maximizer, its assembled structure, and the
-    per-iteration trace.  ``NoConvergence`` carries the best iterate and
-    trace when the iteration cap is reached.
+    per-iteration trace, whose residual is the worst two-sided length
+    mismatch.  ``NoConvergence`` carries the best iterate and trace when the
+    line search stalls or ``max_iter`` steps do not reach ``tol``.
     """
     opts = opts or UniformizeOptions()
+    T = spec.complex
     if start is None:
         x = find_negative_delaunay(spec)
     else:
-        if start.complex != spec.complex:
+        if start.complex != T:
             raise ComplexMismatch("start point lives on a different complex")
         if np.max(np.abs(edge_psi(start) - spec.psi_edge)) > 1e-9:
             raise ValueError("start point does not lie in the requested class")
         x = start
-    B = class_basis(spec.complex)
 
-    trace: list[TraceRecord] = []
-    H = objective_H(x)
-    for it in range(opts.max_iter):
-        g = class_grad(x)
-        ginf = float(np.max(np.abs(g)))
-        trace.append(TraceRecord(it, H, ginf, 0.0, _length_mismatch(x)))
-        if ginf < opts.tol:
-            structure = assemble_structure(x, tol=10 * opts.tol)
-            return x, structure, trace
-
-        M = class_hessian(x)
-        try:
-            d = np.linalg.solve(M, -g)
-        except np.linalg.LinAlgError:
-            d = g.copy()
-        slope = float(g @ d)
-        if not np.isfinite(slope) or slope <= 0.0:
-            d = g.copy()
-            slope = float(g @ g)
-
-        # near the maximum the true gain drops below float resolution of H;
-        # the Armijo test is slackened by that resolution so the final
-        # quadratic Newton steps are not rejected as non-improving
-        flat = 1e-14 * (1.0 + abs(H))
-        step = 1.0
-        moved = False
-        while step > 1e-18:
-            cand = AngleSystem(spec.complex, x.psi + step * (B.T @ d))
-            if _interior_margin(cand) > opts.interior_margin:
-                H_cand = objective_H(cand)
-                if H_cand >= H + opts.armijo * step * slope - flat:
-                    x, H = cand, H_cand
-                    trace[-1] = TraceRecord(it, H, ginf, step, _length_mismatch(x))
-                    moved = True
-                    break
-            step *= 0.5
-        if not moved:
-            raise NoConvergence(
-                f"line search stalled at iteration {it} (grad_inf={ginf:.3e})",
-                best=x,
-                trace=trace,
-            )
-
-    raise NoConvergence(
-        f"no convergence in {opts.max_iter} iterations "
-        f"(grad_inf={float(np.max(np.abs(class_grad(x)))):.3e})",
-        best=x,
-        trace=trace,
+    y, trace = ascend(
+        x,
+        objective=objective_H,
+        gradient=class_grad,
+        residual=_length_mismatch,
+        converged=lambda ginf, _: ginf < opts.tol,
+        newton_dir=lambda y, g: np.linalg.solve(class_hessian(y), -g),
+        fallback_dir=lambda _, g: g,
+        in_domain=lambda y: _interior_margin(y) > INTERIOR_MARGIN,
+        move=lambda y, step, d: AngleSystem(T, y.psi + step * class_lift(T, d)),
+        max_iter=opts.max_iter,
     )
+    return y, assemble_structure(y, tol=10 * opts.tol), trace
 
 
 def assemble_structure(y: AngleSystem, tol: float = 1e-7) -> HyperbolicStructure:
@@ -207,17 +165,13 @@ def assemble_structure(y: AngleSystem, tol: float = 1e-7) -> HyperbolicStructure
 
 
 @dataclass(frozen=True)
-class PatternReport:
-    ok: bool
+class PatternReport(Report):
     total_area: float
     area_target: float
     area_error: float
     intersection_angles: np.ndarray
     circumradii: np.ndarray
     angle_range: tuple[float, float]
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def pattern_report(structure: HyperbolicStructure, tol: float = 1e-9) -> PatternReport:

@@ -197,7 +197,7 @@ def test_criterion_4_uniformization(canonical24_spec):
     y1, st, trace = uniformize(canonical24_spec, opts)
     assert len(trace) <= 200
     assert trace[-1].grad_inf < 1e-10
-    assert trace[-1].worst_length_mismatch < 1e-8
+    assert trace[-1].residual < 1e-8
     assert abs(st.total_area - 4 * np.pi) < 1e-9
 
     rng = np.random.default_rng(104)

@@ -6,6 +6,7 @@ from diskflow.angles import (
     AngleSystem,
     ConformalClassSpec,
     class_basis,
+    class_lift,
     conformal_class_of,
     corner_angles,
     edge_psi,
@@ -155,6 +156,7 @@ def test_conformal_class_and_basis():
         assert same_class(x, y)
         assert np.max(np.abs(vertex_angle_sums(y) - vertex_angle_sums(x))) < 1e-12
     z = rng.normal(size=T.edge_count)
+    assert np.array_equal(class_lift(T, z), B.T @ z)
     y = AngleSystem(T, x.psi + B.T @ z)
     assert np.max(np.abs(edge_psi(y) - edge_psi(x))) < 1e-12
     # bumping a single partial leaves the class

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,19 @@ def test_flow_with_phi0_and_cap(cone14_file, tmp_path):
     assert code == 3
     data = read_json(partial)
     assert data["converged"] is False  # best iterate still reported
+
+
+@pytest.mark.parametrize("command", ["teleport", "flow"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_mesh_is_a_domain_error(command, bad, cone14_unit, tmp_path):
+    lengths = cone14_unit.lengths.tolist()
+    lengths[0] = bad
+    path = tmp_path / "bad_mesh.json"
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    path.write_text(json.dumps({"complex": cone14_unit.complex.to_dict(), "lengths": lengths}))
+    out = tmp_path / "out.json"
+    assert run([command, str(path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_unknown_command_exits_nonzero(capsys):

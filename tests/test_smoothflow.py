@@ -5,6 +5,7 @@ from diskflow.complexes import genus2_octagon, subdivide, tetrahedron
 from diskflow.errors import NoConvergence, OutOfDomain, ZeroCurvatureVertex
 from diskflow.smoothflow import (
     FlowOptions,
+    FlowReport,
     MeshMetric,
     curvature_h,
     curvature_spread,
@@ -59,7 +60,18 @@ def test_mesh_requires_triangle_inequality(genus2_sub):
     T = genus2_sub.complex
     lengths = np.ones(T.edge_count)
     lengths[0] = 5.0
-    with pytest.raises(ValueError):
+    sides = lengths[T.edge_of_flag].reshape(-1, 3)
+    first = next(t for t, (a, b, c) in enumerate(sides) if a >= b + c or b >= a + c or c >= a + b)
+    with pytest.raises(ValueError, match=f"face {first} violates"):
+        MeshMetric(T, lengths)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mesh_rejects_non_finite_lengths(genus2_sub, bad):
+    T = genus2_sub.complex
+    lengths = np.ones(T.edge_count)
+    lengths[3] = bad
+    with pytest.raises(ValueError, match="finite"):
         MeshMetric(T, lengths)
 
 
@@ -258,6 +270,32 @@ def test_flow_iteration_cap(cone14_mesh):
     with pytest.raises(NoConvergence) as exc:
         log_ricci_flow(mesh, opts=FlowOptions(tol=1e-12, max_iter=2))
     assert exc.value.best is not None
+
+
+def test_flow_stall_reports_best(cone14_unit, monkeypatch):
+    # every candidate of the second iteration is refused, so its line search stalls
+    import diskflow.smoothflow as sf
+
+    grad, objective = sf.gradient_Ig, sf.evaluate_Ig
+    iterations = []
+
+    def counting_grad(mesh, phi):
+        iterations.append(phi)
+        return grad(mesh, phi)
+
+    def refusing_objective(mesh, phi):
+        return objective(mesh, phi) if len(iterations) < 2 else -np.inf
+
+    monkeypatch.setattr(sf, "gradient_Ig", counting_grad)
+    monkeypatch.setattr(sf, "evaluate_Ig", refusing_objective)
+    rng = np.random.default_rng(8)
+    phi0 = mean_zero(cone14_unit, 0.05 * rng.normal(size=14))
+    with pytest.raises(NoConvergence, match="line search stalled at iteration 1") as exc:
+        log_ricci_flow(cone14_unit, phi0)
+    rep = exc.value.trace
+    assert isinstance(rep, FlowReport) and not rep.converged
+    assert [s.iteration for s in rep.steps] == [0] and rep.steps[0].step > 0
+    assert exc.value.best.shape == (14,) and np.all(np.isfinite(exc.value.best))
 
 
 def test_mesh_from_uniformizer_output(canonical24_spec):

@@ -45,7 +45,7 @@ def test_uniformize_genus2_24(canonical24_spec):
     y, st, trace = uniformize(canonical24_spec, opts)
     assert len(trace) <= opts.max_iter
     assert trace[-1].grad_inf < opts.tol
-    assert trace[-1].worst_length_mismatch < 1e-8
+    assert trace[-1].residual < 1e-8
     assert abs(st.total_area - 4 * np.pi) < 1e-9
     # objective is nondecreasing along the accepted iterates
     hs = [r.objective for r in trace]
@@ -208,3 +208,31 @@ def test_no_convergence_reports_best(canonical24_spec):
         uniformize(canonical24_spec, UniformizeOptions(tol=1e-10, max_iter=2))
     assert exc.value.best is not None
     assert exc.value.trace is not None and len(exc.value.trace) == 2
+
+
+def test_line_search_stall_reports_best(canonical24_spec, monkeypatch):
+    # every candidate of the second iteration is refused, so its line search stalls
+    import importlib
+
+    from diskflow.ascent import TraceRecord
+    from diskflow.errors import NoConvergence
+
+    un = importlib.import_module("diskflow.uniformize")  # the package attribute is the function
+    grad, objective = un.class_grad, un.objective_H
+    iterations = []
+
+    def counting_grad(x):
+        iterations.append(x)
+        return grad(x)
+
+    def refusing_objective(x):
+        return objective(x) if len(iterations) < 2 else -np.inf
+
+    monkeypatch.setattr(un, "class_grad", counting_grad)
+    monkeypatch.setattr(un, "objective_H", refusing_objective)
+    with pytest.raises(NoConvergence, match="line search stalled at iteration 1") as exc:
+        uniformize(canonical24_spec)
+    assert isinstance(exc.value.best, AngleSystem)
+    trace = exc.value.trace
+    assert isinstance(trace, list) and all(isinstance(r, TraceRecord) for r in trace)
+    assert [r.iteration for r in trace] == [0] and trace[0].step > 0
