@@ -16,7 +16,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .complexes import TopologicalTriangulation
-from .errors import ComplexMismatch, Infeasible, TooLarge
+from .errors import ComplexMismatch, Infeasible, TooLarge, finite_vector
 from .reports import Report
 
 CHECK_TOL = 1e-9     # absolute tolerance for linear constraint checks
@@ -32,11 +32,7 @@ class AngleSystem:
     psi: np.ndarray
 
     def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=float)
-        if psi.shape != (3 * self.complex.face_count,):
-            raise ValueError(
-                f"expected {3 * self.complex.face_count} partials, got {psi.shape}"
-            )
+        psi = finite_vector(self.psi, 3 * self.complex.face_count, "flag")
         object.__setattr__(self, "psi", psi)
 
     def face_partials(self, t: int) -> np.ndarray:
@@ -51,11 +47,7 @@ class ConformalClassSpec:
     psi_edge: np.ndarray
 
     def __post_init__(self):
-        pe = np.asarray(self.psi_edge, dtype=float)
-        if pe.shape != (self.complex.edge_count,):
-            raise ValueError(
-                f"expected {self.complex.edge_count} edge values, got {pe.shape}"
-            )
+        pe = finite_vector(self.psi_edge, self.complex.edge_count, "edge")
         object.__setattr__(self, "psi_edge", pe)
 
 

@@ -198,9 +198,7 @@ def _cmd_teleport(args) -> int:
 
 def _cmd_flow(args) -> int:
     mesh = mesh_from_dict(read_json(args.mesh))
-    phi0 = None
-    if args.phi0:
-        phi0 = np.asarray(read_json(args.phi0)["phi"], dtype=float)
+    phi0 = read_json(args.phi0)["phi"] if args.phi0 else None
     opts = FlowOptions(tol=args.tol, max_iter=args.max_iter)
     failure = None
     try:

@@ -24,7 +24,7 @@ from scipy.spatial import ConvexHull, Delaunay as PlanarDelaunay
 
 from .errors import DegenerateSample, DegenerateTriple
 from .reports import Report
-from .surfaces import PointSample, _planar_circumcenter, circumdisk
+from .surfaces import PointSample, _planar_circumcenters, circumdisk, geodesic_distance
 
 GENERIC_TOL = 1e-10
 
@@ -97,21 +97,6 @@ def _sphere_delaunay(sample: PointSample) -> DelaunayComplex:
     )
 
 
-def _planar_circumcenters(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized circumcenters/radii for (S, 3, 2) triangle coordinates."""
-    a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
-    d = 2.0 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-               - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-    b2 = ((b - a) ** 2).sum(axis=1)
-    c2 = ((c - a) ** 2).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ux = ((c[:, 1] - a[:, 1]) * b2 - (b[:, 1] - a[:, 1]) * c2) / d
-        uy = ((b[:, 0] - a[:, 0]) * c2 - (c[:, 0] - a[:, 0]) * b2) / d
-    centers = a + np.column_stack([ux, uy])
-    radii = np.linalg.norm(centers - a, axis=1)
-    return centers, radii
-
-
 def _torus_delaunay(sample: PointSample) -> DelaunayComplex:
     surf = sample.surface
     pts = sample.points
@@ -129,7 +114,7 @@ def _torus_delaunay(sample: PointSample) -> DelaunayComplex:
         raise DegenerateSample(f"planar triangulation failed: {exc}") from exc
 
     coords = big[tri.simplices]
-    centers, radii = _planar_circumcenters(coords)
+    centers, radii, _ = _planar_circumcenters(coords)
     keep = (
         np.isfinite(radii)
         & (centers[:, 0] >= 0.0) & (centers[:, 0] < a)
@@ -167,10 +152,7 @@ def _emptiness_flags(dc: DelaunayComplex, tol: float) -> tuple[np.ndarray, np.nd
         inside = dots > hi
         on_circle = (dots <= hi) & (dots >= lo)
     else:
-        d = np.abs(dc.centers[:, None, :] - pts[None, :, :])
-        d[..., 0] = np.minimum(d[..., 0], surf.width - d[..., 0])
-        d[..., 1] = np.minimum(d[..., 1], surf.height - d[..., 1])
-        dist = np.sqrt((d**2).sum(axis=-1))
+        dist = geodesic_distance(surf, dc.centers[:, None, :], pts[None, :, :])
         inside = dist < dc.radii[:, None] - tol
         on_circle = np.abs(dist - dc.radii[:, None]) <= tol
     return inside, on_circle
@@ -219,13 +201,7 @@ def _exhaustive_cocircular(sample: PointSample, delta: float, tol: float) -> boo
         if cd.radius >= delta:
             continue
         others = np.delete(np.arange(n), [i, j, k])
-        if surf.kind == "sphere":
-            d = np.arccos(np.clip(pts[others] @ cd.center, -1.0, 1.0))
-        else:
-            diff = np.abs(pts[others] - cd.center)
-            diff[:, 0] = np.minimum(diff[:, 0], surf.width - diff[:, 0])
-            diff[:, 1] = np.minimum(diff[:, 1], surf.height - diff[:, 1])
-            d = np.sqrt((diff**2).sum(axis=1))
+        d = geodesic_distance(surf, pts[others], cd.center)
         if np.any(np.abs(d - cd.radius) <= tol):
             return True
     return False

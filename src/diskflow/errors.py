@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all diskflow modules."""
+"""Exception hierarchy shared by all diskflow modules, and the input vector check."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class DiskflowError(Exception):
@@ -112,3 +114,15 @@ class OutOfDomain(DiskflowError):
 
 class ZeroCurvatureVertex(DiskflowError):
     """Entropy is undefined where the conformal curvature vanishes."""
+
+
+def finite_vector(values, n: int, what: str) -> np.ndarray:
+    """``values`` as n finite floats, one per ``what``, else ``ValueError`` saying why."""
+    out = np.asarray(values, dtype=float)
+    if out.shape != (n,):
+        raise ValueError(f"expected shape ({n},), one value per {what}, got {out.shape}")
+    bad = ~np.isfinite(out)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"value at {what} {i} is not finite ({out[i]})")
+    return out

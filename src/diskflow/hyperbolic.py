@@ -27,7 +27,9 @@ an ideal-tetrahedron decomposition of the prism).  The exported volume is
 anchored to 0 at the equilateral pi/6 triple; only differences and
 derivatives are meaningful to callers.  V is strictly concave along the
 directions that preserve every per-edge partial-angle sum, which is what
-makes maximizing the total volume over a conformal class well posed.
+makes maximizing the total volume over a conformal class well posed.  Its
+Hessian there is scattered from the 3x3 face blocks onto the edges by index
+arrays: at most five nonzeros per row.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import zeta
 
-from .angles import AngleSystem, all_corner_angles, class_basis
+from .angles import AngleSystem, all_corner_angles, class_basis, class_lift
 from .errors import DegenerateAngle, NotHyperbolic, NotInDomain
 
 ANGLE_GUARD = 1e-9  # reject angles or defects closer than this to the boundary
@@ -266,39 +268,37 @@ def class_grad(x: AngleSystem) -> np.ndarray:
 
 
 def face_hessian(angles: np.ndarray) -> np.ndarray:
-    """3x3 Hessian of one face's prism volume in its partial angles.
+    """(..., 3, 3) Hessians of the prism volume in the partials of each face.
 
-    Off-diagonal (i, j): -(tan s + cot A_k); the diagonal adds -tan psi_i
-    and the second cotangent.  Symmetric by construction.
+    ``angles`` is (..., 3), one corner triple per face.  Off-diagonal (i, j):
+    -(tan s + cot A_k); the diagonal adds -tan psi_i and the second
+    cotangent.  Symmetric by construction.
     """
     angles = np.asarray(angles, dtype=float)
-    s = angles.sum() / 2.0
-    psi = s - angles
+    s = angles.sum(axis=-1, keepdims=True) / 2.0
     ts = np.tan(s)
     cotA = 1.0 / np.tan(angles)
-    H = np.full((3, 3), -ts)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        H[i, i] -= np.tan(psi[i]) + cotA[j] + cotA[k]
-        H[i, j] -= cotA[k]
-        H[j, i] = H[i, j]
-    return H
-
-
-def full_hessian(x: AngleSystem) -> np.ndarray:
-    """Block-diagonal (3F, 3F) Hessian of the objective in partials."""
-    A = _face_angles_checked(x)
-    n = 3 * x.complex.face_count
-    H = np.zeros((n, n))
-    for t in range(x.complex.face_count):
-        H[3 * t : 3 * t + 3, 3 * t : 3 * t + 3] = face_hessian(A[t])
+    cot_j, cot_k = np.roll(cotA, -1, axis=-1), np.roll(cotA, -2, axis=-1)
+    i, j = np.arange(3), np.roll(np.arange(3), -1)
+    H = np.empty(angles.shape + (3,))
+    H[..., i, i] = -ts - (np.tan(s - angles) + cot_j + cot_k)
+    H[..., i, j] = H[..., j, i] = -ts - cot_k
     return H
 
 
 def class_hessian(x: AngleSystem) -> np.ndarray:
-    """(E, E) Hessian of the objective along the conformal class."""
-    B = class_basis(x.complex)
-    return B @ full_hessian(x) @ B.T
+    """(E, E) Hessian of the objective along the conformal class.
+
+    A flag moves by s = +1 (lower flag) or -1 (its mate) times its edge's
+    coordinate, so face entry (i, j) adds s_i s_j H[i, j] at the flags' edges.
+    """
+    T = x.complex
+    e = T.edge_of_flag.reshape(-1, 3)
+    s = class_lift(T, np.ones(T.edge_count)).reshape(-1, 3)
+    blocks = s[:, :, None] * s[:, None, :] * face_hessian(_face_angles_checked(x))
+    H = np.zeros((T.edge_count, T.edge_count))
+    np.add.at(H, (e[:, :, None], e[:, None, :]), blocks)
+    return H
 
 
 def class_hessian_fd(x: AngleSystem, step: float = 1e-6) -> np.ndarray:

@@ -19,7 +19,9 @@ gradient S log|k_h|, and is strictly concave in mean-zero directions with
 second variation -[2 psi' S psi + sum m (Lap psi)^2 / u].  Its ascent flow
 drives log|k_h| to a constant; critical points are exactly the constant
 curvature factors, unique up to the additive constant.  ``log_ricci_flow``
-ascends it with the shared damped Newton driver of ``ascent``.
+ascends it with the shared damped Newton driver of ``ascent``.  S and the
+second variation are sparse; ``teleport`` and the Newton step ground one
+vertex to solve them, as their kernel is the constants.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from .ascent import TraceRecord, ascend
 from .complexes import TopologicalTriangulation
@@ -35,6 +39,7 @@ from .errors import (
     OutOfDomain,
     SolveFailure,
     ZeroCurvatureVertex,
+    finite_vector,
 )
 
 
@@ -42,20 +47,14 @@ class MeshMetric:
     """Background discrete metric: complex, edge lengths, derived operators.
 
     Attributes: ``corner_angles`` (F, 3) Euclidean angles (corner i opposite
-    side i), ``face_areas``, ``masses`` m_v, ``stiffness`` S (dense V x V),
+    side i), ``face_areas``, ``masses`` m_v, ``stiffness`` S (sparse CSR),
     ``curvature`` k_v, ``area`` total.
     """
 
     def __init__(self, complex: TopologicalTriangulation, lengths: np.ndarray):
         if complex.chi >= 0:
             raise ValueError(f"mesh metrics require chi < 0, got chi={complex.chi}")
-        lengths = np.asarray(lengths, dtype=float)
-        if lengths.shape != (complex.edge_count,):
-            raise ValueError(
-                f"expected {complex.edge_count} edge lengths, got {lengths.shape}"
-            )
-        if not np.all(np.isfinite(lengths)):
-            raise ValueError("edge lengths must be finite")
+        lengths = finite_vector(lengths, complex.edge_count, "edge")
         if np.any(lengths <= 0):
             raise ValueError("edge lengths must be positive")
         self.complex = complex
@@ -91,14 +90,14 @@ class MeshMetric:
         weight = 0.5 / np.tan(self.corner_angles).reshape(-1)
         keep = u != w  # a side whose endpoints coincide adds nothing
         u, w, weight = u[keep], w[keep], weight[keep]
-        S = np.zeros((V, V))
-        # entries accumulate corner by corner, in the order of the definition
-        np.add.at(
-            S,
-            (np.column_stack([u, w, u, w]), np.column_stack([u, w, w, u])),
-            np.column_stack([weight, weight, -weight, -weight]),
+        # duplicate (row, column) pairs are summed
+        self.stiffness = sparse.csr_array(
+            (
+                np.concatenate([weight, weight, -weight, -weight]),
+                (np.concatenate([u, w, u, w]), np.concatenate([u, w, w, u])),
+            ),
+            shape=(V, V),
         )
-        self.stiffness = S
 
         angle_sums = np.zeros(V)
         np.add.at(angle_sums, corner_vertex.reshape(-1), self.corner_angles.reshape(-1))
@@ -125,6 +124,17 @@ def curvature_h(mesh: MeshMetric, phi: np.ndarray) -> np.ndarray:
     return np.exp(-2.0 * phi) * (-mesh.laplacian(phi) + mesh.curvature)
 
 
+def _grounded_solve(A, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b, A sparse symmetric with the constants as kernel, at x_0 = 0.
+
+    The complex is connected, so dropping row and column 0 leaves a regular
+    system; the dropped equation holds when b sums to zero.
+    """
+    x = np.zeros(len(b))
+    x[1:] = spsolve(A[1:, 1:], b[1:])
+    return x
+
+
 def teleport(mesh: MeshMetric) -> np.ndarray:
     """Mean-zero factor whose conformal curvature is negative everywhere.
 
@@ -134,7 +144,7 @@ def teleport(mesh: MeshMetric) -> np.ndarray:
     """
     c = 2.0 * np.pi * mesh.complex.chi / mesh.area
     rhs = mesh.masses * (c - mesh.curvature)
-    phi, residual, *_ = np.linalg.lstsq(mesh.stiffness, rhs, rcond=None)
+    phi = _grounded_solve(mesh.stiffness, rhs)
     if not np.all(np.isfinite(phi)):
         raise SolveFailure("stiffness solve produced non-finite factor")
     if np.max(np.abs(mesh.stiffness @ phi - rhs)) > 1e-8 * max(1.0, np.abs(rhs).max()):
@@ -181,21 +191,18 @@ def gradient_Ig(mesh: MeshMetric, phi: np.ndarray) -> np.ndarray:
 def hessian_Ig(mesh: MeshMetric, phi: np.ndarray, psi: np.ndarray) -> float:
     """Second variation of the objective at phi in direction psi.
 
-    Equal to -[2 psi' S psi + sum m (Lap psi)^2 / u]; strictly negative for
-    nonzero mean-zero psi and zero on constants.
+    Quadratic form of ``hessian_matrix``, -[2 psi' S psi + sum m (Lap psi)^2 / u];
+    strictly negative for nonzero mean-zero psi and zero on constants.
     """
-    phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    u = _domain_u(mesh, phi)
-    lap_psi = mesh.laplacian(psi)
-    return -float(2.0 * psi @ (mesh.stiffness @ psi) + mesh.masses @ (lap_psi**2 / u))
+    return float(psi @ (hessian_matrix(mesh, phi) @ psi))
 
 
-def hessian_matrix(mesh: MeshMetric, phi: np.ndarray) -> np.ndarray:
-    """Dense matrix of the second variation (singular on constants)."""
+def hessian_matrix(mesh: MeshMetric, phi: np.ndarray) -> sparse.csr_array:
+    """Sparse second variation -(2 S + S diag(1/(m u)) S), singular on constants."""
     u = _domain_u(mesh, np.asarray(phi, dtype=float))
     S = mesh.stiffness
-    return -(2.0 * S + S @ np.diag(1.0 / (mesh.masses * u)) @ S)
+    return -(2.0 * S + S @ sparse.diags_array(1.0 / (mesh.masses * u)) @ S)
 
 
 def curvature_spread(mesh: MeshMetric, phi: np.ndarray) -> float:
@@ -241,8 +248,7 @@ class FlowReport:
 def _newton(mesh: MeshMetric, phi: np.ndarray, G: np.ndarray) -> np.ndarray | None:
     if np.max(np.abs(G)) >= NEWTON_THRESHOLD:
         return None
-    d, *_ = np.linalg.lstsq(hessian_matrix(mesh, phi), -G, rcond=None)
-    return mean_zero(mesh, d)
+    return mean_zero(mesh, _grounded_solve(hessian_matrix(mesh, phi), -G))
 
 
 def log_ricci_flow(
@@ -258,10 +264,11 @@ def log_ricci_flow(
     and the objective nondecreasing.  Starts from the teleported factor by
     default.  The report's step residual is the curvature spread.  Raises
     ``NoConvergence`` with the best iterate and report attached if the line
-    search stalls or ``max_iter`` steps do not reach ``tol``.
+    search stalls or ``max_iter`` steps do not reach ``tol``, and
+    ``ValueError`` unless ``phi0`` is finite with one entry per vertex.
     """
     opts = opts or FlowOptions()
-    phi = np.asarray(phi0, dtype=float).copy() if phi0 is not None else teleport(mesh)
+    phi = teleport(mesh) if phi0 is None else finite_vector(phi0, mesh.vertex_count, "vertex")
 
     failure = None
     try:

@@ -149,18 +149,23 @@ class Circumdisk:
     area: float
 
 
-def _planar_circumcenter(tri: np.ndarray) -> tuple[np.ndarray, float]:
-    """Circumcenter and radius of a planar triangle (rows of ``tri``)."""
-    a, b, c = tri
-    d = 2.0 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-    if abs(d) < 1e-14 * max(1.0, np.abs(tri).max() ** 2):
-        raise DegenerateTriple("collinear triple has no circumdisk")
-    b2 = ((b - a) ** 2).sum()
-    c2 = ((c - a) ** 2).sum()
-    ux = (c[1] - a[1]) * b2 - (b[1] - a[1]) * c2
-    uy = (b[0] - a[0]) * c2 - (c[0] - a[0]) * b2
-    center = a + np.array([ux, uy]) / d
-    return center, float(np.linalg.norm(center - a))
+def _planar_circumcenters(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Circumcenters and radii of (S, 3, 2) planar triangles.
+
+    Also returns d, twice the cross product of the sides from the first
+    vertex; d = 0 (collinear) leaves a non-finite center and radius.
+    """
+    a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
+    d = 2.0 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+               - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    b2 = ((b - a) ** 2).sum(axis=1)
+    c2 = ((c - a) ** 2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = ((c[:, 1] - a[:, 1]) * b2 - (b[:, 1] - a[:, 1]) * c2) / d
+        uy = ((b[:, 0] - a[:, 0]) * c2 - (c[:, 0] - a[:, 0]) * b2) / d
+    centers = a + np.column_stack([ux, uy])
+    radii = np.linalg.norm(centers - a, axis=1)
+    return centers, radii, d
 
 
 def circumdisk(surface: SurfaceModel, triple: np.ndarray) -> Circumdisk:
@@ -190,6 +195,8 @@ def circumdisk(surface: SurfaceModel, triple: np.ndarray) -> Circumdisk:
     for i in (1, 2):
         delta = tri[i] - tri[0]
         tri[i] -= dims * np.round(delta / dims)
-    center, r = _planar_circumcenter(tri)
-    center = np.mod(center, dims)
-    return Circumdisk(center, r, float(np.pi * r * r))
+    centers, radii, d = _planar_circumcenters(tri[None])
+    if abs(d[0]) < 1e-14 * max(1.0, np.abs(tri).max() ** 2):
+        raise DegenerateTriple("collinear triple has no circumdisk")
+    r = float(radii[0])
+    return Circumdisk(np.mod(centers[0], dims), r, float(np.pi * r * r))

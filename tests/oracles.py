@@ -5,13 +5,20 @@ places the hyperbolic triangle in the upper half space, collects the six
 ideal endpoints of the perpendicular geodesics through its vertices, and sums
 ideal-tetrahedron volumes over a fan of the convex hull.  Agreement with the
 production routes is therefore a genuine cross-check of the geometry.
+
+The dense oracles rebuild the solvers' sparse operators and grounded solves
+the direct way (class basis products, least-squares solves of the singular
+systems), so the index-array assembly is checked against its definition.
 """
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import block_diag
 from scipy.spatial import ConvexHull
 
-from diskflow.hyperbolic import lobachevsky
+from diskflow.angles import AngleSystem, all_corner_angles, class_basis
+from diskflow.hyperbolic import face_hessian, lobachevsky
+from diskflow.smoothflow import MeshMetric, hessian_matrix, mean_zero
 
 
 def lobachevsky_quad(theta: float) -> float:
@@ -87,3 +94,24 @@ def true_prism_volume(A: float, B: float, C: float) -> float:
 
 
 PRISM_ANCHOR_TRUE_VOLUME = 2.5157576984766887  # pi/6 equilateral prism
+
+
+def class_hessian_dense(x: AngleSystem) -> np.ndarray:
+    """Class Hessian as B H B' with the dense class basis B and the
+    block-diagonal (3F, 3F) Hessian of the faces."""
+    B = class_basis(x.complex)
+    return B @ block_diag(*face_hessian(all_corner_angles(x))) @ B.T
+
+
+def teleport_lstsq(mesh: MeshMetric) -> np.ndarray:
+    """Teleported factor by a dense least-squares solve of S phi = M (c - k)."""
+    c = 2.0 * np.pi * mesh.complex.chi / mesh.area
+    rhs = mesh.masses * (c - mesh.curvature)
+    phi, *_ = np.linalg.lstsq(mesh.stiffness.toarray(), rhs, rcond=None)
+    return mean_zero(mesh, phi)
+
+
+def newton_direction_lstsq(mesh: MeshMetric, phi: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Mean-zero Newton direction by a dense least-squares solve of H d = -G."""
+    d, *_ = np.linalg.lstsq(hessian_matrix(mesh, phi).toarray(), -G, rcond=None)
+    return mean_zero(mesh, d)

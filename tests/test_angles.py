@@ -143,6 +143,20 @@ def test_total_curvature_identity():
         assert np.isclose(total, -2 * np.pi * T.chi, atol=1e-9)
 
 
+def test_non_finite_data_names_the_flag_or_edge():
+    rng = np.random.default_rng(4)
+    T = random_complex(rng, 6)
+    x = random_angle_system(T, rng)
+    psi = x.psi.copy()
+    psi[4] = np.nan
+    with pytest.raises(ValueError, match="flag 4 is not finite"):
+        AngleSystem(T, psi)
+    pe = edge_psi(x)
+    pe[2] = -np.inf
+    with pytest.raises(ValueError, match="edge 2 is not finite"):
+        ConformalClassSpec(T, pe)
+
+
 def test_conformal_class_and_basis():
     rng = np.random.default_rng(3)
     T = random_complex(rng, 6)

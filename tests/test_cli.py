@@ -173,5 +173,35 @@ def test_non_finite_mesh_is_a_domain_error(command, bad, cone14_unit, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "phi0, message",
+    [
+        ([0.0] * 5 + [float("nan")] + [0.0] * 8, "vertex 5 is not finite"),
+        ([0.0] * 13 + [float("inf")], "vertex 13 is not finite"),
+        ([0.0, 0.0], "expected shape (14,)"),
+    ],
+)
+def test_bad_phi0_is_a_domain_error(phi0, message, cone14_file, tmp_path, capsys):
+    start = tmp_path / "phi0.json"
+    start.write_text(json.dumps({"phi": phi0}))
+    out = tmp_path / "flow.json"
+    assert run(["flow", cone14_file, "--phi0", str(start), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_class_is_a_domain_error(bad, canonical24_spec, tmp_path, capsys):
+    data = class_spec_to_dict(canonical24_spec)
+    data["psi_edge"]["7"] = bad
+    path = tmp_path / "bad_class.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "structure.json"
+    assert run(["uniformize", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "ValueError: value at edge 7 is not finite" in err
+
+
 def test_unknown_command_exits_nonzero(capsys):
     assert run(["frobnicate"]) == 1

@@ -23,6 +23,7 @@ from diskflow.hyperbolic import (
 
 from oracles import (
     PRISM_ANCHOR_TRUE_VOLUME,
+    class_hessian_dense,
     lobachevsky_quad,
     true_prism_volume,
 )
@@ -232,11 +233,35 @@ def test_class_hessian_matches_fd(genus2):
     assert np.max(np.abs(M - Mfd)) / np.max(np.abs(M)) < 1e-4
 
 
+@pytest.mark.parametrize("subdivisions", [1, 2, 3])
+def test_class_hessian_matches_dense_oracle(subdivisions):
+    from diskflow.angles import conformal_class_of, find_negative_delaunay
+    from diskflow.complexes import genus2_octagon, subdivide
+
+    T = genus2_octagon()
+    for _ in range(subdivisions):
+        T = subdivide(T).complex
+    deg = np.array([len(c) for c in T.corners_of_vertex])
+    corner = 2 * np.pi / deg[T.vertex_of_corner]
+    y = find_negative_delaunay(conformal_class_of(partials_from_angles(T, corner.reshape(-1, 3))))
+    M = class_hessian(y)
+    assert T.face_count == 6 * 4**subdivisions
+    assert isinstance(M, np.ndarray)
+    ref = class_hessian_dense(y)
+    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # an edge borders two faces: itself and at most four other edges
+    assert np.count_nonzero(M, axis=1).max() <= 5
+
+
 def test_face_hessian_negative_definite_on_acute():
     rng = np.random.default_rng(7)
-    for trip in random_hyperbolic_triples(rng, 10, lo=0.3, hi=1.0):
+    trips = random_hyperbolic_triples(rng, 10, lo=0.3, hi=1.0)
+    for trip in trips:
         evs = np.linalg.eigvalsh(face_hessian(np.asarray(trip)))
         assert evs.max() < 0
+    # a stack of faces gives each face's own block
+    stacked = face_hessian(np.array(trips))
+    assert np.array_equal(stacked, np.stack([face_hessian(t) for t in trips]))
 
 
 def test_objective_domain_error(genus2):

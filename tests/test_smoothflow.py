@@ -19,6 +19,8 @@ from diskflow.smoothflow import (
     teleport,
 )
 
+from oracles import newton_direction_lstsq, teleport_lstsq
+
 
 def random_mixed_sign_mesh(rng, tries=100):
     """Random lengths on the subdivided octagon complex (V=10, chi=-2)."""
@@ -82,7 +84,7 @@ def test_gauss_bonnet_exact(cone_mesh, cone14_mesh):
 
 
 def test_stiffness_psd_kernel_constants(cone14_mesh):
-    S = cone14_mesh.stiffness
+    S = cone14_mesh.stiffness.toarray()
     assert np.max(np.abs(S - S.T)) == 0.0
     assert np.max(np.abs(S @ np.ones(cone14_mesh.vertex_count))) < 1e-13
     evs = np.linalg.eigvalsh(S)
@@ -227,6 +229,32 @@ def test_hessian_matrix_matches_fd(cone14_unit):
         + evaluate_Ig(cone14_unit, phi - h * psi)
     ) / h**2
     assert abs(psi @ Hm @ psi - fd) < 1e-3 * max(1.0, abs(fd))
+
+
+def test_grounded_solves_match_dense_lstsq(cone14_unit):
+    from diskflow.smoothflow import _newton
+
+    rng = np.random.default_rng(11)
+    mixed = random_mixed_sign_mesh(rng)
+    assert mixed.curvature.min() < 0 < mixed.curvature.max()
+    for mesh in (cone14_unit, mixed):
+        ref = teleport_lstsq(mesh)
+        assert np.max(np.abs(teleport(mesh) - ref)) <= 1e-10 * max(1.0, np.abs(ref).max())
+    # the Newton system needs k < 0 everywhere, so the second mesh is a
+    # jittered cone-14 with nonconstant negative curvature
+    jittered = MeshMetric(
+        cone14_unit.complex,
+        cone14_unit.lengths * (1 + 0.01 * rng.uniform(-1, 1, cone14_unit.complex.edge_count)),
+    )
+    assert np.ptp(jittered.curvature) > 1e-3 and jittered.curvature.max() < 0
+    for mesh in (cone14_unit, jittered):
+        for _ in range(3):
+            phi = mean_zero(mesh, 0.03 * rng.normal(size=mesh.vertex_count))
+            G = gradient_Ig(mesh, phi)
+            G *= 1e-4 / np.max(np.abs(G))  # below the Newton threshold
+            ref = newton_direction_lstsq(mesh, phi, G)
+            d = _newton(mesh, phi, G)
+            assert np.max(np.abs(d - ref)) <= 1e-10 * max(1.0, np.abs(ref).max())
 
 
 # -- flow -------------------------------------------------------------------------------
