@@ -25,8 +25,9 @@ class TraceRecord:
 
     ``objective`` and ``residual`` are taken at the iterate the record ends
     on, ``grad_inf`` at the iterate it starts from.  ``step`` is the accepted
-    step length; the final record of a converged run has step 0 and stays on
-    the iterate it tested.
+    step length, reached after ``backtracks`` halvings of the unit step; the
+    final record of a converged run has step 0 and stays on the iterate it
+    tested.
     """
 
     iteration: int
@@ -35,6 +36,7 @@ class TraceRecord:
     step: float
     newton: bool
     residual: float
+    backtracks: int
 
 
 def ascend(
@@ -44,7 +46,7 @@ def ascend(
     """Maximize ``objective(x)`` in at most ``max_iter`` accepted steps.
 
     ``gradient(x)`` returns a vector g; ``newton_dir(x, g)`` a direction d in
-    the same space, or declines by returning None or raising ``LinAlgError``;
+    the same space, or declines by raising ``LinAlgError``;
     ``fallback_dir(x, g)`` is the direction taken when Newton declines or its
     slope g @ d is not positive.  ``move(x, step, d)`` is the candidate
     iterate, accepted once ``in_domain(candidate)`` holds and the objective
@@ -62,7 +64,7 @@ def ascend(
         g = gradient(x)
         ginf = float(np.max(np.abs(g)))
         if converged(ginf, r):
-            trace.append(TraceRecord(it, f, ginf, 0.0, False, r))
+            trace.append(TraceRecord(it, f, ginf, 0.0, False, r, 0))
             return x, trace
         if it == max_iter:
             break
@@ -81,7 +83,7 @@ def ascend(
         # the Armijo test is slackened by that resolution so the final
         # quadratic Newton steps are not rejected as non-improving
         flat = FLAT * (1.0 + abs(f))
-        step = 1.0
+        step, backtracks = 1.0, 0
         while step > MIN_STEP:
             cand = move(x, step, d)
             if in_domain(cand):
@@ -89,6 +91,7 @@ def ascend(
                 if f_cand >= f + ARMIJO * step * slope - flat:
                     break
             step *= SHRINK
+            backtracks += 1
         else:
             raise NoConvergence(
                 f"line search stalled at iteration {it} (grad_inf={ginf:.3e})",
@@ -97,7 +100,7 @@ def ascend(
             )
         x, f = cand, f_cand
         r = residual(x)
-        trace.append(TraceRecord(it, f, ginf, step, newton, r))
+        trace.append(TraceRecord(it, f, ginf, step, newton, r, backtracks))
 
     raise NoConvergence(
         f"no convergence in {max_iter} iterations (grad_inf={ginf:.3e})",

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DuplicateSide, SelfGluedSide, UnknownVertex, UnmatchedSide
 
@@ -50,49 +52,35 @@ class TopologicalTriangulation:
     def _derive(self) -> None:
         n = 3 * self.face_count
         mate = self.mate
-        self.edges: list[tuple[int, int]] = [
-            (f, int(mate[f])) for f in range(n) if f < mate[f]
-        ]
-        self.edge_count = len(self.edges)
+        flags = np.arange(n, dtype=np.int64)
+        nxt = flags - flags % 3 + (flags + 1) % 3  # corner at the start of each side
+        prv = flags - flags % 3 + (flags + 2) % 3  # corner at its end
+
+        lo = np.flatnonzero(flags < mate)
+        hi = mate[lo]
+        self.edges: list[tuple[int, int]] = list(zip(lo.tolist(), hi.tolist()))
+        self.edge_count = len(lo)
         self.edge_of_flag = np.empty(n, dtype=np.int64)
-        for e, (a, b) in enumerate(self.edges):
-            self.edge_of_flag[a] = e
-            self.edge_of_flag[b] = e
+        self.edge_of_flag[lo] = self.edge_of_flag[hi] = np.arange(self.edge_count)
 
-        # corner orbits under head-to-tail identification
-        parent = np.arange(n, dtype=np.int64)
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
-        for a, b in self.edges:
-            fa, sa = divmod(a, 3)
-            fb, sb = divmod(b, 3)
-            union(_flag(fa, (sa + 1) % 3), _flag(fb, (sb + 2) % 3))
-            union(_flag(fa, (sa + 2) % 3), _flag(fb, (sb + 1) % 3))
-
-        roots = np.array([find(i) for i in range(n)], dtype=np.int64)
-        order = {r: i for i, r in enumerate(sorted(set(roots.tolist())))}
-        self.vertex_of_corner = np.array([order[r] for r in roots], dtype=np.int64)
-        self.vertex_count = len(order)
-        self.corners_of_vertex: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for c in range(n):
-            self.corners_of_vertex[self.vertex_of_corner[c]].append(c)
+        # corner orbits under head-to-tail identification, numbered in order
+        # of their smallest corner
+        glue = sparse.coo_array(
+            (np.ones(2 * self.edge_count), (np.concatenate([nxt[lo], prv[lo]]),
+                                           np.concatenate([prv[hi], nxt[hi]]))),
+            shape=(n, n),
+        )
+        self.vertex_count, labels = connected_components(glue, directed=False)
+        _, first = np.unique(labels, return_index=True)
+        self.vertex_of_corner = np.argsort(np.argsort(first))[labels].astype(np.int64)
+        order = np.argsort(self.vertex_of_corner, kind="stable")
+        ends = np.cumsum(np.bincount(self.vertex_of_corner, minlength=self.vertex_count))
+        self.corners_of_vertex: list[list[int]] = [
+            c.tolist() for c in np.split(order, ends[:-1])
+        ]
 
         # edge endpoints as vertex ids (order: start corner of the lower flag, then end)
-        self.edge_endpoints = np.empty((self.edge_count, 2), dtype=np.int64)
-        for e, (a, _) in enumerate(self.edges):
-            fa, sa = divmod(a, 3)
-            self.edge_endpoints[e, 0] = self.vertex_of_corner[_flag(fa, (sa + 1) % 3)]
-            self.edge_endpoints[e, 1] = self.vertex_of_corner[_flag(fa, (sa + 2) % 3)]
+        self.edge_endpoints = self.vertex_of_corner[np.stack([nxt[lo], prv[lo]], axis=1)]
 
     @property
     def chi(self) -> int:
@@ -181,12 +169,7 @@ def vertex_edge_incidence(T: TopologicalTriangulation, v: int) -> list[int]:
     """
     if not (0 <= v < T.vertex_count):
         raise UnknownVertex(f"vertex {v} not in complex with V={T.vertex_count}")
-    out: list[int] = []
-    for e in range(T.edge_count):
-        for end in T.edge_endpoints[e]:
-            if end == v:
-                out.append(e)
-    return out
+    return np.nonzero(T.edge_endpoints == v)[0].tolist()
 
 
 def from_vertex_triples(triples: list[tuple[int, int, int]]) -> TopologicalTriangulation:

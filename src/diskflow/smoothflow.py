@@ -19,9 +19,13 @@ gradient S log|k_h|, and is strictly concave in mean-zero directions with
 second variation -[2 psi' S psi + sum m (Lap psi)^2 / u].  Its ascent flow
 drives log|k_h| to a constant; critical points are exactly the constant
 curvature factors, unique up to the additive constant.  ``log_ricci_flow``
-ascends it with the shared damped Newton driver of ``ascent``.  S and the
-second variation are sparse; ``teleport`` and the Newton step ground one
-vertex to solve them, as their kernel is the constants.
+ascends it with the shared damped Newton driver of ``ascent``, taking the
+Newton direction at every iterate: the second variation is negative definite
+on mean-zero directions throughout the domain, so that direction always
+ascends, and damped Newton converges from any start and then quadratically
+(Springborn-Schroeder-Pinkall 2008).  S and the second variation are sparse;
+``teleport`` and the Newton step ground one vertex to solve them, as their
+kernel is the constants.
 """
 
 from __future__ import annotations
@@ -225,13 +229,12 @@ def entropy(mesh: MeshMetric, phi: np.ndarray) -> float:
     return -float(w @ (kh * np.log(np.abs(kh))))
 
 
-NEWTON_THRESHOLD = 1e-3  # sup-norm gradient below which Newton engages
-U_FLOOR = 1e-12          # backtracking keeps Lap phi - k above this
+U_FLOOR = 1e-12  # backtracking keeps Lap phi - k above this
 
 
 @dataclass(frozen=True)
 class FlowOptions:
-    tol: float = 1e-6  # curvature_spread target
+    tol: float = 1e-6  # bound on both the curvature spread and the gradient's sup norm
     max_iter: int = 5000  # cap on accepted steps; the last iterate is tested too
 
 
@@ -245,9 +248,7 @@ class FlowReport:
     final_objective: float
 
 
-def _newton(mesh: MeshMetric, phi: np.ndarray, G: np.ndarray) -> np.ndarray | None:
-    if np.max(np.abs(G)) >= NEWTON_THRESHOLD:
-        return None
+def _newton(mesh: MeshMetric, phi: np.ndarray, G: np.ndarray) -> np.ndarray:
     return mean_zero(mesh, _grounded_solve(hessian_matrix(mesh, phi), -G))
 
 
@@ -258,11 +259,13 @@ def log_ricci_flow(
 ) -> tuple[np.ndarray, FlowReport]:
     """Ascend the objective until the conformal curvature is constant.
 
-    The drift direction is the mean-zero projection of -Lap log|k_h| (the
-    mass-preconditioned gradient); damped Newton steps take over once the
-    gradient is small.  Steps are backtracked to keep Lap phi - k positive
-    and the objective nondecreasing.  Starts from the teleported factor by
-    default.  The report's step residual is the curvature spread.  Raises
+    Every step is a damped Newton step; the mean-zero projection of
+    -Lap log|k_h| (the mass-preconditioned gradient) is taken only when the
+    Newton solve fails or its direction does not ascend.  Steps are
+    backtracked to keep Lap phi - k positive and the objective nondecreasing.
+    Starts from the teleported factor by default.  Converged means both the
+    curvature spread and the sup norm of the gradient are below ``tol``.
+    The report's step residual is the curvature spread.  Raises
     ``NoConvergence`` with the best iterate and report attached if the line
     search stalls or ``max_iter`` steps do not reach ``tol``, and
     ``ValueError`` unless ``phi0`` is finite with one entry per vertex.
@@ -277,7 +280,7 @@ def log_ricci_flow(
             objective=lambda p: evaluate_Ig(mesh, p),
             gradient=lambda p: gradient_Ig(mesh, p),
             residual=lambda p: curvature_spread(mesh, p),
-            converged=lambda _, spread: spread < opts.tol,
+            converged=lambda grad_inf, spread: spread < opts.tol and grad_inf < opts.tol,
             newton_dir=lambda p, G: _newton(mesh, p, G),
             fallback_dir=lambda p, G: mean_zero(mesh, G / mesh.masses),
             in_domain=lambda p: np.all(mesh.laplacian(p) - mesh.curvature > U_FLOOR),

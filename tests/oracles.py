@@ -9,6 +9,8 @@ production routes is therefore a genuine cross-check of the geometry.
 The dense oracles rebuild the solvers' sparse operators and grounded solves
 the direct way (class basis products, least-squares solves of the singular
 systems), so the index-array assembly is checked against its definition.
+``derive_union_find`` derives a complex's edges and vertex orbits with a
+flag-by-flag union-find, the reference for the index-array derivation.
 """
 
 import numpy as np
@@ -115,3 +117,58 @@ def newton_direction_lstsq(mesh: MeshMetric, phi: np.ndarray, G: np.ndarray) -> 
     """Mean-zero Newton direction by a dense least-squares solve of H d = -G."""
     d, *_ = np.linalg.lstsq(hessian_matrix(mesh, phi).toarray(), -G, rcond=None)
     return mean_zero(mesh, d)
+
+
+def derive_union_find(face_count: int, mate: np.ndarray) -> dict:
+    """Edges, vertex orbits and their incidences of a side gluing, derived
+    flag by flag with a union-find whose roots are the smallest corners."""
+    n = 3 * face_count
+    edges = [(f, int(mate[f])) for f in range(n) if f < mate[f]]
+    edge_of_flag = np.empty(n, dtype=np.int64)
+    for e, (a, b) in enumerate(edges):
+        edge_of_flag[a] = e
+        edge_of_flag[b] = e
+
+    parent = np.arange(n, dtype=np.int64)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    # side s of face f runs from corner (s+1) % 3 to corner (s+2) % 3, and a
+    # gluing identifies the start of one side with the end of the other
+    for a, b in edges:
+        fa, sa = divmod(a, 3)
+        fb, sb = divmod(b, 3)
+        union(3 * fa + (sa + 1) % 3, 3 * fb + (sb + 2) % 3)
+        union(3 * fa + (sa + 2) % 3, 3 * fb + (sb + 1) % 3)
+
+    roots = np.array([find(i) for i in range(n)], dtype=np.int64)
+    order = {r: i for i, r in enumerate(sorted(set(roots.tolist())))}
+    vertex_of_corner = np.array([order[r] for r in roots], dtype=np.int64)
+    corners_of_vertex: list[list[int]] = [[] for _ in range(len(order))]
+    for c in range(n):
+        corners_of_vertex[vertex_of_corner[c]].append(c)
+
+    edge_endpoints = np.empty((len(edges), 2), dtype=np.int64)
+    for e, (a, _) in enumerate(edges):
+        fa, sa = divmod(a, 3)
+        edge_endpoints[e, 0] = vertex_of_corner[3 * fa + (sa + 1) % 3]
+        edge_endpoints[e, 1] = vertex_of_corner[3 * fa + (sa + 2) % 3]
+
+    return {
+        "edges": edges,
+        "edge_count": len(edges),
+        "edge_of_flag": edge_of_flag,
+        "vertex_of_corner": vertex_of_corner,
+        "vertex_count": len(order),
+        "corners_of_vertex": corners_of_vertex,
+        "edge_endpoints": edge_endpoints,
+    }

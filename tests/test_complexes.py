@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from diskflow.complexes import (
     TopologicalTriangulation,
@@ -17,7 +18,8 @@ from diskflow.complexes import (
 )
 from diskflow.errors import DuplicateSide, SelfGluedSide, UnknownVertex, UnmatchedSide
 
-from helpers import random_complex
+from helpers import octahedron, random_complex
+from oracles import derive_union_find
 
 
 def test_tetrahedron_counts():
@@ -160,3 +162,51 @@ def test_subdivision_counts():
             mine = sub.parent_edge == e
             assert (mine & ~sub.is_medial).sum() == 2
             assert (mine & sub.is_medial).sum() == 2
+
+
+# -- derivation against the union-find oracle --------------------------------------
+
+
+def assert_matches_union_find(T):
+    ref = derive_union_find(T.face_count, T.mate)
+    assert T.edges == ref["edges"]
+    assert all(type(x) is int for edge in T.edges for x in edge)
+    assert (T.edge_count, T.vertex_count) == (ref["edge_count"], ref["vertex_count"])
+    assert T.corners_of_vertex == ref["corners_of_vertex"]
+    assert all(type(c) is int for cs in T.corners_of_vertex for c in cs)
+    for name in ("edge_of_flag", "vertex_of_corner", "edge_endpoints"):
+        got, want = getattr(T, name), ref[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize(
+    "make",
+    [tetrahedron, pillow, two_triangle_torus, csaszar_torus, genus2_octagon,
+     octagon_cone, octahedron],
+)
+def test_derivation_matches_union_find_on_named_complexes(make):
+    assert_matches_union_find(make())
+
+
+def test_derivation_matches_union_find_on_subdivisions():
+    for T in (tetrahedron(), octagon_cone(), genus2_octagon()):
+        while T.face_count <= 6144:
+            assert_matches_union_find(T)
+            T = subdivide(T).complex
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda half: st.permutations(range(6 * half)).map(lambda p: (2 * half, p))
+))
+def test_derivation_matches_union_find_on_random_gluings(gluing):
+    # arbitrary pairings of the sides: loops, multi-edges, same-face gluings
+    # and disconnected complexes all occur
+    faces, flags = gluing
+    pairs = [(divmod(flags[i], 3), divmod(flags[i + 1], 3)) for i in range(0, len(flags), 2)]
+    assert_matches_union_find(build_complex(faces, pairs))
+
+
+def test_vertex_edge_incidence_lists_loops_twice(genus2):
+    # the single vertex of the genus-2 octagon is both ends of all nine edges
+    assert vertex_edge_incidence(genus2, 0) == [e for e in range(9) for _ in range(2)]

@@ -251,7 +251,7 @@ def test_grounded_solves_match_dense_lstsq(cone14_unit):
         for _ in range(3):
             phi = mean_zero(mesh, 0.03 * rng.normal(size=mesh.vertex_count))
             G = gradient_Ig(mesh, phi)
-            G *= 1e-4 / np.max(np.abs(G))  # below the Newton threshold
+            G *= 1e-4 / np.max(np.abs(G))  # a gradient as small as near the maximum
             ref = newton_direction_lstsq(mesh, phi, G)
             d = _newton(mesh, phi, G)
             assert np.max(np.abs(d - ref)) <= 1e-10 * max(1.0, np.abs(ref).max())
@@ -290,6 +290,62 @@ def test_flow_from_teleport_on_random_mesh(cone14_mesh):
     assert curvature_spread(mesh, phi) < 1e-6
     # critical iff uniform, in both directions
     assert np.max(np.abs(gradient_Ig(mesh, phi))) < 1e-6
+
+
+def test_flow_takes_full_newton_steps_on_jittered_meshes(cone14_mesh):
+    tol = FlowOptions().tol
+    for seed in range(6):
+        for jitter in (0.015, 0.03):
+            mesh = random_negative_mesh(cone14_mesh, np.random.default_rng(seed), jitter)
+            phi, rep = log_ricci_flow(mesh)
+            *accepted, last = rep.steps
+            assert rep.converged and rep.iterations <= 5
+            assert all(s.newton and s.backtracks == 0 and s.step == 1.0 for s in accepted)
+            assert last.step == 0.0 and last.grad_inf < tol and last.residual < tol
+
+
+def test_flow_falls_back_to_the_gradient_when_newton_fails(cone14_mesh, monkeypatch):
+    import diskflow.smoothflow as sf
+
+    newton, calls = sf._newton, []
+
+    def failing_once(mesh, phi, G):
+        calls.append(phi)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("singular")
+        return newton(mesh, phi, G)
+
+    monkeypatch.setattr(sf, "_newton", failing_once)
+    mesh = random_negative_mesh(cone14_mesh, np.random.default_rng(9))
+    _, rep = log_ricci_flow(mesh)
+    *accepted, _ = rep.steps
+    assert rep.converged
+    assert [s.newton for s in accepted] == [False] + [True] * (len(accepted) - 1)
+
+
+def test_flow_converges_on_uniformized_genus2_at_766_vertices():
+    # hyperbolic lengths of the uniformized F=1536 genus-2 complex read as
+    # Euclidean lengths: every vertex has k < 0, spread over 6% of its mean,
+    # far enough from constant that gradient steps alone do not reach the
+    # tolerance within the default 5000 iterations
+    from diskflow.angles import conformal_class_of, partials_from_angles
+    from diskflow.uniformize import uniformize
+
+    T = genus2_octagon()
+    for _ in range(4):
+        T = subdivide(T).complex
+    deg = np.array([len(c) for c in T.corners_of_vertex])
+    corner = 2 * np.pi / deg[T.vertex_of_corner]
+    _, st, _ = uniformize(conformal_class_of(partials_from_angles(T, corner.reshape(-1, 3))))
+    mesh = MeshMetric(T, st.edge_lengths)
+    assert mesh.vertex_count == 766 and mesh.curvature.max() < 0
+
+    phi, rep = log_ricci_flow(mesh)
+    assert rep.converged and rep.final_spread < 1e-6
+    assert np.max(np.abs(gradient_Ig(mesh, phi))) < 1e-6
+    *accepted, last = rep.steps
+    assert accepted and all(s.newton for s in accepted)
+    assert last.step == 0.0
 
 
 def test_flow_iteration_cap(cone14_mesh):
