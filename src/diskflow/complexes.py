@@ -73,10 +73,10 @@ class TopologicalTriangulation:
         self.vertex_count, labels = connected_components(glue, directed=False)
         _, first = np.unique(labels, return_index=True)
         self.vertex_of_corner = np.argsort(np.argsort(first))[labels].astype(np.int64)
-        order = np.argsort(self.vertex_of_corner, kind="stable")
+        order = np.argsort(self.vertex_of_corner, kind="stable").tolist()
         ends = np.cumsum(np.bincount(self.vertex_of_corner, minlength=self.vertex_count))
         self.corners_of_vertex: list[list[int]] = [
-            c.tolist() for c in np.split(order, ends[:-1])
+            order[a:b] for a, b in zip([0, *ends[:-1].tolist()], ends.tolist())
         ]
 
         # edge endpoints as vertex ids (order: start corner of the lower flag, then end)
@@ -119,11 +119,7 @@ class TopologicalTriangulation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TopologicalTriangulation":
-        pairs = [
-            ((int(p[0][0]), int(p[0][1])), (int(p[1][0]), int(p[1][1])))
-            for p in data["gluing"]
-        ]
-        return build_complex(int(data["faces"]), pairs)
+        return build_complex(int(data["faces"]), data["gluing"])
 
 
 def build_complex(
@@ -131,25 +127,45 @@ def build_complex(
 ) -> TopologicalTriangulation:
     """Validate a side pairing and build the triangulation.
 
-    ``gluing_pairs`` must cover every one of the 3F sides exactly once and may
-    not pair a side with itself.  Violations raise ``UnmatchedSide``,
-    ``DuplicateSide`` or ``SelfGluedSide`` naming the offending side.
+    ``gluing_pairs`` is a sequence (or (P, 2, 2) array) of side pairs
+    ``((face, side), (face, side))``.  It must cover every one of the 3F sides
+    exactly once and may not pair a side with itself.  Violations raise
+    ``UnmatchedSide``, ``DuplicateSide`` or ``SelfGluedSide`` naming the first
+    offending side, in pair order.
     """
-    n = 3 * face_count
-    mate = np.full(n, -1, dtype=np.int64)
-    for (f1, s1), (f2, s2) in gluing_pairs:
-        for f, s in ((f1, s1), (f2, s2)):
-            if not (0 <= f < face_count and 0 <= s < 3):
-                raise UnmatchedSide(f"side (face {f}, side {s}) is outside the complex")
-        a, b = _flag(f1, s1), _flag(f2, s2)
-        if a == b:
-            raise SelfGluedSide(f"side (face {f1}, side {s1}) glued to itself")
-        for x, (f, s) in ((a, (f1, s1)), (b, (f2, s2))):
-            if mate[x] != -1:
-                raise DuplicateSide(f"side (face {f}, side {s}) appears in two pairs")
-        mate[a] = b
-        mate[b] = a
-    missing = np.nonzero(mate < 0)[0]
+    try:
+        sides = np.asarray(gluing_pairs, dtype=np.int64)
+    except OverflowError:  # keep the Python ints, to name the side outside the complex
+        sides = np.asarray(gluing_pairs, dtype=object)
+    if sides.size == 0:
+        sides = np.empty((0, 2, 2), dtype=np.int64)
+    elif sides.shape[1:] != (2, 2):
+        raise ValueError(f"gluing pairs must have shape (P, 2, 2), got {sides.shape}")
+    face, side = sides[..., 0], sides[..., 1]
+    outside = ~((0 <= face) & (face < face_count) & (0 <= side) & (side < 3))
+    flags = np.where(outside, -1, 3 * face + side).astype(np.int64)
+    glued_to_itself = flags[:, 0] == flags[:, 1]
+    # a side is a duplicate when its flag occurred before (within one pair
+    # that is a self-gluing, which is reported first)
+    flat = flags.reshape(-1)
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    repeated = (first[inverse] < np.arange(flat.size)).reshape(-1, 2)
+    # the first bad pair names its first bad side, checked in this order
+    bad = outside.any(axis=1) | glued_to_itself | repeated.any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        for mask, error, what in (
+            (outside[k], UnmatchedSide, "is outside the complex"),
+            (glued_to_itself[k, None], SelfGluedSide, "glued to itself"),
+            (repeated[k], DuplicateSide, "appears in two pairs"),
+        ):
+            if mask.any():
+                f, s = sides[k, int(np.argmax(mask))]
+                raise error(f"side (face {f}, side {s}) {what}")
+    mate = np.full(3 * face_count, -1, dtype=np.int64)
+    mate[flags[:, 0]] = flags[:, 1]
+    mate[flags[:, 1]] = flags[:, 0]
+    missing = np.flatnonzero(mate < 0)
     if missing.size:
         f, s = divmod(int(missing[0]), 3)
         raise UnmatchedSide(f"side (face {f}, side {s}) is not glued")

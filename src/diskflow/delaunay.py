@@ -11,7 +11,11 @@ Construction always cross-checks itself: the Euler count must match the
 surface and every kept circumdisk must be verifiably empty and unambiguous
 at tolerance 1e-10; violations raise ``DegenerateSample`` so that Monte
 Carlo drivers can resample (the probability of needing to decays faster than
-any power of the intensity).
+any power of the intensity).  The emptiness check is local: by the Delaunay
+lemma (Delaunay 1934; Lawson 1977) a triangulation whose every edge is
+locally Delaunay is globally Delaunay, so each face is tested only against
+the three vertices across its sides, and a cocircular quadruple shows up as
+a tie in that same test.  The check is linear in the sample size.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ class DelaunayComplex:
 
     sample: PointSample
     faces: np.ndarray        # (F, 3) indices into the sample
+    opposite: np.ndarray     # (F, 3) sample index of the vertex across side j
     face_points: np.ndarray  # (F, 3, d) coordinates as used geometrically
     centers: np.ndarray      # (F, d) circumdisk centers, in the fundamental domain
     radii: np.ndarray        # (F,) geodesic circumradii
@@ -59,14 +64,32 @@ class DelaunayComplex:
 
 def delaunay(sample: PointSample, tol: float = GENERIC_TOL) -> DelaunayComplex:
     """Build the Delaunay triangulation of a sample (>= 4 points)."""
+    dc = _triangulate(sample)
+    _check_generic(dc, tol)
+    return dc
+
+
+def _triangulate(sample: PointSample) -> DelaunayComplex:
+    """The triangulation, checked for its face count but not for emptiness."""
     if sample.count < 4:
         raise DegenerateSample(f"need at least 4 points, got {sample.count}")
     if sample.surface.kind == "sphere":
-        dc = _sphere_delaunay(sample)
-    else:
-        dc = _torus_delaunay(sample)
-    _check_generic(dc, tol)
-    return dc
+        return _sphere_delaunay(sample)
+    return _torus_delaunay(sample)
+
+
+def _opposite_vertices(simplices: np.ndarray, neighbors: np.ndarray, rows) -> np.ndarray:
+    """Vertex across side j of each selected simplex.
+
+    Side j is opposite corner j, and ``neighbors[:, j]`` (scipy's convention)
+    shares its other two corners, so the third corner of the neighbour is its
+    vertex sum minus theirs.  A side without a neighbour (-1) raises.
+    """
+    nbr = neighbors[rows]
+    if np.any(nbr < 0):
+        raise DegenerateSample("a face has no neighbour across one of its sides")
+    own = simplices[rows]
+    return simplices[nbr].sum(axis=-1) - own.sum(axis=-1, keepdims=True) + own
 
 
 def _sphere_delaunay(sample: PointSample) -> DelaunayComplex:
@@ -90,6 +113,7 @@ def _sphere_delaunay(sample: PointSample) -> DelaunayComplex:
     return DelaunayComplex(
         sample=sample,
         faces=faces,
+        opposite=_opposite_vertices(faces, hull.neighbors, slice(None)),
         face_points=pts[faces],
         centers=normals,
         radii=radii,
@@ -130,6 +154,7 @@ def _torus_delaunay(sample: PointSample) -> DelaunayComplex:
     return DelaunayComplex(
         sample=sample,
         faces=faces,
+        opposite=_opposite_vertices(tri.simplices, tri.neighbors, keep) % n,
         face_points=coords[keep],
         centers=centers[keep],
         radii=radii[keep],
@@ -138,41 +163,45 @@ def _torus_delaunay(sample: PointSample) -> DelaunayComplex:
 
 
 def _emptiness_flags(dc: DelaunayComplex, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(F, n) boolean masks: strictly inside a circumdisk, and on its boundary.
+    """(F, 3) boolean masks for the vertex across each side of each face:
+    strictly inside the face's circumdisk, and on its boundary.
 
-    On the sphere the comparison runs on dot products (cos is monotone on
-    [0, pi]) so no inverse trig touches the F x n matrix.
+    A vertex across a side that is also a corner of the face (a periodic copy
+    on a small torus) is neither.  On the sphere the comparison runs on dot
+    products (cos is monotone on [0, pi]), so no inverse trig is needed.
     """
     surf = dc.sample.surface
-    pts = dc.sample.points
+    across = dc.sample.points[dc.opposite]
     if surf.kind == "sphere":
-        dots = dc.centers @ pts.T
+        dots = (dc.centers[:, None, :] * across).sum(axis=-1)
         hi = np.cos(np.maximum(dc.radii - tol, 0.0))[:, None]
         lo = np.cos(np.minimum(dc.radii + tol, np.pi))[:, None]
         inside = dots > hi
         on_circle = (dots <= hi) & (dots >= lo)
     else:
-        dist = geodesic_distance(surf, dc.centers[:, None, :], pts[None, :, :])
+        dist = geodesic_distance(surf, dc.centers[:, None, :], across)
         inside = dist < dc.radii[:, None] - tol
         on_circle = np.abs(dist - dc.radii[:, None]) <= tol
-    return inside, on_circle
+    other = (dc.opposite[:, :, None] != dc.faces[:, None, :]).all(axis=-1)
+    return inside & other, on_circle & other
 
 
 def verify_empty_disks(dc: DelaunayComplex, tol: float = GENERIC_TOL) -> bool:
-    """True when no sample point lies strictly inside any face circumdisk."""
+    """True when no sample point lies strictly inside any face circumdisk.
+
+    Checked locally: no vertex across a side of a face lies strictly inside
+    that face's circumdisk, which by the Delaunay lemma leaves every
+    circumdisk empty.
+    """
     inside, _ = _emptiness_flags(dc, tol)
-    # the face's own vertices sit on the boundary, never strictly inside
     return not bool(inside.any())
 
 
 def _check_generic(dc: DelaunayComplex, tol: float) -> None:
     inside, on_circle = _emptiness_flags(dc, tol)
-    member = np.zeros_like(inside, dtype=bool)
-    rows = np.repeat(np.arange(dc.face_count), 3)
-    member[rows, dc.faces.reshape(-1)] = True
-    if (inside & ~member).any():
+    if inside.any():
         raise DegenerateSample("a sample point lies inside a circumdisk")
-    if (on_circle & ~member).any():
+    if on_circle.any():
         raise DegenerateSample("four points are cocircular within tolerance")
 
 
@@ -219,7 +248,9 @@ def is_generically_delta_dense(
     circumradius) stays below delta.  Genericity means no four points are
     cocircular within tolerance at radius below delta: samples up to
     ``exhaustive_limit`` points are checked over every triple; larger ones
-    through the empty circumdisks realized by the triangulation (a Poisson
+    through the empty circumdisks realized by the triangulation, each tested
+    against the vertices across its sides, which by the Delaunay lemma
+    decides emptiness and cocircularity for every sample point (a Poisson
     sample violates either check with probability zero).
     """
     if sample.count <= exhaustive_limit and sample.count >= 4:

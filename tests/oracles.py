@@ -10,7 +10,10 @@ The dense oracles rebuild the solvers' sparse operators and grounded solves
 the direct way (class basis products, least-squares solves of the singular
 systems), so the index-array assembly is checked against its definition.
 ``derive_union_find`` derives a complex's edges and vertex orbits with a
-flag-by-flag union-find, the reference for the index-array derivation.
+flag-by-flag union-find, the reference for the index-array derivation, and
+``gluing_mate_loop`` validates a side pairing pair by pair.
+``emptiness_flags_dense`` tests every circumdisk against every sample point,
+the reference for the local Delaunay check.
 """
 
 import numpy as np
@@ -19,8 +22,10 @@ from scipy.linalg import block_diag
 from scipy.spatial import ConvexHull
 
 from diskflow.angles import AngleSystem, all_corner_angles, class_basis
+from diskflow.errors import DuplicateSide, SelfGluedSide, UnmatchedSide
 from diskflow.hyperbolic import face_hessian, lobachevsky
 from diskflow.smoothflow import MeshMetric, hessian_matrix, mean_zero
+from diskflow.surfaces import geodesic_distance
 
 
 def lobachevsky_quad(theta: float) -> float:
@@ -172,3 +177,57 @@ def derive_union_find(face_count: int, mate: np.ndarray) -> dict:
         "corners_of_vertex": corners_of_vertex,
         "edge_endpoints": edge_endpoints,
     }
+
+
+def emptiness_flags_dense(dc, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(F, n) masks of the sample points strictly inside each face's
+    circumdisk and on its boundary, tested against every point; a face's own
+    vertices are neither.  The reference for the local (F, 3) check."""
+    surf = dc.sample.surface
+    pts = dc.sample.points
+    if surf.kind == "sphere":
+        dots = dc.centers @ pts.T
+        hi = np.cos(np.maximum(dc.radii - tol, 0.0))[:, None]
+        lo = np.cos(np.minimum(dc.radii + tol, np.pi))[:, None]
+        inside = dots > hi
+        on_circle = (dots <= hi) & (dots >= lo)
+    else:
+        dist = geodesic_distance(surf, dc.centers[:, None, :], pts[None, :, :])
+        inside = dist < dc.radii[:, None] - tol
+        on_circle = np.abs(dist - dc.radii[:, None]) <= tol
+    member = np.zeros_like(inside)
+    member[np.repeat(np.arange(dc.face_count), 3), dc.faces.reshape(-1)] = True
+    return inside & ~member, on_circle & ~member
+
+
+def emptiness_decision(inside: np.ndarray, on_circle: np.ndarray) -> str:
+    """What the emptiness check does with these flags: reject a point inside
+    a circumdisk first, then a cocircular one, else accept."""
+    if inside.any():
+        return "inside"
+    if on_circle.any():
+        return "cocircular"
+    return "accept"
+
+
+def gluing_mate_loop(face_count: int, gluing_pairs) -> np.ndarray:
+    """Side involution of a gluing, validated pair by pair: the reference for
+    ``build_complex``'s error class and the first offending side it names."""
+    mate = np.full(3 * face_count, -1, dtype=np.int64)
+    for (f1, s1), (f2, s2) in gluing_pairs:
+        for f, s in ((f1, s1), (f2, s2)):
+            if not (0 <= f < face_count and 0 <= s < 3):
+                raise UnmatchedSide(f"side (face {f}, side {s}) is outside the complex")
+        a, b = 3 * f1 + s1, 3 * f2 + s2
+        if a == b:
+            raise SelfGluedSide(f"side (face {f1}, side {s1}) glued to itself")
+        for x, (f, s) in ((a, (f1, s1)), (b, (f2, s2))):
+            if mate[x] != -1:
+                raise DuplicateSide(f"side (face {f}, side {s}) appears in two pairs")
+        mate[a] = b
+        mate[b] = a
+    missing = np.nonzero(mate < 0)[0]
+    if missing.size:
+        f, s = divmod(int(missing[0]), 3)
+        raise UnmatchedSide(f"side (face {f}, side {s}) is not glued")
+    return mate

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +21,7 @@ from diskflow.complexes import (
 from diskflow.errors import DuplicateSide, SelfGluedSide, UnknownVertex, UnmatchedSide
 
 from helpers import octahedron, random_complex
-from oracles import derive_union_find
+from oracles import derive_union_find, gluing_mate_loop
 
 
 def test_tetrahedron_counts():
@@ -106,6 +108,53 @@ def test_duplicate_side():
         build_complex(
             2, [((0, 0), (1, 0)), ((0, 0), (1, 1)), ((0, 1), (1, 2))]
         )
+
+
+@pytest.mark.parametrize(
+    "pairs, error, message",
+    [
+        # a later pair reaches outside the complex: its second side is named
+        ([((0, 0), (1, 0)), ((0, 1), (2, 2)), ((0, 2), (1, 1))],
+         UnmatchedSide, "side (face 2, side 2) is outside the complex"),
+        # every pair is fine, but the lowest side left over is named
+        ([((0, 0), (1, 0)), ((1, 2), (0, 1))],
+         UnmatchedSide, "side (face 0, side 2) is not glued"),
+        ([((0, 0), (1, 0)), ((1, 2), (1, 2)), ((0, 1), (1, 1))],
+         SelfGluedSide, "side (face 1, side 2) glued to itself"),
+        # the second side of the third pair was already used by the first
+        ([((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 0))],
+         DuplicateSide, "side (face 1, side 0) appears in two pairs"),
+        # an index beyond int64 is still named as given
+        ([((0, 0), (1, 0)), ((0, 1), (1, 10**30)), ((0, 2), (1, 1))],
+         UnmatchedSide, f"side (face 1, side {10**30}) is outside the complex"),
+        # an earlier duplicate wins over a later side outside the complex
+        ([((0, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 2), (5, 0))],
+         DuplicateSide, "side (face 1, side 0) appears in two pairs"),
+    ],
+)
+def test_gluing_errors_name_the_first_offending_side(pairs, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build_complex(2, pairs)
+
+
+def test_from_dict_rejects_a_pair_that_is_not_two_sides():
+    data = {"faces": 2, "gluing": [[[0, 0], [1]], [[0, 1], [1, 2]], [[0, 2], [1, 1]]]}
+    with pytest.raises(ValueError, match="shape"):
+        TopologicalTriangulation.from_dict(data)
+
+
+_side = st.tuples(st.integers(-1, 3), st.integers(-1, 3))
+
+
+@given(st.integers(1, 3), st.lists(st.tuples(_side, _side), max_size=8))
+def test_gluing_validation_matches_pair_by_pair_loop(faces, pairs):
+    try:
+        want = gluing_mate_loop(faces, pairs)
+    except (UnmatchedSide, SelfGluedSide, DuplicateSide) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            build_complex(faces, pairs)
+    else:
+        assert np.array_equal(build_complex(faces, pairs).mate, want)
 
 
 def test_same_face_gluing_allowed():

@@ -1,7 +1,14 @@
+import importlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diskflow.delaunay import (
+    GENERIC_TOL,
+    _emptiness_flags,
+    _triangulate,
     delaunay,
     is_generically_delta_dense,
     verify_empty_disks,
@@ -22,6 +29,8 @@ from diskflow.surfaces import (
     geodesic_distance,
     sample_poisson,
 )
+
+from oracles import emptiness_decision, emptiness_flags_dense
 
 SPHERE = SurfaceModel.sphere()
 TORUS = SurfaceModel.torus(1.0, 1.0)
@@ -187,6 +196,116 @@ def test_cocircular_quadruple_rejected():
     pts = np.vstack([circle, fill])
     with pytest.raises(DegenerateSample):
         delaunay(PointSample(SPHERE, pts, 1.0, 0))
+
+
+def _seam_circle_sample():
+    """Four torus points on a circle of radius 0.1 about (0.03, 0.5), which
+    crosses the x = 0 seam, plus filler points kept off the circle's disk."""
+    rng = np.random.default_rng(0)
+    center = np.array([0.03, 0.5])
+    angles = np.array([0.4, 2.0, 3.6, 5.2])
+    circle = np.mod(center + 0.1 * np.column_stack([np.cos(angles), np.sin(angles)]), 1.0)
+    fill = rng.uniform(0.0, 1.0, size=(200, 2))
+    fill = fill[geodesic_distance(TORUS, fill, center) > 0.12]
+    return PointSample(TORUS, np.vstack([circle, fill]), 1.0, 0)
+
+
+def _assert_local_matches_dense(sample):
+    """The local and dense checks make the same decision; returns it."""
+    dc = _triangulate(sample)
+    local = emptiness_decision(*_emptiness_flags(dc, GENERIC_TOL))
+    dense = emptiness_decision(*emptiness_flags_dense(dc, GENERIC_TOL))
+    assert local == dense
+    assert verify_empty_disks(dc) == (local != "inside")
+    if local == "accept":
+        assert delaunay(sample).face_count == dc.face_count
+    else:
+        with pytest.raises(DegenerateSample, match=local):
+            delaunay(sample)
+    return local
+
+
+def test_cocircular_quadruple_on_torus_seam_rejected():
+    sample = _seam_circle_sample()
+    assert np.ptp(sample.points[:4, 0]) > 0.5  # the circle wraps around x = 0
+    assert _assert_local_matches_dense(sample) == "cocircular"
+
+
+def test_five_cocircular_sphere_points_rejected():
+    r = 0.3
+    circle = np.array(
+        [[np.sin(r) * np.cos(a), np.sin(r) * np.sin(a), np.cos(r)]
+         for a in [0.1, 1.3, 2.9, 4.0, 5.0]]
+    )
+    fill = np.array([[0, 0, -1.0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
+    sample = PointSample(SPHERE, np.vstack([circle, fill]), 1.0, 0)
+    assert _assert_local_matches_dense(sample) == "cocircular"
+    # the pentagon is cut into three faces; one of them has two other
+    # cocircular points but only one of them across a side
+    dc = _triangulate(sample)
+    local = _emptiness_flags(dc, GENERIC_TOL)[1].sum(axis=1)
+    dense = emptiness_flags_dense(dc, GENERIC_TOL)[1].sum(axis=1)
+    assert (local > 0).sum() == (dense > 0).sum() == 3
+    assert np.any(local < dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(SPHERE, 0.5, 30.0), (TORUS, 4.0, 300.0)]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_local_check_matches_dense_check_on_random_samples(case, t, seed):
+    surface, lo, hi = case
+    sample = sample_poisson(surface, lo * (hi / lo) ** t, seed=seed)
+    try:
+        _triangulate(sample)
+    except DegenerateSample:
+        return  # rejected before any emptiness check
+    _assert_local_matches_dense(sample)
+
+
+def test_local_check_skips_periodic_copies_of_face_vertices():
+    # on a torus with a handful of points the vertex across a side can be
+    # a copy of one of the face's own vertices; the dense check never tests
+    # a face against its own vertices, and neither may the local one
+    copies = 0
+    for i in range(60):
+        sample = sample_poisson(TORUS, 12.0, seed=[21, i])
+        try:
+            dc = _triangulate(sample)
+        except DegenerateSample:
+            continue
+        copies += int((dc.opposite[:, :, None] == dc.faces[:, None, :]).any(axis=-1).sum())
+        _assert_local_matches_dense(sample)
+    assert copies > 0
+
+
+def test_opposite_vertex_completes_the_neighbouring_face():
+    for sample in (sample_poisson(SPHERE, 40.0, seed=22), sample_poisson(TORUS, 60.0, seed=22)):
+        dc = delaunay(sample)
+        # a side and the vertex across it form a face, so as an unordered
+        # triple it occurs among the faces (mod n on the torus)
+        sides = np.stack([np.roll(dc.faces, -1, axis=1), np.roll(dc.faces, -2, axis=1)], axis=-1)
+        triples = np.concatenate([sides, dc.opposite[:, :, None]], axis=-1).reshape(-1, 3)
+        known = {tuple(sorted(f)) for f in dc.faces.tolist()}
+        assert all(tuple(sorted(q)) in known for q in triples.tolist())
+
+
+def test_torus_face_without_neighbour_is_degenerate(monkeypatch):
+    module = importlib.import_module("diskflow.delaunay")
+    planar = module.PlanarDelaunay
+
+    def cut(points):
+        # every simplex loses its neighbour across side 0
+        tri = planar(points)
+        neighbors = tri.neighbors.copy()
+        neighbors[:, 0] = -1
+        return SimpleNamespace(simplices=tri.simplices, neighbors=neighbors)
+
+    monkeypatch.setattr(module, "PlanarDelaunay", cut)
+    with pytest.raises(DegenerateSample, match="no neighbour"):
+        delaunay(sample_poisson(TORUS, 60.0, seed=23))
 
 
 def test_density_report_dense_sample():
