@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .angles import (
     AngleSystem,
     ConformalClassSpec,
-    class_basis,
     class_lift,
     conformal_class_of,
     corner_angles,

@@ -174,21 +174,10 @@ def same_class(x: AngleSystem, y: AngleSystem, tol: float = CLASS_TOL) -> bool:
     return bool(np.max(np.abs(edge_psi(x) - edge_psi(y))) <= tol)
 
 
-def class_basis(T: TopologicalTriangulation) -> np.ndarray:
-    """(E, 3F) matrix of tangent directions to a conformal class.
-
-    Row e carries +1 on the lower flag of edge e and -1 on its mate; moving
-    along any combination changes no per-edge sum and no vertex sum.
-    """
-    B = np.zeros((T.edge_count, 3 * T.face_count))
-    for e, (a, b) in enumerate(T.edges):
-        B[e, a] = 1.0
-        B[e, b] = -1.0
-    return B
-
-
 def class_lift(T: TopologicalTriangulation, d: np.ndarray) -> np.ndarray:
-    """Partial-angle move ``class_basis(T).T @ d``, as a signed scatter."""
+    """Partial-angle move along a conformal class: ``d[e]`` added to the lower
+    flag of edge e and subtracted from its mate, which changes no per-edge
+    sum and no vertex sum."""
     flags = np.asarray(T.edges, dtype=np.int64)
     out = np.empty(3 * T.face_count)
     out[flags[:, 0]] = d

@@ -7,7 +7,8 @@ an open convex domain, with the same step policy and the same trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +28,9 @@ class TraceRecord:
     on, ``grad_inf`` at the iterate it starts from.  ``step`` is the accepted
     step length, reached after ``backtracks`` halvings of the unit step; the
     final record of a converged run has step 0 and stays on the iterate it
-    tested.
+    tested.  ``elapsed`` is the ``perf_counter`` time in seconds since
+    ``ascend`` began; it is diagnostic only, so records that differ in it
+    alone compare equal.
     """
 
     iteration: int
@@ -37,6 +40,7 @@ class TraceRecord:
     newton: bool
     residual: float
     backtracks: int
+    elapsed: float = field(compare=False)
 
 
 def ascend(
@@ -57,6 +61,7 @@ def ascend(
     and the trace; raises ``NoConvergence`` carrying both when the line
     search stalls or the steps run out.
     """
+    start = time.perf_counter()
     f = objective(x)
     r = residual(x)
     trace: list[TraceRecord] = []
@@ -64,7 +69,7 @@ def ascend(
         g = gradient(x)
         ginf = float(np.max(np.abs(g)))
         if converged(ginf, r):
-            trace.append(TraceRecord(it, f, ginf, 0.0, False, r, 0))
+            trace.append(TraceRecord(it, f, ginf, 0.0, False, r, 0, time.perf_counter() - start))
             return x, trace
         if it == max_iter:
             break
@@ -100,7 +105,9 @@ def ascend(
             )
         x, f = cand, f_cand
         r = residual(x)
-        trace.append(TraceRecord(it, f, ginf, step, newton, r, backtracks))
+        trace.append(
+            TraceRecord(it, f, ginf, step, newton, r, backtracks, time.perf_counter() - start)
+        )
 
     raise NoConvergence(
         f"no convergence in {max_iter} iterations (grad_inf={ginf:.3e})",

@@ -3,9 +3,23 @@
 Sphere: the convex hull of points on the unit sphere is exactly the Delaunay
 triangulation; each hull facet's outward normal is the center of its empty
 cap.  Torus: the sample is tiled 3x3, a planar Delaunay triangulation of the
-tiling is computed, and the triangles whose circumcenter falls in the central
-fundamental domain are kept, each periodic triangle having exactly one such
-representative while every circumradius stays below min(a, b)/2.
+tiled points is computed, and the triangles whose circumcenter falls in the
+central fundamental domain are kept, each periodic triangle having exactly
+one such representative while every circumradius stays below min(a, b)/2.
+
+Only the tiled points within a margin 3r of the domain are triangulated,
+where r = sqrt((log n + c) / (pi n / area)) with c = WINDOW_C is a radius
+the largest empty disk of n uniform points rarely reaches (a given disk of
+radius r is empty with probability e^-c / n).  The windowed result is exact
+whenever it certifies itself: a kept disk of radius below r lies inside the
+window, so it is empty of every tiled point and is a true Delaunay face;
+2n such faces are then all of them; and the face across each side is a
+translate of a kept one, so its third vertex lies within 3r of the domain
+and the vertex across the side is the true one.  When a kept radius reaches
+r, the count is not 2n, a kept face lies on the window's hull, or 3r
+reaches min(a, b)/2, the full nine-copy tiling is triangulated instead,
+with its own checks.  Only an exactly cocircular quadruple, which the
+emptiness check rejects either way, may be split along another diagonal.
 
 Construction always cross-checks itself: the Euler count must match the
 surface and every kept circumdisk must be verifiably empty and unambiguous
@@ -31,6 +45,7 @@ from .reports import Report
 from .surfaces import PointSample, _planar_circumcenters, circumdisk, geodesic_distance
 
 GENERIC_TOL = 1e-10
+WINDOW_C = 10.0  # the window radius r is sqrt((log n + WINDOW_C) / (pi n / area))
 
 
 @dataclass(frozen=True)
@@ -122,6 +137,27 @@ def _sphere_delaunay(sample: PointSample) -> DelaunayComplex:
 
 
 def _torus_delaunay(sample: PointSample) -> DelaunayComplex:
+    """Triangulate the tiled points near the domain; fall back to all nine
+    copies when that window cannot certify its own result."""
+    surf = sample.surface
+    n = sample.count
+    r = np.sqrt((np.log(n) + WINDOW_C) * surf.area / (np.pi * n))
+    if 3.0 * r < surf.injectivity_radius:
+        try:
+            return _tiled_delaunay(sample, 3.0 * r)
+        except DegenerateSample:
+            pass  # the window did not certify itself; the full tiling decides
+    return _tiled_delaunay(sample, np.inf)
+
+
+def _tiled_delaunay(sample: PointSample, margin: float) -> DelaunayComplex:
+    """Planar Delaunay triangulation of the 3x3 tiling, cropped to the points
+    within ``margin`` of [0,a) x [0,b) (all 9n when ``margin`` is inf).
+
+    Keeps the faces whose circumcenter lies in the domain.  Raises when one
+    of them has radius at least margin/3 or min(a,b)/2, when they are not
+    2n, or when one has no neighbour across a side.
+    """
     surf = sample.surface
     pts = sample.points
     n = pts.shape[0]
@@ -132,6 +168,11 @@ def _torus_delaunay(sample: PointSample) -> DelaunayComplex:
         for dy in (-b, 0.0, b)
     ]
     big = np.vstack([pts + off for off in offsets])
+    near = (
+        (big[:, 0] >= -margin) & (big[:, 0] < a + margin)
+        & (big[:, 1] >= -margin) & (big[:, 1] < b + margin)
+    )
+    big, src = big[near], np.tile(np.arange(n), 9)[near]
     try:
         tri = PlanarDelaunay(big)
     except Exception as exc:
@@ -144,17 +185,19 @@ def _torus_delaunay(sample: PointSample) -> DelaunayComplex:
         & (centers[:, 0] >= 0.0) & (centers[:, 0] < a)
         & (centers[:, 1] >= 0.0) & (centers[:, 1] < b)
     )
+    if np.any(radii[keep] >= margin / 3.0):
+        raise DegenerateSample("a circumdisk reaches outside the window")
     if np.any(radii[keep] >= min(a, b) / 2.0):
         raise DegenerateSample(
             "a circumradius reaches min(a,b)/2; the 3x3 tiling is not faithful"
         )
-    faces = tri.simplices[keep] % n
+    faces = src[tri.simplices[keep]]
     if faces.shape[0] != 2 * n:
         raise DegenerateSample(f"kept {faces.shape[0]} faces, expected {2 * n}")
     return DelaunayComplex(
         sample=sample,
         faces=faces,
-        opposite=_opposite_vertices(tri.simplices, tri.neighbors, keep) % n,
+        opposite=src[_opposite_vertices(tri.simplices, tri.neighbors, keep)],
         face_points=coords[keep],
         centers=centers[keep],
         radii=radii[keep],

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import zeta
 
-from .angles import AngleSystem, all_corner_angles, class_basis, class_lift
+from .angles import AngleSystem, all_corner_angles, class_lift
 from .errors import DegenerateAngle, NotHyperbolic, NotInDomain
 
 ANGLE_GUARD = 1e-9  # reject angles or defects closer than this to the boundary
@@ -259,7 +259,7 @@ def class_grad(x: AngleSystem) -> np.ndarray:
     """Gradient restricted to the conformal class, one entry per edge.
 
     Entry e is the log term of the lower flag minus that of its mate,
-    matching the +/- orientation of ``class_basis``; it vanishes exactly
+    matching the +/- orientation of ``class_lift``; it vanishes exactly
     when the two incident faces assign the edge the same length.
     """
     logs = flag_log_terms(x)
@@ -300,14 +300,3 @@ def class_hessian(x: AngleSystem) -> np.ndarray:
     np.add.at(H, (e[:, :, None], e[:, None, :]), blocks)
     return H
 
-
-def class_hessian_fd(x: AngleSystem, step: float = 1e-6) -> np.ndarray:
-    """Finite-difference fallback for the class Hessian (central differences)."""
-    B = class_basis(x.complex)
-    E = x.complex.edge_count
-    H = np.empty((E, E))
-    for e in range(E):
-        plus = AngleSystem(x.complex, x.psi + step * B[e])
-        minus = AngleSystem(x.complex, x.psi - step * B[e])
-        H[e] = (class_grad(plus) - class_grad(minus)) / (2 * step)
-    return 0.5 * (H + H.T)

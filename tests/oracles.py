@@ -7,8 +7,9 @@ ideal-tetrahedron volumes over a fan of the convex hull.  Agreement with the
 production routes is therefore a genuine cross-check of the geometry.
 
 The dense oracles rebuild the solvers' sparse operators and grounded solves
-the direct way (class basis products, least-squares solves of the singular
-systems), so the index-array assembly is checked against its definition.
+the direct way (the dense class basis and its products, a finite-difference
+class Hessian, least-squares solves of the singular systems), so the
+index-array assembly is checked against its definition.
 ``derive_union_find`` derives a complex's edges and vertex orbits with a
 flag-by-flag union-find, the reference for the index-array derivation, and
 ``gluing_mate_loop`` validates a side pairing pair by pair.
@@ -21,9 +22,10 @@ from scipy.integrate import quad
 from scipy.linalg import block_diag
 from scipy.spatial import ConvexHull
 
-from diskflow.angles import AngleSystem, all_corner_angles, class_basis
+from diskflow.angles import AngleSystem, all_corner_angles
+from diskflow.complexes import TopologicalTriangulation
 from diskflow.errors import DuplicateSide, SelfGluedSide, UnmatchedSide
-from diskflow.hyperbolic import face_hessian, lobachevsky
+from diskflow.hyperbolic import class_grad, face_hessian, lobachevsky
 from diskflow.smoothflow import MeshMetric, hessian_matrix, mean_zero
 from diskflow.surfaces import geodesic_distance
 
@@ -101,6 +103,31 @@ def true_prism_volume(A: float, B: float, C: float) -> float:
 
 
 PRISM_ANCHOR_TRUE_VOLUME = 2.5157576984766887  # pi/6 equilateral prism
+
+
+def class_basis(T: TopologicalTriangulation) -> np.ndarray:
+    """(E, 3F) matrix of tangent directions to a conformal class.
+
+    Row e carries +1 on the lower flag of edge e and -1 on its mate; moving
+    along any combination changes no per-edge sum and no vertex sum.
+    """
+    B = np.zeros((T.edge_count, 3 * T.face_count))
+    for e, (a, b) in enumerate(T.edges):
+        B[e, a] = 1.0
+        B[e, b] = -1.0
+    return B
+
+
+def class_hessian_fd(x: AngleSystem, step: float = 1e-6) -> np.ndarray:
+    """Class Hessian by central differences of the class gradient."""
+    B = class_basis(x.complex)
+    E = x.complex.edge_count
+    H = np.empty((E, E))
+    for e in range(E):
+        plus = AngleSystem(x.complex, x.psi + step * B[e])
+        minus = AngleSystem(x.complex, x.psi - step * B[e])
+        H[e] = (class_grad(plus) - class_grad(minus)) / (2 * step)
+    return 0.5 * (H + H.T)
 
 
 def class_hessian_dense(x: AngleSystem) -> np.ndarray:

@@ -15,7 +15,6 @@ from diskflow.angles import (
     AngleSystem,
     ConformalClassSpec,
     all_corner_angles,
-    class_basis,
     edge_psi,
     find_negative_delaunay,
     is_delaunay,
@@ -51,7 +50,7 @@ from diskflow.surfaces import SurfaceModel
 from diskflow.uniformize import UniformizeOptions, uniformize
 
 from helpers import octahedron, random_class_spec, random_complex, vertex_sum_matrix
-from oracles import true_prism_volume
+from oracles import class_basis, true_prism_volume
 from test_smoothflow import random_mixed_sign_mesh, random_negative_mesh
 
 

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diskflow.angles import AngleSystem, class_basis, partials_from_angles
+from diskflow.angles import AngleSystem, partials_from_angles
 from diskflow.errors import DegenerateAngle, NotHyperbolic, NotInDomain
 from diskflow.hyperbolic import (
     angles_from_lengths,
     class_grad,
     class_hessian,
-    class_hessian_fd,
     edge_lengths,
     face_hessian,
     flag_edge_lengths,
@@ -23,7 +22,9 @@ from diskflow.hyperbolic import (
 
 from oracles import (
     PRISM_ANCHOR_TRUE_VOLUME,
+    class_basis,
     class_hessian_dense,
+    class_hessian_fd,
     lobachevsky_quad,
     true_prism_volume,
 )

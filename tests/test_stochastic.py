@@ -3,11 +3,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from diskflow.delaunay import (
     GENERIC_TOL,
+    WINDOW_C,
     _emptiness_flags,
+    _tiled_delaunay,
+    _torus_delaunay,
     _triangulate,
     delaunay,
     is_generically_delta_dense,
@@ -229,6 +232,89 @@ def test_cocircular_quadruple_on_torus_seam_rejected():
     sample = _seam_circle_sample()
     assert np.ptp(sample.points[:4, 0]) > 0.5  # the circle wraps around x = 0
     assert _assert_local_matches_dense(sample) == "cocircular"
+    # the window and the full tiling may cut the quadrilateral on the circle
+    # along different diagonals; both reject it and agree on every other face
+    window = _tiled_delaunay(sample, 3.0 * _window_radius(sample))
+    full = _tiled_delaunay(sample, np.inf)
+    for dc in (window, full):
+        assert emptiness_decision(*_emptiness_flags(dc, GENERIC_TOL)) == "cocircular"
+
+    def off_circle(dc):
+        return {tuple(sorted(f)) for f in dc.faces.tolist() if not set(f) <= {0, 1, 2, 3}}
+
+    assert off_circle(window) == off_circle(full)
+
+
+def _window_radius(sample):
+    n = sample.count
+    return np.sqrt((np.log(n) + WINDOW_C) * sample.surface.area / (np.pi * n))
+
+
+def _canonical_rows(dc):
+    """(face, opposite) rows with each face rotated to start at its smallest
+    vertex, sorted; centers and radii in the same order."""
+    start = np.argmin(dc.faces, axis=1)
+    turn = (start[:, None] + np.arange(3)) % 3
+    rows = np.hstack([np.take_along_axis(dc.faces, turn, 1), np.take_along_axis(dc.opposite, turn, 1)])
+    order = np.lexsort(rows.T[::-1])
+    return rows[order], dc.centers[order], dc.radii[order]
+
+
+def _assert_window_matches_full_tiling(sample):
+    """``_torus_delaunay`` gives the full 3x3 tiling's faces, opposite
+    vertices, centers and radii, or raises its error.  Returns "window" when
+    the cropped triangulation was accepted, "fallback" when it declined and
+    "full" when the window was too wide to try."""
+    module = importlib.import_module("diskflow.delaunay")
+    margins = []
+
+    def spy(sample, margin):
+        margins.append(margin)
+        return _tiled_delaunay(sample, margin)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_tiled_delaunay", spy)
+        try:
+            got = _torus_delaunay(sample)
+        except DegenerateSample as exc:
+            got = exc
+    try:
+        full = _tiled_delaunay(sample, np.inf)
+    except DegenerateSample as exc:
+        assert isinstance(got, DegenerateSample) and str(got) == str(exc)
+    else:
+        assert not isinstance(got, DegenerateSample)
+        rows, centers, radii = _canonical_rows(got)
+        full_rows, full_centers, full_radii = _canonical_rows(full)
+        np.testing.assert_array_equal(rows, full_rows)
+        np.testing.assert_allclose(centers, full_centers, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(radii, full_radii, rtol=0, atol=1e-12)
+    if margins == [np.inf]:
+        return "full"
+    assert np.isfinite(margins[0]) and margins[1:] in ([], [np.inf])
+    return "fallback" if margins[1:] else "window"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_window_triangulation_matches_full_tiling(t, seed):
+    sample = sample_poisson(TORUS, 4.0 * 1000.0 ** t, seed=seed)
+    assume(sample.count >= 4)  # fewer points never reach the tiling
+    _assert_window_matches_full_tiling(sample)
+
+
+def test_window_declines_a_circumdisk_wider_than_its_margin():
+    # a hole of radius 2.5 r leaves a Delaunay face of radius >= 1.25 r
+    sample = sample_poisson(TORUS, 2000.0, seed=24)
+    assert _assert_window_matches_full_tiling(sample) == "window"
+    hole = geodesic_distance(TORUS, sample.points, np.array([0.5, 0.5])) > 0.15
+    holed = PointSample(TORUS, sample.points[hole], 1.0, 0)
+    r = _window_radius(holed)
+    assert 2.5 * r < 0.15
+    with pytest.raises(DegenerateSample, match="outside the window"):
+        _tiled_delaunay(holed, 3.0 * r)
+    assert _assert_window_matches_full_tiling(holed) == "fallback"
+    assert delaunay(holed).radii.max() > r
 
 
 def test_five_cocircular_sphere_points_rejected():
@@ -278,6 +364,7 @@ def test_local_check_skips_periodic_copies_of_face_vertices():
             continue
         copies += int((dc.opposite[:, :, None] == dc.faces[:, None, :]).any(axis=-1).sum())
         _assert_local_matches_dense(sample)
+        _assert_window_matches_full_tiling(sample)
     assert copies > 0
 
 
@@ -304,8 +391,27 @@ def test_torus_face_without_neighbour_is_degenerate(monkeypatch):
         return SimpleNamespace(simplices=tri.simplices, neighbors=neighbors)
 
     monkeypatch.setattr(module, "PlanarDelaunay", cut)
-    with pytest.raises(DegenerateSample, match="no neighbour"):
-        delaunay(sample_poisson(TORUS, 60.0, seed=23))
+    # at 1000 points the cropped window is tried first and declines
+    for intensity in (60.0, 1000.0):
+        with pytest.raises(DegenerateSample, match="no neighbour"):
+            delaunay(sample_poisson(TORUS, intensity, seed=23))
+
+
+def test_torus_face_count_short_of_2n_is_degenerate(monkeypatch):
+    module = importlib.import_module("diskflow.delaunay")
+    planar = module._planar_circumcenters
+
+    def lose_one(coords):
+        # the first circumcenter in the domain moves out of it
+        centers, radii, d = planar(coords)
+        first = np.flatnonzero(((centers >= 0.0) & (centers < 1.0)).all(axis=1))[0]
+        centers[first] = -1.0
+        return centers, radii, d
+
+    monkeypatch.setattr(module, "_planar_circumcenters", lose_one)
+    sample = sample_poisson(TORUS, 1000.0, seed=25)
+    with pytest.raises(DegenerateSample, match=f"kept {2 * sample.count - 1} faces"):
+        delaunay(sample)
 
 
 def test_density_report_dense_sample():

@@ -4,7 +4,6 @@ import pytest
 from diskflow.angles import (
     AngleSystem,
     ConformalClassSpec,
-    class_basis,
     conformal_class_of,
     edge_psi,
     find_negative_delaunay,
@@ -21,6 +20,7 @@ from diskflow.uniformize import (
 )
 
 from helpers import octahedron
+from oracles import class_basis
 
 
 def test_symmetric_start_is_fixed_point(genus2, symmetric_g2_system):
