@@ -1,6 +1,12 @@
 """diskflow: disk patterns and uniform hyperbolic structures from angle data,
 random-Delaunay Euler characteristic estimators, and conformal curvature flow
 on discrete metrics.
+
+The package re-exports ``delaunay`` and ``uniformize`` under their modules'
+names, so ``import diskflow.uniformize as U`` binds the function (``import
+a.b as c`` resolves through ``getattr(a, "b")``).  To reach such a submodule,
+for its private helpers or to patch it, use
+``importlib.import_module("diskflow.uniformize")``.
 """
 
 __version__ = "0.1.0"
@@ -54,6 +60,7 @@ from .hyperbolic import (
     angles_from_lengths,
     class_grad,
     class_hessian,
+    class_hessian_sparse,
     edge_lengths,
     grad_H,
     lobachevsky,

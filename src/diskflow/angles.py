@@ -259,7 +259,10 @@ def find_negative_delaunay(
                        corner angles >= eps,
                        face angle sums <= pi - eps.
 
-    Corner angles below pi and vertex sums of 2 pi are implied.  Raises
+    Corner angles below pi and vertex sums of 2 pi are implied.  The LP is
+    solved by HiGHS's interior-point method (``"highs-ipm"``), which runs
+    crossover to a basic optimal solution; the optimum is not unique, so
+    another method may return another start with the same margin.  Raises
     ``Infeasible`` with the certificate margin when the maximum is below the
     feasibility floor.
     """
@@ -293,7 +296,7 @@ def find_negative_delaunay(
         A_eq=A_eq,
         b_eq=b_eq,
         bounds=[(None, None)] * n + [(None, np.pi)],
-        method="highs",
+        method="highs-ipm",
     )
     if not res.success:
         raise Infeasible(f"margin LP failed: {res.message}", margin=None)

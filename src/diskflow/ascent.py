@@ -2,7 +2,9 @@
 
 The uniformizer (prism volume over a conformal class) and the log-Ricci flow
 (the averaged curvature functional) both maximize a concave objective over
-an open convex domain, with the same step policy and the same trace.
+an open convex domain, with the same step policy and the same trace.  Both
+take their Newton directions from ``sparse_solve``, which declines a
+singular system the way ``ascend`` expects.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from .errors import NoConvergence
 
@@ -41,6 +44,24 @@ class TraceRecord:
     residual: float
     backtracks: int
     elapsed: float = field(compare=False)
+
+
+def sparse_solve(A, b: np.ndarray) -> np.ndarray:
+    """Solve the sparse system A x = b by a SuperLU factorization.
+
+    Raises ``LinAlgError``, the way a Newton direction declines, when A is
+    exactly singular or x is not finite.  The transpose is factored and
+    solved transposed: that is ``spsolve``'s own arithmetic on a CSR matrix,
+    whose storage is the CSC storage of its transpose.
+    """
+    try:
+        lu = splu(A.T.tocsc())
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise np.linalg.LinAlgError(str(exc)) from exc
+    x = lu.solve(b, trans="T")
+    if not np.all(np.isfinite(x)):
+        raise np.linalg.LinAlgError("sparse solve produced a non-finite result")
+    return x
 
 
 def ascend(

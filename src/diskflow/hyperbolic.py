@@ -29,12 +29,14 @@ derivatives are meaningful to callers.  V is strictly concave along the
 directions that preserve every per-edge partial-angle sum, which is what
 makes maximizing the total volume over a conformal class well posed.  Its
 Hessian there is scattered from the 3x3 face blocks onto the edges by index
-arrays: at most five nonzeros per row.
+arrays and returned as a ``scipy.sparse`` CSC array with at most five
+nonzeros per row, so it costs memory linear in the face count.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.special import zeta
 
@@ -286,17 +288,26 @@ def face_hessian(angles: np.ndarray) -> np.ndarray:
     return H
 
 
-def class_hessian(x: AngleSystem) -> np.ndarray:
-    """(E, E) Hessian of the objective along the conformal class.
+def class_hessian_sparse(x: AngleSystem) -> sparse.csc_array:
+    """(E, E) Hessian of the objective along the conformal class, as CSC.
 
     A flag moves by s = +1 (lower flag) or -1 (its mate) times its edge's
-    coordinate, so face entry (i, j) adds s_i s_j H[i, j] at the flags' edges.
+    coordinate, so face entry (i, j) adds s_i s_j H[i, j] at the flags'
+    edges; the entries that land on one (row, column) pair are summed.  An
+    edge borders two faces, so a row holds itself and at most four others.
     """
     T = x.complex
     e = T.edge_of_flag.reshape(-1, 3)
     s = class_lift(T, np.ones(T.edge_count)).reshape(-1, 3)
     blocks = s[:, :, None] * s[:, None, :] * face_hessian(_face_angles_checked(x))
-    H = np.zeros((T.edge_count, T.edge_count))
-    np.add.at(H, (e[:, :, None], e[:, None, :]), blocks)
-    return H
+    rows = np.broadcast_to(e[:, :, None], blocks.shape).reshape(-1)
+    cols = np.broadcast_to(e[:, None, :], blocks.shape).reshape(-1)
+    return sparse.csc_array(
+        (blocks.reshape(-1), (rows, cols)), shape=(T.edge_count, T.edge_count)
+    )
+
+
+def class_hessian(x: AngleSystem) -> np.ndarray:
+    """The class Hessian of ``class_hessian_sparse`` as a dense (E, E) array."""
+    return class_hessian_sparse(x).toarray()
 

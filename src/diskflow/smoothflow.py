@@ -24,8 +24,8 @@ Newton direction at every iterate: the second variation is negative definite
 on mean-zero directions throughout the domain, so that direction always
 ascends, and damped Newton converges from any start and then quadratically
 (Springborn-Schroeder-Pinkall 2008).  S and the second variation are sparse;
-``teleport`` and the Newton step ground one vertex to solve them, as their
-kernel is the constants.
+``teleport`` and the Newton step ground one vertex to solve them by the
+shared sparse LU of ``ascent``, as their kernel is the constants.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
-from .ascent import TraceRecord, ascend
+from .ascent import TraceRecord, ascend, sparse_solve
 from .complexes import TopologicalTriangulation
 from .errors import (
     NoConvergence,
@@ -132,10 +131,12 @@ def _grounded_solve(A, b: np.ndarray) -> np.ndarray:
     """Solve A x = b, A sparse symmetric with the constants as kernel, at x_0 = 0.
 
     The complex is connected, so dropping row and column 0 leaves a regular
-    system; the dropped equation holds when b sums to zero.
+    system; the dropped equation holds when b sums to zero.  Raises
+    ``LinAlgError`` when the grounded system is singular or the solution is
+    not finite.
     """
     x = np.zeros(len(b))
-    x[1:] = spsolve(A[1:, 1:], b[1:])
+    x[1:] = sparse_solve(A[1:, 1:], b[1:])
     return x
 
 
@@ -148,9 +149,10 @@ def teleport(mesh: MeshMetric) -> np.ndarray:
     """
     c = 2.0 * np.pi * mesh.complex.chi / mesh.area
     rhs = mesh.masses * (c - mesh.curvature)
-    phi = _grounded_solve(mesh.stiffness, rhs)
-    if not np.all(np.isfinite(phi)):
-        raise SolveFailure("stiffness solve produced non-finite factor")
+    try:
+        phi = _grounded_solve(mesh.stiffness, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailure(f"stiffness solve failed: {exc}") from exc
     if np.max(np.abs(mesh.stiffness @ phi - rhs)) > 1e-8 * max(1.0, np.abs(rhs).max()):
         raise SolveFailure("stiffness solve did not reach the required residual")
     return mean_zero(mesh, phi)

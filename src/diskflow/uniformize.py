@@ -3,11 +3,12 @@
 The optimization variable is the per-edge class coordinate: iterates move only
 along the class basis, so every per-edge partial-angle sum and every vertex
 sum is preserved to floating accumulation.  The ascent is the shared damped
-Newton driver of ``ascent`` (dense Newton solve, gradient fallback), with the
-domain being the open polytope of valid hyperbolic faces.  At the maximizer
-the two faces meeting along each edge assign it the same hyperbolic length,
-so the triangles assemble into an actual hyperbolic surface whose
-circumscribing disks form the empty pattern.
+Newton driver of ``ascent`` (a sparse LU solve of the CSC class Hessian,
+gradient fallback when it is singular), with the domain being the open
+polytope of valid hyperbolic faces; memory is linear in the face count.  At
+the maximizer the two faces meeting along each edge assign it the same
+hyperbolic length, so the triangles assemble into an actual hyperbolic
+surface whose circumscribing disks form the empty pattern.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from .angles import (
     edge_psi,
     find_negative_delaunay,
 )
-from .ascent import TraceRecord, ascend
+from .ascent import TraceRecord, ascend, sparse_solve
 from .complexes import TopologicalTriangulation
 from .errors import ComplexMismatch, LengthMismatch
 from .hyperbolic import (
     class_grad,
-    class_hessian,
+    class_hessian_sparse,
     flag_edge_lengths,
     objective_H,
 )
@@ -72,6 +73,11 @@ def _length_mismatch(x: AngleSystem) -> float:
     return float(np.max(np.abs(lengths[flags[:, 0]] - lengths[flags[:, 1]])))
 
 
+def _newton(y: AngleSystem, g: np.ndarray) -> np.ndarray:
+    """Newton direction: the sparse LU solve of the class Hessian against -g."""
+    return sparse_solve(class_hessian_sparse(y), -g)
+
+
 def uniformize(
     spec: ConformalClassSpec,
     opts: UniformizeOptions | None = None,
@@ -103,7 +109,7 @@ def uniformize(
         gradient=class_grad,
         residual=_length_mismatch,
         converged=lambda ginf, _: ginf < opts.tol,
-        newton_dir=lambda y, g: np.linalg.solve(class_hessian(y), -g),
+        newton_dir=_newton,
         fallback_dir=lambda _, g: g,
         in_domain=lambda y: _interior_margin(y) > INTERIOR_MARGIN,
         move=lambda y, step, d: AngleSystem(T, y.psi + step * class_lift(T, d)),

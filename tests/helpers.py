@@ -72,6 +72,19 @@ def random_class_spec(T, rng, scale=0.5, tries=400) -> ConformalClassSpec:
     raise RuntimeError("could not sample a valid class spec")
 
 
+def perturbed_canonical_spec(T, rng, amplitude=0.02) -> ConformalClassSpec:
+    """The class of equal corner angles 2 pi / deg at each vertex, moved by
+    noise in the kernel of the vertex-edge incidence, so every vertex sum
+    stays 2 pi."""
+    from diskflow.angles import conformal_class_of, partials_from_angles
+
+    deg = np.array([len(c) for c in T.corners_of_vertex])
+    corner = 2 * np.pi / deg[T.vertex_of_corner]
+    pe = conformal_class_of(partials_from_angles(T, corner.reshape(-1, 3))).psi_edge
+    K = null_space(edge_multiplicity_matrix(T))
+    return ConformalClassSpec(T, pe + K @ rng.normal(scale=amplitude, size=K.shape[1]))
+
+
 def octahedron() -> TopologicalTriangulation:
     from diskflow.complexes import from_vertex_triples
 

@@ -6,10 +6,13 @@ ideal endpoints of the perpendicular geodesics through its vertices, and sums
 ideal-tetrahedron volumes over a fan of the convex hull.  Agreement with the
 production routes is therefore a genuine cross-check of the geometry.
 
-The dense oracles rebuild the solvers' sparse operators and grounded solves
-the direct way (the dense class basis and its products, a finite-difference
-class Hessian, least-squares solves of the singular systems), so the
-index-array assembly is checked against its definition.
+The dense oracles rebuild the solvers' sparse operators and solves the
+direct way (the dense class basis and its products, a finite-difference
+class Hessian, a dense Newton solve of the class Hessian, least-squares
+solves of the singular systems), so the index-array assembly and the sparse
+LU are checked against their definitions.  ``margin_lp_simplex`` writes the
+margin LP out row by row and solves it with HiGHS's default method, the
+reference for the interior-point margin.
 ``derive_union_find`` derives a complex's edges and vertex orbits with a
 flag-by-flag union-find, the reference for the index-array derivation, and
 ``gluing_mate_loop`` validates a side pairing pair by pair.
@@ -20,9 +23,10 @@ the reference for the local Delaunay check.
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import block_diag
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from diskflow.angles import AngleSystem, all_corner_angles
+from diskflow.angles import AngleSystem, ConformalClassSpec, all_corner_angles
 from diskflow.complexes import TopologicalTriangulation
 from diskflow.errors import DuplicateSide, SelfGluedSide, UnmatchedSide
 from diskflow.hyperbolic import class_grad, face_hessian, lobachevsky
@@ -135,6 +139,44 @@ def class_hessian_dense(x: AngleSystem) -> np.ndarray:
     block-diagonal (3F, 3F) Hessian of the faces."""
     B = class_basis(x.complex)
     return B @ block_diag(*face_hessian(all_corner_angles(x))) @ B.T
+
+
+def class_newton_dense(x: AngleSystem, g: np.ndarray) -> np.ndarray:
+    """Newton direction by a dense solve of the dense-oracle class Hessian."""
+    return np.linalg.solve(class_hessian_dense(x), -g)
+
+
+def margin_lp_simplex(spec: ConformalClassSpec) -> float:
+    """Maximal interior margin eps of the class, by ``method="highs"``.
+
+    Variables are the 3F partials and eps.  Each edge fixes the sum of its
+    two partials; each face asks every corner angle (the sum of the other
+    two partials) to be at least eps and its angle sum to be at most
+    pi - eps.
+    """
+    T = spec.complex
+    n = 3 * T.face_count
+    A_eq = np.zeros((T.edge_count, n + 1))
+    for e, (a, b) in enumerate(T.edges):
+        A_eq[e, a] = A_eq[e, b] = 1.0
+    A_ub = np.zeros((4 * T.face_count, n + 1))
+    b_ub = np.zeros(4 * T.face_count)
+    for t in range(T.face_count):
+        for c in range(3):
+            row = A_ub[4 * t + c]
+            row[[3 * t + s for s in range(3) if s != c]] = -1.0
+            row[n] = 1.0
+        A_ub[4 * t + 3, 3 * t : 3 * t + 3] = 2.0
+        A_ub[4 * t + 3, n] = 1.0
+        b_ub[4 * t + 3] = np.pi
+    c = np.zeros(n + 1)
+    c[n] = -1.0
+    res = linprog(
+        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=spec.psi_edge,
+        bounds=[(None, None)] * n + [(None, np.pi)], method="highs",
+    )
+    assert res.success, res.message
+    return float(res.x[n])
 
 
 def teleport_lstsq(mesh: MeshMetric) -> np.ndarray:

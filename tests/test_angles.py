@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diskflow.angles import (
+    MARGIN_FLOOR,
     AngleSystem,
     ConformalClassSpec,
+    all_corner_angles,
     class_lift,
     conformal_class_of,
     corner_angles,
@@ -21,11 +23,17 @@ from diskflow.angles import (
     same_class,
     vertex_angle_sums,
 )
-from diskflow.complexes import genus2_octagon, tetrahedron
+from diskflow.complexes import genus2_octagon, subdivide, tetrahedron
 from diskflow.errors import ComplexMismatch, Infeasible, TooLarge
 
-from helpers import octahedron, random_angle_system, random_class_spec, random_complex
-from oracles import class_basis
+from helpers import (
+    octahedron,
+    perturbed_canonical_spec,
+    random_angle_system,
+    random_class_spec,
+    random_complex,
+)
+from oracles import class_basis, margin_lp_simplex
 
 
 def test_corner_angles_worked_example():
@@ -266,3 +274,35 @@ def test_lp_matches_bruteforce_on_random_specs():
         feasible_seen += int(rep.ok)
         infeasible_seen += int(not rep.ok)
     assert feasible_seen > 0 and infeasible_seen > 0
+
+
+def _lp_margin(spec) -> tuple[bool, float]:
+    """(feasible, margin) of the interior-point LP: the margin of the start it
+    returns, or the certificate margin it raises with."""
+    try:
+        y = find_negative_delaunay(spec)
+    except Infeasible as exc:
+        return False, exc.margin
+    A = all_corner_angles(y)
+    return True, float(min(A.min(), (np.pi - A.sum(axis=1)).min()))
+
+
+def test_interior_point_margin_matches_the_simplex_oracle():
+    rng = np.random.default_rng(12)
+    T96 = subdivide(subdivide(genus2_octagon()).complex).complex
+    specs = [perturbed_canonical_spec(T96, rng) for _ in range(3)]
+    specs.append(ConformalClassSpec(octahedron(), np.full(12, np.pi / 2)))
+    while len(specs) < 40:
+        T = random_complex(rng, int(rng.choice([4, 6, 8])))
+        try:
+            specs.append(random_class_spec(T, rng))
+        except RuntimeError:
+            continue
+    verdicts = []
+    for spec in specs:
+        ref = margin_lp_simplex(spec)
+        feasible, margin = _lp_margin(spec)
+        assert abs(margin - ref) <= 1e-9
+        assert feasible == (ref >= MARGIN_FLOOR)
+        verdicts.append(feasible)
+    assert 0 < sum(verdicts) < len(verdicts)

@@ -1,8 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
+import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
-from diskflow.ascent import ascend
+from diskflow.ascent import ascend, sparse_solve
 
 
 def _quadratic_ascent():
@@ -36,3 +40,36 @@ def test_trace_records_elapsed_time_outside_equality():
     elapsed = [r.elapsed for r in trace]
     assert 0.0 <= elapsed[0] <= elapsed[1]
     assert dataclasses.replace(trace[0], elapsed=elapsed[0] + 1.0) == trace[0]
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+def test_sparse_solve_is_spsolve_on_a_regular_system(fmt):
+    rng = np.random.default_rng(3)
+    M = sparse.random_array((40, 40), density=0.1, rng=rng) + 4.0 * sparse.eye_array(40)
+    A = M.asformat(fmt)
+    b = rng.normal(size=40)
+    x = sparse_solve(A, b)
+    assert np.max(np.abs(A @ x - b)) < 1e-12
+    if fmt == "csr":  # the same SuperLU arithmetic as spsolve, bit for bit
+        assert np.array_equal(x, spsolve(A, b))
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        sparse.csc_array((3, 3)),
+        sparse.csc_array(np.ones((3, 3))),
+        sparse.csr_array(np.diag([1.0, 0.0, 2.0])),
+        sparse.csc_array(np.diag([1.0, np.nan, 2.0])),
+    ],
+)
+def test_sparse_solve_declines_singular_systems_without_warning(A):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            sparse_solve(A, np.ones(3))
+
+
+def test_sparse_solve_declines_a_non_finite_solution():
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        sparse_solve(sparse.csc_array(np.diag([1.0, 2.0])), np.array([1.0, np.inf]))

@@ -70,6 +70,24 @@ def test_uniformize_end_to_end(g2_spec_file, tmp_path, capsys):
     assert run(["pattern", str(out)]) == 0
 
 
+def test_uniformize_deterministic_bytes(tmp_path):
+    # the LP start, the sparse LU and the ascent are deterministic: two runs
+    # write the same structure and trace bytes
+    from diskflow.complexes import genus2_octagon, subdivide
+    from helpers import perturbed_canonical_spec
+
+    T = subdivide(subdivide(genus2_octagon()).complex).complex
+    spec = tmp_path / "class96.json"
+    write_json(spec, class_spec_to_dict(perturbed_canonical_spec(T, np.random.default_rng(5))))
+    outputs = []
+    for run_index in range(2):
+        out, trace = tmp_path / f"structure{run_index}.json", tmp_path / f"trace{run_index}.csv"
+        assert run(["uniformize", str(spec), "--out", str(out), "--trace", str(trace)]) == 0
+        outputs.append((out.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1].splitlines()) > 3  # several Newton iterations
+
+
 def test_uniformize_infeasible(tmp_path):
     from helpers import octahedron
     from diskflow.angles import ConformalClassSpec

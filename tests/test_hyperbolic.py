@@ -8,6 +8,7 @@ from diskflow.hyperbolic import (
     angles_from_lengths,
     class_grad,
     class_hessian,
+    class_hessian_sparse,
     edge_lengths,
     face_hessian,
     flag_edge_lengths,
@@ -252,6 +253,12 @@ def test_class_hessian_matches_dense_oracle(subdivisions):
     assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
     # an edge borders two faces: itself and at most four other edges
     assert np.count_nonzero(M, axis=1).max() <= 5
+    # the dense Hessian is the sparse one, which stores at most five entries
+    # per column (hence per row: it is symmetric) and equals the oracle
+    H = class_hessian_sparse(y)
+    assert H.format == "csc" and np.array_equal(H.toarray(), M)
+    assert np.array_equal(M, ref) and np.array_equal(M, M.T)
+    assert np.diff(H.indptr).max() <= 5
 
 
 def test_face_hessian_negative_definite_on_acute():

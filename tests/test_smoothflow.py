@@ -323,6 +323,49 @@ def test_flow_falls_back_to_the_gradient_when_newton_fails(cone14_mesh, monkeypa
     assert [s.newton for s in accepted] == [False] + [True] * (len(accepted) - 1)
 
 
+def test_flow_falls_back_cleanly_on_a_singular_hessian(cone14_mesh, monkeypatch):
+    # an exactly singular Newton system declines with LinAlgError, so the
+    # first step is a gradient step and nothing is printed or warned
+    import warnings
+
+    from scipy import sparse
+
+    import diskflow.smoothflow as sf
+
+    hessian, calls = sf.hessian_matrix, []
+
+    def singular_once(mesh, phi):
+        calls.append(phi)
+        if len(calls) == 1:
+            return sparse.csr_array((mesh.vertex_count, mesh.vertex_count))
+        return hessian(mesh, phi)
+
+    monkeypatch.setattr(sf, "hessian_matrix", singular_once)
+    mesh = random_negative_mesh(cone14_mesh, np.random.default_rng(9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rep = log_ricci_flow(mesh)
+    *accepted, _ = rep.steps
+    assert rep.converged
+    assert [s.newton for s in accepted] == [False] + [True] * (len(accepted) - 1)
+
+
+def test_teleport_singular_stiffness_is_a_solve_failure(cone14_unit):
+    import copy
+    import warnings
+
+    from scipy import sparse
+
+    from diskflow.errors import SolveFailure
+
+    mesh = copy.copy(cone14_unit)
+    mesh.stiffness = sparse.csr_array((mesh.vertex_count, mesh.vertex_count))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolveFailure, match="stiffness solve failed"):
+            teleport(mesh)
+
+
 def test_flow_converges_on_uniformized_genus2_at_766_vertices():
     # hyperbolic lengths of the uniformized F=1536 genus-2 complex read as
     # Euclidean lengths: every vertex has k < 0, spread over 6% of its mean,

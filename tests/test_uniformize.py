@@ -19,8 +19,8 @@ from diskflow.uniformize import (
     uniformize,
 )
 
-from helpers import octahedron
-from oracles import class_basis
+from helpers import octahedron, perturbed_canonical_spec
+from oracles import class_basis, class_newton_dense
 
 
 def test_symmetric_start_is_fixed_point(genus2, symmetric_g2_system):
@@ -236,3 +236,53 @@ def test_line_search_stall_reports_best(canonical24_spec, monkeypatch):
     trace = exc.value.trace
     assert isinstance(trace, list) and all(isinstance(r, TraceRecord) for r in trace)
     assert [r.iteration for r in trace] == [0] and trace[0].step > 0
+
+
+@pytest.mark.parametrize("subdivisions", [1, 2, 3])
+def test_sparse_newton_matches_the_dense_oracle(subdivisions, monkeypatch):
+    # the same class and LP start, ascended with the sparse LU and with a
+    # dense solve of the dense-oracle Hessian: the maximizers agree
+    import importlib
+
+    from diskflow.complexes import genus2_octagon, subdivide
+
+    T = genus2_octagon()
+    for _ in range(subdivisions):
+        T = subdivide(T).complex
+    spec = perturbed_canonical_spec(T, np.random.default_rng(subdivisions))
+    start = find_negative_delaunay(spec)
+    _, st, trace = uniformize(spec, start=start)
+    un = importlib.import_module("diskflow.uniformize")
+    monkeypatch.setattr(un, "_newton", class_newton_dense)
+    _, ref, ref_trace = uniformize(spec, start=start)
+    assert T.face_count == 6 * 4**subdivisions
+    assert all(r.newton for r in trace[:-1]) and all(r.newton for r in ref_trace[:-1])
+    assert np.max(np.abs(st.edge_lengths - ref.edge_lengths)) <= 1e-12
+
+
+def test_uniformize_falls_back_cleanly_on_a_singular_hessian(canonical24_spec, monkeypatch):
+    # an exactly singular class Hessian declines the Newton step with
+    # LinAlgError: the step is a gradient step and no warning is raised
+    import importlib
+    import warnings
+
+    from scipy import sparse
+
+    un = importlib.import_module("diskflow.uniformize")
+    hessian, calls = un.class_hessian_sparse, []
+
+    def singular_once(y):
+        calls.append(y)
+        if len(calls) == 1:
+            E = y.complex.edge_count
+            return sparse.csc_array((E, E))
+        return hessian(y)
+
+    monkeypatch.setattr(un, "class_hessian_sparse", singular_once)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, st, trace = uniformize(canonical24_spec)
+    *accepted, last = trace
+    assert [r.newton for r in accepted] == [False] + [True] * (len(accepted) - 1)
+    assert last.grad_inf < UniformizeOptions().tol
+    assert abs(st.total_area - 4 * np.pi) < 1e-9
