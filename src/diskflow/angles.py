@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from .complexes import TopologicalTriangulation
 from .errors import ComplexMismatch, Infeasible, TooLarge, finite_vector
@@ -266,6 +265,9 @@ def find_negative_delaunay(
     ``Infeasible`` with the certificate margin when the maximum is below the
     feasibility floor.
     """
+    # imported here: scipy.optimize is slow to load and only the uniformizer needs it
+    from scipy.optimize import linprog
+
     T = spec.complex
     F, E = T.face_count, T.edge_count
     n = 3 * F

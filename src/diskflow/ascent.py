@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .errors import NoConvergence
 
@@ -54,6 +53,9 @@ def sparse_solve(A, b: np.ndarray) -> np.ndarray:
     solved transposed: that is ``spsolve``'s own arithmetic on a CSR matrix,
     whose storage is the CSC storage of its transpose.
     """
+    # imported here: scipy.sparse.linalg is slow to load and Monte Carlo never solves
+    from scipy.sparse.linalg import splu
+
     try:
         lu = splu(A.T.tocsc())
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .complexes import TopologicalTriangulation
 from .errors import (
-    BadDelta,
+    BadParameter,
     DiskflowError,
     DuplicateSide,
     NoConvergence,
@@ -72,6 +72,22 @@ def _surface_from_args(args) -> SurfaceModel:
     if args.surface == "sphere":
         return SurfaceModel.sphere()
     return SurfaceModel.torus(args.torus_width, args.torus_height)
+
+
+def _check_positive(flag: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise BadParameter(f"{flag} must be finite and positive, got {value!r}")
+
+
+def _check_trial_flags(args) -> None:
+    """The flags every Monte Carlo subcommand shares."""
+    _check_positive("--lambda", args.intensity)
+    if args.surface == "torus":
+        _check_positive("--torus-width", args.torus_width)
+        _check_positive("--torus-height", args.torus_height)
+    for flag, value in (("--trials", args.trials), ("--jobs", args.jobs)):
+        if value < 1:
+            raise BadParameter(f"{flag} must be at least 1, got {value}")
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -136,6 +152,7 @@ def _cmd_uniformize(args) -> int:
 
 
 def _cmd_gauss_bonnet(args) -> int:
+    _check_trial_flags(args)
     surface = _surface_from_args(args)
     est = chi_estimator(surface, args.intensity, args.trials, args.seed, jobs=args.jobs)
     if args.out:
@@ -148,6 +165,7 @@ def _cmd_gauss_bonnet(args) -> int:
 
 
 def _cmd_quadrature(args) -> int:
+    _check_positive("--lambda", args.intensity)
     surface = SurfaceModel.sphere()
     ef = expected_faces_quadrature(surface, args.intensity, args.delta)
     estimate = surface.area * args.intensity - ef / 2.0
@@ -158,19 +176,28 @@ def _cmd_quadrature(args) -> int:
 
 
 def _cmd_defect(args) -> int:
+    _check_trial_flags(args)
     surface = _surface_from_args(args)
     if args.cap_area is not None:
         if surface.kind != "sphere":
-            raise BadDelta("--cap-area applies to the sphere")
+            raise BadParameter("--cap-area applies to the sphere")
+        if not 0 < args.cap_area <= surface.area:
+            raise BadParameter(f"--cap-area must lie in (0, 4 pi], got {args.cap_area!r}")
         region = CapRegion(args.cap_area)
         target = args.cap_area / np.pi
     elif args.rect is not None:
         if surface.kind != "torus":
-            raise BadDelta("--rect applies to the torus")
+            raise BadParameter("--rect applies to the torus")
+        x0, y0, x1, y1 = args.rect
+        if not (0 <= x0 < x1 <= surface.width and 0 <= y0 < y1 <= surface.height):
+            raise BadParameter(
+                f"--rect needs 0 <= X0 < X1 <= {surface.width!r} and "
+                f"0 <= Y0 < Y1 <= {surface.height!r}, got {args.rect!r}"
+            )
         region = RectRegion(*args.rect)
         target = 0.0
     else:
-        raise BadDelta("one of --cap-area or --rect is required")
+        raise BadParameter("one of --cap-area or --rect is required")
     est = face_defect_in_region(
         surface, args.intensity, args.trials, region, args.seed, jobs=args.jobs
     )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DuplicateSide, SelfGluedSide, UnknownVertex, UnmatchedSide
 
@@ -62,6 +61,9 @@ class TopologicalTriangulation:
         self.edge_count = len(lo)
         self.edge_of_flag = np.empty(n, dtype=np.int64)
         self.edge_of_flag[lo] = self.edge_of_flag[hi] = np.arange(self.edge_count)
+
+        # imported here: csgraph loads scipy.sparse.linalg, which Monte Carlo never needs
+        from scipy.sparse.csgraph import connected_components
 
         # corner orbits under head-to-tail identification, numbered in order
         # of their smallest corner

@@ -95,6 +95,10 @@ class BadDelta(DiskflowError):
     """Decision radius outside the admissible range."""
 
 
+class BadParameter(DiskflowError):
+    """A command-line value is outside its documented range; names the flag."""
+
+
 # -- mesh metrics and the flow -------------------------------------------------
 
 class SolveFailure(DiskflowError):

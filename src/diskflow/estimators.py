@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import dblquad, quad
 
 from .delaunay import delaunay
 from .errors import BadDelta, DegenerateSample
@@ -196,6 +195,9 @@ def triangle_angle_integral() -> float:
     Computed once by quadrature; equals (2 pi)^3 times the mean area of a
     triangle inscribed by three uniform points on the unit circle, 3/(2 pi).
     """
+    # imported here: scipy.integrate is slow to load and only quadrature needs it
+    from scipy.integrate import dblquad
+
     val, _ = dblquad(
         _inscribed_triangle_area, 0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi,
         epsabs=1e-11, epsrel=1e-11,
@@ -226,6 +228,9 @@ def expected_faces_quadrature(
         raise BadDelta(
             f"delta {delta!r} outside (0, {surface.delta_max!r}]"
         )
+    # imported here: scipy.integrate is slow to load and only quadrature needs it
+    from scipy.integrate import quad
+
     lam = float(intensity)
     N = triangle_angle_integral()
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import quad
 from scipy.special import zeta
 
 from .angles import AngleSystem, all_corner_angles, class_lift
@@ -180,6 +179,9 @@ def prism_volume_path(
     path-independence checks.  Segments are subdivided once near the domain
     boundary where the integrand's logarithm steepens.
     """
+    # imported here: scipy.integrate is slow to load and only this cross-check needs it
+    from scipy.integrate import quad
+
     _validate_triple(A, B, C)
     waypoints = [_REF_PARTIALS]
     if via is not None:

@@ -1,11 +1,21 @@
 """File formats: canonical JSON (sorted keys, 17-significant-digit floats)
 and plain CSV series.  Identical inputs serialize to identical bytes, which
 is what makes seeded runs reproducible at the byte level.
+
+``dumps_canonical`` writes the two bulky kinds of value in one pass each.  A
+list of Python floats, or a 1-D float array, is one ``",".join`` of
+``format(v, ".17g")`` over its ``tolist()``; nan and inf come out as the bare
+``nan`` and ``inf`` tokens.  A list of Python ints (not bools), or nested
+lists whose leaves are all such ints at one depth, such as a complex's
+gluing, goes through the standard library's C encoder with ``(",", ":")``
+separators.  Any other value is rendered element by element with the same
+rules, so every route gives the same bytes.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +31,26 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_INT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def _int_tree(seq) -> bool:
+    """True when ``seq`` is nested lists/tuples with Python ints at one depth.
+
+    Walks one nesting level at a time, so the check runs in C; a level that
+    mixes ints with lists answers False and is rendered the slow way.
+    """
+    level = seq
+    while level:
+        types = set(map(type, level))
+        if types == {int}:
+            return True
+        if not types <= {list, tuple}:
+            return False
+        level = list(chain.from_iterable(level))
+    return True
+
+
 def dumps_canonical(obj) -> str:
     """Deterministic JSON text: sorted keys, floats at 17 significant digits."""
 
@@ -30,7 +60,14 @@ def dumps_canonical(obj) -> str:
             inner = ",".join(f"{json.dumps(str(k))}:{render(v)}" for k, v in items)
             return "{" + inner + "}"
         if isinstance(o, (list, tuple, np.ndarray)):
-            seq = o.tolist() if isinstance(o, np.ndarray) else o
+            if isinstance(o, np.ndarray):
+                seq, floats = o.tolist(), o.ndim == 1 and o.dtype.kind == "f"
+            else:
+                seq, floats = o, all(type(v) is float for v in o)
+            if floats:
+                return "[" + ",".join([format(v, ".17g") for v in seq]) + "]"
+            if _int_tree(seq):
+                return _INT_ENCODER.encode(seq)
             return "[" + ",".join(render(v) for v in seq) + "]"
         if isinstance(o, bool) or o is None:
             return json.dumps(o)

@@ -18,7 +18,11 @@ flag-by-flag union-find, the reference for the index-array derivation, and
 ``gluing_mate_loop`` validates a side pairing pair by pair.
 ``emptiness_flags_dense`` tests every circumdisk against every sample point,
 the reference for the local Delaunay check.
+``dumps_canonical_recursive`` renders canonical JSON one element at a time,
+the reference for the serializer's float-list and int-list fast paths.
 """
+
+import json
 
 import numpy as np
 from scipy.integrate import quad
@@ -300,3 +304,27 @@ def gluing_mate_loop(face_count: int, gluing_pairs) -> np.ndarray:
         f, s = divmod(int(missing[0]), 3)
         raise UnmatchedSide(f"side (face {f}, side {s}) is not glued")
     return mate
+
+
+def dumps_canonical_recursive(obj) -> str:
+    """Canonical JSON rendered by one recursive call per element."""
+
+    def render(o) -> str:
+        if isinstance(o, dict):
+            items = sorted(o.items())
+            inner = ",".join(f"{json.dumps(str(k))}:{render(v)}" for k, v in items)
+            return "{" + inner + "}"
+        if isinstance(o, (list, tuple, np.ndarray)):
+            seq = o.tolist() if isinstance(o, np.ndarray) else o
+            return "[" + ",".join(render(v) for v in seq) + "]"
+        if isinstance(o, bool) or o is None:
+            return json.dumps(o)
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
+        if isinstance(o, (float, np.floating)):
+            return format(float(o), ".17g")
+        if isinstance(o, str):
+            return json.dumps(o)
+        raise TypeError(f"cannot serialize {type(o)}")
+
+    return render(obj)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -223,3 +224,52 @@ def test_non_finite_class_is_a_domain_error(bad, canonical24_spec, tmp_path, cap
 
 def test_unknown_command_exits_nonzero(capsys):
     assert run(["frobnicate"]) == 1
+
+
+MC = ["--trials", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gauss-bonnet", "--lambda", "5", "--trials", "0", "--seed", "1"], "--trials"),
+        (["gauss-bonnet", "--lambda", "nan", *MC], "--lambda"),
+        (["gauss-bonnet", "--lambda", "inf", *MC], "--lambda"),
+        (["gauss-bonnet", "--lambda", "5", *MC, "--jobs", "-3"], "--jobs"),
+        (["defect", "--lambda", "5", "--trials", "0", "--seed", "1", "--cap-area", "2"],
+         "--trials"),
+        (["defect", "--lambda", "inf", *MC, "--cap-area", "2"], "--lambda"),
+        (["defect", "--lambda", "5", *MC, "--cap-area", "-1"], "--cap-area"),
+        (["defect", "--lambda", "5", *MC, "--cap-area", "20"], "--cap-area"),
+        (["defect", "--lambda", "5", *MC, "--cap-area", "nan"], "--cap-area"),
+        (["defect", "--surface", "torus", "--lambda", "50", *MC,
+          "--rect", "0.75", "0.75", "0.25", "0.25"], "--rect"),
+        (["defect", "--surface", "torus", "--lambda", "50", *MC,
+          "--rect", "0.75", "0.25", "0.25", "0.75"], "--rect"),
+        (["defect", "--surface", "torus", "--lambda", "50", *MC,
+          "--rect", "0.5", "0.5", "1.5", "0.75"], "--rect"),
+        (["defect", "--surface", "torus", "--lambda", "50", *MC,
+          "--rect", "nan", "0", "0.5", "0.5"], "--rect"),
+        (["defect", "--surface", "torus", "--lambda", "50", *MC, "--jobs", "0",
+          "--rect", "0", "0", "0.5", "0.5"], "--jobs"),
+        (["gauss-bonnet", "--surface", "torus", "--torus-width", "nan", "--lambda", "50", *MC],
+         "--torus-width"),
+        (["defect", "--surface", "torus", "--torus-height", "inf", "--lambda", "50", *MC,
+          "--rect", "0", "0", "0.5", "0.5"], "--torus-height"),
+        (["quadrature", "--lambda", "nan", "--delta", "0.5"], "--lambda"),
+    ],
+)
+def test_bad_monte_carlo_flag_is_a_domain_error(argv, flag, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"error: BadParameter: {flag} " in err
+
+
+def test_full_torus_rect_and_sphere_cap_are_accepted(capsys):
+    assert run(["defect", "--surface", "torus", "--lambda", "20", *MC,
+                "--rect", "0", "0", "1", "1"]) == 0
+    assert run(["defect", "--lambda", "5", *MC, "--cap-area", str(4 * np.pi)]) == 0

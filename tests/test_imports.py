@@ -1,0 +1,64 @@
+"""Import boundary of the command line: a fresh interpreter loads only the
+scipy subpackages the subcommand it runs uses."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import diskflow
+
+SRC = Path(diskflow.__file__).resolve().parents[1]
+HEAVY = ["scipy.optimize", "scipy.integrate", "scipy.sparse.linalg", "scipy.sparse.csgraph"]
+
+
+def _fresh(code: str) -> dict:
+    """Run ``code`` in a new interpreter that imports diskflow from this checkout;
+    it prints one JSON object on its last stdout line."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+LOADED = f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+
+
+def test_cli_import_loads_no_solver_or_quadrature_scipy():
+    assert _fresh(f"import json, sys\nimport diskflow.cli\n{LOADED}") == []
+
+
+def test_cli_import_still_loads_every_submodule():
+    names = sorted(
+        p.stem for p in (SRC / "diskflow").glob("*.py") if p.stem != "__init__"
+    )
+    loaded = _fresh(
+        "import json, sys\nimport diskflow.cli\n"
+        f"print(json.dumps([n for n in {names!r} if 'diskflow.' + n in sys.modules]))"
+    )
+    assert loaded == names
+
+
+def test_gauss_bonnet_run_loads_no_solver_or_quadrature_scipy(tmp_path):
+    out = tmp_path / "gb.csv"
+    loaded = _fresh(
+        "import json, sys\nfrom diskflow.cli import run\n"
+        "code = run(['gauss-bonnet', '--lambda', '20', '--trials', '1', '--seed', '1',"
+        f" '--out', {str(out)!r}])\n"
+        "assert code == 0, code\n"
+        f"{LOADED}"
+    )
+    assert loaded == []
+    assert out.read_text().startswith("trial,n,F,estimator\n")
+
+
+def test_delaunay_module_keeps_its_scipy_names():
+    names = _fresh(
+        "import importlib, json\n"
+        "module = importlib.import_module('diskflow.delaunay')\n"
+        "print(json.dumps([n for n in ('ConvexHull', 'PlanarDelaunay') if hasattr(module, n)]))"
+    )
+    assert names == ["ConvexHull", "PlanarDelaunay"]

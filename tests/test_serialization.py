@@ -1,6 +1,8 @@
 import json
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from diskflow.angles import conformal_class_of
 from diskflow.serialization import (
@@ -16,6 +18,7 @@ from diskflow.serialization import (
     trials_csv,
 )
 from diskflow.uniformize import assemble_structure
+from oracles import dumps_canonical_recursive
 
 
 def test_canonical_json_is_valid_json_and_sorted():
@@ -70,3 +73,58 @@ def test_trials_csv_shape():
     assert lines[0] == "trial,n,F,estimator"
     assert lines[1] == "0,10,16,2"
     assert len(lines) == 3
+
+
+# leaves of every kind the writer accepts; floats include nan, inf and -0.0
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_ints = st.integers(min_value=-(2**80), max_value=2**80)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    _ints,
+    _floats,
+    st.text(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=255).map(np.uint8),
+    _floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+_arrays = st.one_of(
+    hnp.arrays(
+        st.sampled_from([np.float64, np.float32, np.int64, np.int32]),
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+    ),
+    hnp.arrays(np.float64, st.integers(0, 20), elements=_floats),
+)
+# the two fast paths' shapes: float lists and nested int lists like a gluing
+_fast = st.one_of(
+    st.lists(_floats),
+    st.lists(st.lists(st.lists(_ints, max_size=2), max_size=2)),
+    st.lists(st.one_of(_ints, st.booleans())),
+)
+_values = st.recursive(
+    st.one_of(_leaves, _arrays, _fast),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_canonical_json_matches_recursive_oracle(value):
+    assert dumps_canonical(value) == dumps_canonical_recursive(value)
+
+
+def test_canonical_json_of_payloads_matches_recursive_oracle(symmetric_g2_system, cone14_mesh):
+    st_ = assemble_structure(symmetric_g2_system)
+    for payload in (
+        structure_to_dict(st_),
+        angle_system_to_dict(symmetric_g2_system),
+        class_spec_to_dict(conformal_class_of(symmetric_g2_system)),
+        mesh_to_dict(cone14_mesh),
+    ):
+        assert dumps_canonical(payload) == dumps_canonical_recursive(payload)
