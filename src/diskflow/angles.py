@@ -82,8 +82,8 @@ def informal_intersection_angle(x: AngleSystem, e: int) -> float:
 
 def edge_psi(x: AngleSystem) -> np.ndarray:
     """All per-edge intersection data as a vector in canonical edge order."""
-    flags = np.asarray(x.complex.edges, dtype=np.int64)
-    return x.psi[flags[:, 0]] + x.psi[flags[:, 1]]
+    lo, hi = x.complex.edges.T
+    return x.psi[lo] + x.psi[hi]
 
 
 def vertex_angle_sums(x: AngleSystem) -> np.ndarray:
@@ -177,10 +177,9 @@ def class_lift(T: TopologicalTriangulation, d: np.ndarray) -> np.ndarray:
     """Partial-angle move along a conformal class: ``d[e]`` added to the lower
     flag of edge e and subtracted from its mate, which changes no per-edge
     sum and no vertex sum."""
-    flags = np.asarray(T.edges, dtype=np.int64)
     out = np.empty(3 * T.face_count)
-    out[flags[:, 0]] = d
-    out[flags[:, 1]] = -d
+    out[T.edges[:, 0]] = d
+    out[T.edges[:, 1]] = -d
     return out
 
 
@@ -273,9 +272,8 @@ def find_negative_delaunay(
     n = 3 * F
 
     # equality rows: one per edge, over its two flags
-    flags = np.asarray(T.edges, dtype=np.int64)
     A_eq = sparse.csr_array(
-        (np.ones(2 * E), (np.repeat(np.arange(E), 2), flags.reshape(-1))),
+        (np.ones(2 * E), (np.repeat(np.arange(E), 2), T.edges.reshape(-1))),
         shape=(E, n + 1),
     )
     b_eq = spec.psi_edge.copy()

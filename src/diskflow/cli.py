@@ -58,6 +58,9 @@ EXIT_IO = 1
 EXIT_DOMAIN = 2
 EXIT_NO_CONVERGENCE = 3
 
+# the largest mean numpy's Poisson sampler accepts (``Generator.poisson``)
+POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
 
 def _echo_header(args: argparse.Namespace) -> None:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
@@ -85,6 +88,12 @@ def _check_trial_flags(args) -> None:
     if args.surface == "torus":
         _check_positive("--torus-width", args.torus_width)
         _check_positive("--torus-height", args.torus_height)
+    area = _surface_from_args(args).area
+    if args.intensity * area > POISSON_LAM_MAX:
+        raise BadParameter(
+            f"--lambda times the surface area must be at most {POISSON_LAM_MAX!r}, "
+            f"got {args.intensity!r} * {area!r}"
+        )
     for flag, value in (("--trials", args.trials), ("--jobs", args.jobs)):
         if value < 1:
             raise BadParameter(f"{flag} must be at least 1, got {value}")

@@ -35,7 +35,7 @@ class TopologicalTriangulation:
     ----------
     face_count : number of triangles F
     mate : int array of length 3F, the gluing involution on flags
-    edges : list of flag pairs (lo, hi), sorted by lo; index = edge id
+    edges : (E, 2) int array of flag pairs (lo, hi), sorted by lo; index = edge id
     edge_of_flag : edge id per flag
     vertex_of_corner : vertex id per corner flag (corner c of face f = 3f+c)
     vertex_count : number of corner orbits V
@@ -57,7 +57,7 @@ class TopologicalTriangulation:
 
         lo = np.flatnonzero(flags < mate)
         hi = mate[lo]
-        self.edges: list[tuple[int, int]] = list(zip(lo.tolist(), hi.tolist()))
+        self.edges = np.stack([lo, hi], axis=1)
         self.edge_count = len(lo)
         self.edge_of_flag = np.empty(n, dtype=np.int64)
         self.edge_of_flag[lo] = self.edge_of_flag[hi] = np.arange(self.edge_count)
@@ -88,10 +88,6 @@ class TopologicalTriangulation:
     def chi(self) -> int:
         return self.vertex_count - self.edge_count + self.face_count
 
-    def vertex_degree(self, v: int) -> int:
-        """Number of edge endpoints at v (loop edges count twice)."""
-        return int(np.sum(self.edge_endpoints == v))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TopologicalTriangulation)
@@ -113,15 +109,16 @@ class TopologicalTriangulation:
     def to_dict(self) -> dict:
         return {
             "faces": self.face_count,
-            "gluing": [
-                [[int(a // 3), int(a % 3)], [int(b // 3), int(b % 3)]]
-                for a, b in self.edges
-            ],
+            "gluing": np.stack([self.edges // 3, self.edges % 3], axis=-1).tolist(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TopologicalTriangulation":
-        return build_complex(int(data["faces"]), data["gluing"])
+        faces = data["faces"]
+        # a larger count has flags 3F beyond int64, and no gluing could cover them
+        if type(faces) is not int or not 0 <= faces < 2**61:
+            raise ValueError(f"faces must be an integer in [0, 2**61), got {faces!r}")
+        return build_complex(faces, data["gluing"])
 
 
 def build_complex(
@@ -164,13 +161,15 @@ def build_complex(
             if mask.any():
                 f, s = sides[k, int(np.argmax(mask))]
                 raise error(f"side (face {f}, side {s}) {what}")
-    mate = np.full(3 * face_count, -1, dtype=np.int64)
+    # the flags are now distinct and inside the complex, so they cover all 3F
+    # sides exactly when there are 3F of them; the first gap names a side
+    if flat.size < 3 * face_count:
+        gaps = np.flatnonzero(np.sort(flat) != np.arange(flat.size))
+        f, s = divmod(int(gaps[0]) if gaps.size else flat.size, 3)
+        raise UnmatchedSide(f"side (face {f}, side {s}) is not glued")
+    mate = np.empty(3 * face_count, dtype=np.int64)
     mate[flags[:, 0]] = flags[:, 1]
     mate[flags[:, 1]] = flags[:, 0]
-    missing = np.flatnonzero(mate < 0)
-    if missing.size:
-        f, s = divmod(int(missing[0]), 3)
-        raise UnmatchedSide(f"side (face {f}, side {s}) is not glued")
     return TopologicalTriangulation(face_count, mate)
 
 
@@ -293,7 +292,7 @@ def subdivide(T: TopologicalTriangulation) -> SubdividedComplex:
             pairs.append((a, b))
             provenance[_flag(*a)] = (int(T.edge_of_flag[_flag(t, j)]), True)
             provenance[_flag(*b)] = (int(T.edge_of_flag[_flag(t, j)]), True)
-    for a_flag, b_flag in T.edges:
+    for a_flag, b_flag in T.edges.tolist():
         t, i = divmod(a_flag, 3)
         s, ip = divmod(b_flag, 3)
         e = int(T.edge_of_flag[a_flag])
@@ -307,7 +306,7 @@ def subdivide(T: TopologicalTriangulation) -> SubdividedComplex:
     sub = build_complex(4 * T.face_count, pairs)
     parent = np.empty(sub.edge_count, dtype=np.int64)
     medial = np.zeros(sub.edge_count, dtype=bool)
-    for e, (lo, _) in enumerate(sub.edges):
+    for e, lo in enumerate(sub.edges[:, 0].tolist()):
         parent[e], medial[e] = provenance[lo]
     return SubdividedComplex(sub, parent, medial)
 

@@ -10,6 +10,7 @@ keyed by (seed, trial, retry); degenerate draws are resampled and counted.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,12 +61,17 @@ def _chi_trial_worker(args) -> tuple[int, int, int, int]:
 
 
 def _map_trials(worker, args, jobs: int):
-    """Run trials possibly in parallel; per-trial streams make order moot."""
-    if jobs <= 1:
+    """Run trials possibly in parallel; per-trial streams make order moot.
+
+    At most one worker per trial and per usable core is started, and none
+    when that leaves one.
+    """
+    workers = min(jobs, len(args), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(a) for a in args]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args))
 
 

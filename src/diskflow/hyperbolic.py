@@ -267,8 +267,8 @@ def class_grad(x: AngleSystem) -> np.ndarray:
     when the two incident faces assign the edge the same length.
     """
     logs = flag_log_terms(x)
-    flags = np.asarray(x.complex.edges, dtype=np.int64)
-    return logs[flags[:, 0]] - logs[flags[:, 1]]
+    lo, hi = x.complex.edges.T
+    return logs[lo] - logs[hi]
 
 
 def face_hessian(angles: np.ndarray) -> np.ndarray:

@@ -14,8 +14,10 @@ k_h = e^(-2 phi) (-Lap phi + k).  The objective
 
     I(phi) = -[ phi' S phi + sum m u log u + sum m k log|k| ],   u = Lap phi - k
 
-is defined where u > 0 and k < 0, vanishes at phi = 0 and at constants, has
-gradient S log|k_h|, and is strictly concave in mean-zero directions with
+is defined where u > 0, which is k_h < 0; the background k may take either
+sign, entering I only through the constant last term (read as 0 where
+k = 0).  When every k < 0, I vanishes at phi = 0 and at constants.  It has
+gradient S log|k_h| and is strictly concave in mean-zero directions with
 second variation -[2 psi' S psi + sum m (Lap psi)^2 / u].  Its ascent flow
 drives log|k_h| to a constant; critical points are exactly the constant
 curvature factors, unique up to the additive constant.  ``log_ricci_flow``
@@ -161,11 +163,6 @@ def teleport(mesh: MeshMetric) -> np.ndarray:
 def _domain_u(mesh: MeshMetric, phi: np.ndarray) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     u = mesh.laplacian(phi) - mesh.curvature
-    if np.any(mesh.curvature >= 0):
-        v = int(np.argmax(mesh.curvature))
-        raise OutOfDomain(
-            f"background curvature is not negative at vertex {v}", vertex=v
-        )
     if np.any(u <= 0):
         v = int(np.argmin(u))
         raise OutOfDomain(
@@ -175,14 +172,15 @@ def _domain_u(mesh: MeshMetric, phi: np.ndarray) -> np.ndarray:
 
 
 def evaluate_Ig(mesh: MeshMetric, phi: np.ndarray) -> float:
-    """The averaged objective; zero at phi = 0 and at constants."""
+    """The averaged objective; zero at phi = 0 and at constants when every k < 0."""
     phi = np.asarray(phi, dtype=float)
     u = _domain_u(mesh, phi)
     k = mesh.curvature
+    log_k = np.log(np.abs(k), out=np.zeros_like(k), where=k != 0)  # k log|k| -> 0 at k = 0
     return -float(
         phi @ (mesh.stiffness @ phi)
         + mesh.masses @ (u * np.log(u))
-        + mesh.masses @ (k * np.log(np.abs(k)))
+        + mesh.masses @ (k * log_k)
     )
 
 
@@ -265,9 +263,11 @@ def log_ricci_flow(
     -Lap log|k_h| (the mass-preconditioned gradient) is taken only when the
     Newton solve fails or its direction does not ascend.  Steps are
     backtracked to keep Lap phi - k positive and the objective nondecreasing.
-    Starts from the teleported factor by default.  Converged means both the
-    curvature spread and the sup norm of the gradient are below ``tol``.
-    The report's step residual is the curvature spread.  Raises
+    Starts from the teleported factor by default.  The only start condition
+    is Lap phi0 - k > 0 (k_h(phi0) < 0), which teleport guarantees on any
+    chi < 0 metric; otherwise ``OutOfDomain`` names a vertex.  Converged
+    means both the curvature spread and the sup norm of the gradient are
+    below ``tol``.  The report's step residual is the curvature spread.  Raises
     ``NoConvergence`` with the best iterate and report attached if the line
     search stalls or ``max_iter`` steps do not reach ``tol``, and
     ``ValueError`` unless ``phi0`` is finite with one entry per vertex.

@@ -69,8 +69,8 @@ def _interior_margin(x: AngleSystem) -> float:
 
 def _length_mismatch(x: AngleSystem) -> float:
     lengths = flag_edge_lengths(x)
-    flags = np.asarray(x.complex.edges, dtype=np.int64)
-    return float(np.max(np.abs(lengths[flags[:, 0]] - lengths[flags[:, 1]])))
+    lo, hi = x.complex.edges.T
+    return float(np.max(np.abs(lengths[lo] - lengths[hi])))
 
 
 def _newton(y: AngleSystem, g: np.ndarray) -> np.ndarray:
@@ -129,15 +129,15 @@ def assemble_structure(y: AngleSystem, tol: float = 1e-7) -> HyperbolicStructure
     """
     T = y.complex
     lengths = flag_edge_lengths(y)
-    flags = np.asarray(T.edges, dtype=np.int64)
-    mismatch = np.abs(lengths[flags[:, 0]] - lengths[flags[:, 1]])
+    lo, hi = T.edges.T
+    mismatch = np.abs(lengths[lo] - lengths[hi])
     worst = int(np.argmax(mismatch))
     if mismatch[worst] > tol:
-        a = T.edges[worst]
         raise LengthMismatch(
-            f"edge {worst} (flags {a}) length mismatch {mismatch[worst]:.3e} > {tol:.1e}"
+            f"edge {worst} (flags ({lo[worst]}, {hi[worst]})) length mismatch "
+            f"{mismatch[worst]:.3e} > {tol:.1e}"
         )
-    edge_lengths = 0.5 * (lengths[flags[:, 0]] + lengths[flags[:, 1]])
+    edge_lengths = 0.5 * (lengths[lo] + lengths[hi])
 
     # circumradius per face; all three sides must give the same value
     A = all_corner_angles(y)

@@ -242,7 +242,7 @@ def derive_union_find(face_count: int, mate: np.ndarray) -> dict:
         edge_endpoints[e, 1] = vertex_of_corner[3 * fa + (sa + 2) % 3]
 
     return {
-        "edges": edges,
+        "edges": np.array(edges, dtype=np.int64).reshape(-1, 2),
         "edge_count": len(edges),
         "edge_of_flag": edge_of_flag,
         "vertex_of_corner": vertex_of_corner,

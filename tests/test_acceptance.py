@@ -352,6 +352,22 @@ def test_criterion_11_metric_teleportation():
         assert abs(mean - c) < 1e-10
 
 
+def test_teleport_then_flow_on_mixed_sign_meshes():
+    # the criterion-11 meshes and one at V=3070: from the teleported factor
+    # the flow reaches constant curvature whatever the background's signs
+    rng = np.random.default_rng(111)
+    meshes = [random_mixed_sign_mesh(rng) for _ in range(20)]
+    meshes.append(random_mixed_sign_mesh(np.random.default_rng(3070), subdivisions=5))
+    assert meshes[-1].vertex_count == 3070
+    for mesh in meshes:
+        assert mesh.curvature.min() < 0 < mesh.curvature.max()
+        phi, rep = log_ricci_flow(mesh)
+        assert rep.converged and rep.final_spread < 1e-6
+        total = mesh.masses @ (np.exp(2 * phi) * curvature_h(mesh, phi))
+        target = 2 * np.pi * mesh.complex.chi
+        assert abs(total - target) <= 1e-10 * abs(target)
+
+
 @criterion(12, "seeded stochastic commands are byte-identical")
 def test_criterion_12_determinism(tmp_path):
     cases = [

@@ -55,6 +55,30 @@ def test_validate_bad_gluing(tmp_path, capsys):
     assert run(["validate", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ('{"faces": 1e400, "gluing": []}', 2,
+         "ValueError: faces must be an integer in [0, 2**61), got inf"),
+        ('{"faces": -3, "gluing": []}', 2,
+         "ValueError: faces must be an integer in [0, 2**61), got -3"),
+        ('{"faces": 2.0, "gluing": []}', 2,
+         "ValueError: faces must be an integer in [0, 2**61), got 2.0"),
+        # named before anything of size 3F is allocated
+        ('{"faces": 10000000000000, "gluing": []}', 1,
+         "UnmatchedSide: side (face 0, side 0) is not glued"),
+        ('{"faces": 10000000000000, "gluing": [[[0, 0], [0, 1]], [[1, 0], [0, 2]]]}', 1,
+         "UnmatchedSide: side (face 1, side 1) is not glued"),
+    ],
+    ids=["inf", "negative", "float", "huge-unglued", "huge-partly-glued"],
+)
+def test_validate_bad_face_count(text, code, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["validate", str(path)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_uniformize_end_to_end(g2_spec_file, tmp_path, capsys):
     out = tmp_path / "structure.json"
     trace = tmp_path / "trace.csv"
@@ -179,6 +203,22 @@ def test_flow_with_phi0_and_cap(cone14_file, tmp_path):
     assert data["converged"] is False  # best iterate still reported
 
 
+def test_flow_on_a_mixed_sign_mesh(tmp_path, capsys):
+    from test_smoothflow import random_mixed_sign_mesh
+
+    mesh = random_mixed_sign_mesh(np.random.default_rng(3))
+    path = tmp_path / "mixed.json"
+    write_json(path, mesh_to_dict(mesh))
+    report = tmp_path / "flow.json"
+    assert run(["flow", str(path), "--out", str(report)]) == 0
+    assert read_json(report)["final_spread"] < 1e-6
+    # phi = 0 leaves Lap phi - k = -k, which is not positive where k >= 0
+    start = tmp_path / "zeros.json"
+    write_json(start, {"phi": np.zeros(mesh.vertex_count)})
+    assert run(["flow", str(path), "--phi0", str(start)]) == 2
+    assert "OutOfDomain: Lap phi - k is not positive at vertex" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["teleport", "flow"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_mesh_is_a_domain_error(command, bad, cone14_unit, tmp_path):
@@ -257,6 +297,9 @@ MC = ["--trials", "2", "--seed", "1"]
         (["defect", "--surface", "torus", "--torus-height", "inf", "--lambda", "50", *MC,
           "--rect", "0", "0", "0.5", "0.5"], "--torus-height"),
         (["quadrature", "--lambda", "nan", "--delta", "0.5"], "--lambda"),
+        # above numpy's Poisson limit once multiplied by the area
+        (["gauss-bonnet", "--lambda", "1e30", *MC], "--lambda"),
+        (["defect", "--lambda", "1e30", *MC, "--cap-area", "2"], "--lambda"),
     ],
 )
 def test_bad_monte_carlo_flag_is_a_domain_error(argv, flag, tmp_path, capsys):
@@ -267,6 +310,23 @@ def test_bad_monte_carlo_flag_is_a_domain_error(argv, flag, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert f"error: BadParameter: {flag} " in err
+
+
+def test_one_trial_starts_no_pool(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    outputs = []
+    for jobs in ("6", "1"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        with monkeypatch.context() as m:
+            m.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+            assert run(["gauss-bonnet", "--lambda", "5", "--trials", "1", "--seed", "1",
+                        "--jobs", jobs, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_full_torus_rect_and_sphere_cap_are_accepted(capsys):

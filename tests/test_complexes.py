@@ -218,12 +218,10 @@ def test_subdivision_counts():
 
 def assert_matches_union_find(T):
     ref = derive_union_find(T.face_count, T.mate)
-    assert T.edges == ref["edges"]
-    assert all(type(x) is int for edge in T.edges for x in edge)
     assert (T.edge_count, T.vertex_count) == (ref["edge_count"], ref["vertex_count"])
     assert T.corners_of_vertex == ref["corners_of_vertex"]
     assert all(type(c) is int for cs in T.corners_of_vertex for c in cs)
-    for name in ("edge_of_flag", "vertex_of_corner", "edge_endpoints"):
+    for name in ("edges", "edge_of_flag", "vertex_of_corner", "edge_endpoints"):
         got, want = getattr(T, name), ref[name]
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert np.array_equal(got, want), name

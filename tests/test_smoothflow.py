@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diskflow.complexes import genus2_octagon, subdivide, tetrahedron
+from diskflow.complexes import from_vertex_triples, genus2_octagon, subdivide, tetrahedron
 from diskflow.errors import NoConvergence, OutOfDomain, ZeroCurvatureVertex
 from diskflow.smoothflow import (
     FlowOptions,
@@ -22,9 +22,12 @@ from diskflow.smoothflow import (
 from oracles import newton_direction_lstsq, teleport_lstsq
 
 
-def random_mixed_sign_mesh(rng, tries=100):
-    """Random lengths on the subdivided octagon complex (V=10, chi=-2)."""
-    sub = subdivide(genus2_octagon()).complex
+def random_mixed_sign_mesh(rng, tries=100, subdivisions=1):
+    """Random lengths on the subdivided octagon complex (V=10 after one
+    subdivision, V=3070 after five; chi=-2)."""
+    sub = genus2_octagon()
+    for _ in range(subdivisions):
+        sub = subdivide(sub).complex
     for _ in range(tries):
         lengths = rng.uniform(0.75, 1.3, size=sub.edge_count)
         try:
@@ -177,6 +180,40 @@ def test_Ig_domain_errors(cone14_unit):
     big[0] = 50.0  # pushes Lap phi - k through zero somewhere
     with pytest.raises(OutOfDomain):
         evaluate_Ig(cone14_unit, big)
+
+
+def right_angle_vertex_mesh():
+    """Twice-subdivided octagon with one edge split by a new vertex m whose
+    four corners are the right angles of 3-4-5 triangles; every other edge
+    has length 5.  The four right angles sum to 2 pi exactly in floating
+    point, so the background curvature at m is exactly 0."""
+    T = subdivide(subdivide(genus2_octagon()).complex).complex
+    tri = T.vertex_of_corner.reshape(-1, 3).tolist()
+    a, b, c = tri[0]
+    g = next(f for f, t in enumerate(tri) if f > 0 and a in t and b in t)
+    d = next(v for v in tri[g] if v not in (a, b))
+    m = T.vertex_count
+    S = from_vertex_triples(
+        [t for f, t in enumerate(tri) if f not in (0, g)]
+        + [(a, m, c), (m, b, c), (b, m, d), (m, a, d)]
+    )
+    # corner 0 of each new face keeps its label: m, then a and b across m
+    vm, va, vb = S.vertex_of_corner[[-3, -12, -6]]
+    at_m = (S.edge_endpoints == vm).any(axis=1)
+    to_ab = np.isin(S.edge_endpoints, [va, vb]).any(axis=1)
+    lengths = np.where(at_m, np.where(to_ab, 3.0, 4.0), 5.0)
+    return MeshMetric(S, lengths), vm
+
+
+def test_Ig_at_a_vertex_of_zero_background_curvature():
+    mesh, vm = right_angle_vertex_mesh()
+    assert mesh.curvature[vm] == 0.0
+    assert mesh.curvature.min() < 0 < mesh.curvature.max()
+    phi0 = teleport(mesh)
+    assert np.isfinite(evaluate_Ig(mesh, phi0))
+    phi, rep = log_ricci_flow(mesh)
+    assert rep.converged and rep.final_spread < 1e-6
+    assert np.isfinite(rep.final_objective)
 
 
 def test_gradient_matches_fd_and_parts(cone14_mesh):

@@ -20,6 +20,7 @@ from diskflow.errors import BadDelta, DegenerateSample, DegenerateTriple
 from diskflow.estimators import (
     CapRegion,
     RectRegion,
+    _map_trials,
     chi_estimator,
     expected_faces_quadrature,
     face_defect_in_region,
@@ -530,3 +531,34 @@ def test_parallel_jobs_match_sequential():
     seq = chi_estimator(SPHERE, 200 / (4 * np.pi), trials=8, seed=15, jobs=1)
     par = chi_estimator(SPHERE, 200 / (4 * np.pi), trials=8, seed=15, jobs=2)
     assert [r.estimator for r in seq.records] == [r.estimator for r in par.records]
+
+
+@pytest.mark.parametrize(
+    "jobs, trials, cores, started",
+    [(8, 3, 4, [3]), (8, 20, 2, [2]), (3, 20, 8, [3]), (2, 20, None, []),
+     (1, 5, 4, []), (6, 1, 8, [])],
+)
+def test_map_trials_starts_one_worker_per_trial_and_core(jobs, trials, cores, started,
+                                                         monkeypatch):
+    import concurrent.futures
+    import os
+
+    seen = []
+
+    class RecordingPool:  # runs inline, so no process is forked
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert _map_trials(abs, list(range(-trials, 0)), jobs) == list(range(trials, 0, -1))
+    assert seen == started
