@@ -2,9 +2,9 @@
 
 The uniformizer (prism volume over a conformal class) and the log-Ricci flow
 (the averaged curvature functional) both maximize a concave objective over
-an open convex domain, with the same step policy and the same trace.  Both
-take their Newton directions from ``sparse_solve``, which declines a
-singular system the way ``ascend`` expects.
+an open convex domain, which each objective checks itself, with the same
+step policy and the same trace.  Both take their Newton directions from
+``sparse_solve``, which declines a singular system the way ``ascend`` expects.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import NoConvergence, OutOfDomain
 
 ARMIJO = 1e-4      # fraction of the directional slope a step must gain
 SHRINK = 0.5       # backtracking factor
@@ -68,7 +68,7 @@ def sparse_solve(A, b: np.ndarray) -> np.ndarray:
 
 def ascend(
     x, *, objective, gradient, residual, converged, newton_dir, fallback_dir,
-    in_domain, move, max_iter: int,
+    move, max_iter: int,
 ) -> tuple[object, list[TraceRecord]]:
     """Maximize ``objective(x)`` in at most ``max_iter`` accepted steps.
 
@@ -76,8 +76,9 @@ def ascend(
     the same space, or declines by raising ``LinAlgError``;
     ``fallback_dir(x, g)`` is the direction taken when Newton declines or its
     slope g @ d is not positive.  ``move(x, step, d)`` is the candidate
-    iterate, accepted once ``in_domain(candidate)`` holds and the objective
-    gains the Armijo share of ``step * g @ d``; the step is halved otherwise.
+    iterate, accepted once the objective gains the Armijo share of
+    ``step * g @ d``; the step is halved otherwise, as when
+    ``objective(candidate)`` raises ``OutOfDomain`` (raised at x, it propagates).
     ``residual(x)`` is computed once per iterate, recorded, and passed with
     the sup norm of g to ``converged(grad_inf, residual)``, which is tested
     at every iterate, the last one included.  Returns the converged iterate
@@ -114,10 +115,12 @@ def ascend(
         step, backtracks = 1.0, 0
         while step > MIN_STEP:
             cand = move(x, step, d)
-            if in_domain(cand):
+            try:
                 f_cand = objective(cand)
-                if f_cand >= f + ARMIJO * step * slope - flat:
-                    break
+            except OutOfDomain:  # outside the objective's domain: no gain, halve
+                f_cand = -np.inf
+            if f_cand >= f + ARMIJO * step * slope - flat:
+                break
             step *= SHRINK
             backtracks += 1
         else:

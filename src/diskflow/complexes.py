@@ -130,17 +130,21 @@ def build_complex(
     ``((face, side), (face, side))``.  It must cover every one of the 3F sides
     exactly once and may not pair a side with itself.  Violations raise
     ``UnmatchedSide``, ``DuplicateSide`` or ``SelfGluedSide`` naming the first
-    offending side, in pair order.
+    offending side as written, in pair order; a face or side entry that is
+    not an integer (a float such as 0.9, a string) lies outside the complex.
     """
-    try:
-        sides = np.asarray(gluing_pairs, dtype=np.int64)
-    except OverflowError:  # keep the Python ints, to name the side outside the complex
+    sides = np.asarray(gluing_pairs)
+    if sides.dtype.kind != "i":  # keep the entries as written: floats, huge ints, strings
         sides = np.asarray(gluing_pairs, dtype=object)
     if sides.size == 0:
         sides = np.empty((0, 2, 2), dtype=np.int64)
     elif sides.shape[1:] != (2, 2):
         raise ValueError(f"gluing pairs must have shape (P, 2, 2), got {sides.shape}")
-    face, side = sides[..., 0], sides[..., 1]
+    checked = sides
+    if sides.dtype == object:  # an entry that is not an int lies outside the complex
+        is_int = np.vectorize(lambda v: isinstance(v, int), otypes=[bool])(sides)
+        checked = np.where(is_int, sides, -1)
+    face, side = checked[..., 0], checked[..., 1]
     outside = ~((0 <= face) & (face < face_count) & (0 <= side) & (side < 3))
     flags = np.where(outside, -1, 3 * face + side).astype(np.int64)
     glued_to_itself = flags[:, 0] == flags[:, 1]
@@ -275,39 +279,28 @@ class SubdividedComplex:
 
 
 def subdivide(T: TopologicalTriangulation) -> SubdividedComplex:
-    """Split every face into four (corner triangles plus the medial one)."""
-    pairs: list[tuple[Side, Side]] = []
-    provenance: dict[int, tuple[int, bool]] = {}  # lower flag -> (orig edge, medial?)
+    """Split every face into four (corner triangles plus the medial one).
 
-    def corner_face(t: int, j: int) -> int:
-        return 4 * t + j
+    Face t becomes corner faces 4t + j, cut off along side j of the medial
+    face 4t + 3; each edge of t splits into halves on the corner faces.
+    """
+    F = T.face_count
+    t, j = np.divmod(np.arange(3 * F), 3)
+    cuts = np.stack([4 * t + j, np.zeros_like(j), 4 * t + 3, j], axis=-1)
+    (t, i), (s, ip) = np.divmod(T.edges[:, 0], 3), np.divmod(T.edges[:, 1], 3)
+    one, two = np.ones_like(t), np.full_like(t, 2)
+    halves = np.stack([4 * t + (i + 1) % 3, two, 4 * s + (ip + 2) % 3, one,
+                       4 * t + (i + 2) % 3, one, 4 * s + (ip + 1) % 3, two], axis=-1)
+    # one pair per row of four: the 3F cuts, then both halves of each edge in turn
+    pairs = np.concatenate([cuts.reshape(-1, 2, 2), halves.reshape(-1, 2, 2)])
 
-    def central_face(t: int) -> int:
-        return 4 * t + 3
-
-    for t in range(T.face_count):
-        for j in range(3):
-            a = (corner_face(t, j), 0)
-            b = (central_face(t), j)
-            pairs.append((a, b))
-            provenance[_flag(*a)] = (int(T.edge_of_flag[_flag(t, j)]), True)
-            provenance[_flag(*b)] = (int(T.edge_of_flag[_flag(t, j)]), True)
-    for a_flag, b_flag in T.edges.tolist():
-        t, i = divmod(a_flag, 3)
-        s, ip = divmod(b_flag, 3)
-        e = int(T.edge_of_flag[a_flag])
-        first = ((corner_face(t, (i + 1) % 3), 2), (corner_face(s, (ip + 2) % 3), 1))
-        second = ((corner_face(t, (i + 2) % 3), 1), (corner_face(s, (ip + 1) % 3), 2))
-        for pa, pb in (first, second):
-            pairs.append((pa, pb))
-            provenance[_flag(*pa)] = (e, False)
-            provenance[_flag(*pb)] = (e, False)
-
-    sub = build_complex(4 * T.face_count, pairs)
+    sub = build_complex(4 * F, pairs)
+    # each pair is one edge of the refined complex, named by its first flag
+    edge = sub.edge_of_flag[3 * pairs[:, 0, 0] + pairs[:, 0, 1]]
     parent = np.empty(sub.edge_count, dtype=np.int64)
+    parent[edge] = np.concatenate([T.edge_of_flag, np.repeat(np.arange(T.edge_count), 2)])
     medial = np.zeros(sub.edge_count, dtype=bool)
-    for e, lo in enumerate(sub.edges[:, 0].tolist()):
-        parent[e], medial[e] = provenance[lo]
+    medial[edge[: 3 * F]] = True
     return SubdividedComplex(sub, parent, medial)
 
 

@@ -55,10 +55,8 @@ class DelaunayComplex:
     sample: PointSample
     faces: np.ndarray        # (F, 3) indices into the sample
     opposite: np.ndarray     # (F, 3) sample index of the vertex across side j
-    face_points: np.ndarray  # (F, 3, d) coordinates as used geometrically
     centers: np.ndarray      # (F, d) circumdisk centers, in the fundamental domain
     radii: np.ndarray        # (F,) geodesic circumradii
-    disk_areas: np.ndarray   # (F,)
 
     @property
     def face_count(self) -> int:
@@ -129,10 +127,8 @@ def _sphere_delaunay(sample: PointSample) -> DelaunayComplex:
         sample=sample,
         faces=faces,
         opposite=_opposite_vertices(faces, hull.neighbors, slice(None)),
-        face_points=pts[faces],
         centers=normals,
         radii=radii,
-        disk_areas=2.0 * np.pi * (1.0 - cosr),
     )
 
 
@@ -198,10 +194,8 @@ def _tiled_delaunay(sample: PointSample, margin: float) -> DelaunayComplex:
         sample=sample,
         faces=faces,
         opposite=src[_opposite_vertices(tri.simplices, tri.neighbors, keep)],
-        face_points=coords[keep],
         centers=centers[keep],
         radii=radii[keep],
-        disk_areas=np.pi * radii[keep] ** 2,
     )
 
 

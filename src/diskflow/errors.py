@@ -34,7 +34,7 @@ class ComplexMismatch(DiskflowError):
 # -- angle systems ------------------------------------------------------------
 
 class TooLarge(DiskflowError):
-    """Instance exceeds the brute-force enumeration limit."""
+    """Instance beyond the brute-force enumeration limit, or a sample beyond memory."""
 
 
 class Infeasible(DiskflowError):
@@ -49,18 +49,29 @@ class Infeasible(DiskflowError):
         self.margin = margin
 
 
-# -- hyperbolic triangles -----------------------------------------------------
+# -- objective domains --------------------------------------------------------
 
-class NotHyperbolic(DiskflowError):
-    """Angle sum is not strictly below pi."""
+class OutOfDomain(DiskflowError):
+    """An objective's argument is outside the open set it is defined on.
+
+    ``vertex`` names the worst vertex of a conformal factor, else None.
+    """
+
+    def __init__(self, message: str, vertex: int | None = None):
+        super().__init__(message)
+        self.vertex = vertex
 
 
-class DegenerateAngle(DiskflowError):
+class NotInDomain(OutOfDomain):
+    """Some face is not a valid hyperbolic triangle; the message names the first."""
+
+
+class DegenerateAngle(NotInDomain):
     """An angle is outside (0, pi) or too close to the boundary."""
 
 
-class NotInDomain(DiskflowError):
-    """Some face of the angle system is not a valid hyperbolic triangle."""
+class NotHyperbolic(NotInDomain):
+    """Angle sum is not below pi by the guard."""
 
 
 # -- uniformization -----------------------------------------------------------
@@ -105,28 +116,21 @@ class SolveFailure(DiskflowError):
     """Linear solve for the conformal factor failed."""
 
 
-class OutOfDomain(DiskflowError):
-    """Conformal factor leaves the negative-curvature domain.
-
-    ``vertex`` names the worst offender.
-    """
-
-    def __init__(self, message: str, vertex: int | None = None):
-        super().__init__(message)
-        self.vertex = vertex
-
-
 class ZeroCurvatureVertex(DiskflowError):
     """Entropy is undefined where the conformal curvature vanishes."""
 
 
-def finite_vector(values, n: int, what: str) -> np.ndarray:
-    """``values`` as n finite floats, one per ``what``, else ``ValueError`` saying why."""
+def finite_vector(values, n: int | tuple[int, ...], what: str) -> np.ndarray:
+    """``values`` as n finite floats, one per ``what``, else ``ValueError`` saying why.
+
+    ``n`` may be a shape such as (F, 3); a bad value is named by its flat index.
+    """
+    shape = n if isinstance(n, tuple) else (int(n),)
     out = np.asarray(values, dtype=float)
-    if out.shape != (n,):
-        raise ValueError(f"expected shape ({n},), one value per {what}, got {out.shape}")
+    if out.shape != shape:
+        raise ValueError(f"expected shape {shape}, one value per {what}, got {out.shape}")
     bad = ~np.isfinite(out)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(f"value at {what} {i} is not finite ({out[i]})")
+        raise ValueError(f"value at {what} {i} is not finite ({out.flat[i]})")
     return out

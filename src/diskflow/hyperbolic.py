@@ -40,7 +40,7 @@ from scipy import sparse
 from scipy.special import zeta
 
 from .angles import AngleSystem, all_corner_angles, class_lift
-from .errors import DegenerateAngle, NotHyperbolic, NotInDomain
+from .errors import DegenerateAngle, NotHyperbolic
 
 ANGLE_GUARD = 1e-9  # reject angles or defects closer than this to the boundary
 
@@ -75,18 +75,31 @@ def lobachevsky(theta):
     return float(out[0]) if scalar else out
 
 
-def _validate_triple(A: float, B: float, C: float) -> None:
-    for name, val in (("A", A), ("B", B), ("C", C)):
-        if not (ANGLE_GUARD < val < np.pi - ANGLE_GUARD):
-            raise DegenerateAngle(f"angle {name}={val!r} outside ({ANGLE_GUARD}, pi)")
-    if np.pi - (A + B + C) < ANGLE_GUARD:
-        raise NotHyperbolic(f"angle sum {A + B + C!r} is not below pi")
+def _valid_angles(angles) -> np.ndarray:
+    """``angles`` (..., 3) as floats, if every corner triple is a hyperbolic face.
+
+    The one domain check here: ``DegenerateAngle`` names the first angle not
+    in (ANGLE_GUARD, pi - ANGLE_GUARD), else ``NotHyperbolic`` the first face
+    whose defect pi - (A + B + C) is below ANGLE_GUARD.
+    """
+    A = np.asarray(angles, dtype=float)
+    faces = A.reshape(-1, 3)
+    bad = ~((faces > ANGLE_GUARD) & (faces < np.pi - ANGLE_GUARD))
+    if bad.any():
+        t, i = divmod(int(np.argmax(bad)), 3)
+        raise DegenerateAngle(f"face {t}: angle {i} = {faces[t, i]} is not in "
+                              f"({ANGLE_GUARD}, pi - {ANGLE_GUARD})")
+    bad = np.pi - faces.sum(axis=1) < ANGLE_GUARD
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise NotHyperbolic(f"face {t}: angles {faces[t].tolist()} do not sum to below "
+                            f"pi - {ANGLE_GUARD}")
+    return A
 
 
 def edge_lengths(A: float, B: float, C: float) -> tuple[float, float, float]:
     """Side lengths (a, b, c) opposite (A, B, C) by the dual law of cosines."""
-    _validate_triple(A, B, C)
-    angs = np.array([A, B, C])
+    angs = _valid_angles([A, B, C])
     cos, sin = np.cos(angs), np.sin(angs)
     out = []
     for i in range(3):
@@ -127,38 +140,31 @@ def log_half_cosh_minus_one(angles: np.ndarray) -> np.ndarray:
     )
 
 
-_ANCHOR = None
+# the closed form at the equilateral pi/6 triple
+_ANCHOR = lobachevsky(np.pi / 4) + 3 * lobachevsky(5 * np.pi / 12) + 3 * lobachevsky(np.pi / 6)
 
 
-def _anchor() -> float:
-    global _ANCHOR
-    if _ANCHOR is None:
-        _ANCHOR = (
-            lobachevsky(np.pi / 4)
-            + 3 * lobachevsky(5 * np.pi / 12)
-            + 3 * lobachevsky(np.pi / 6)
-        )
-    return _ANCHOR
+def _prism_volumes(A: np.ndarray) -> np.ndarray:
+    """Anchored prism volume of each face of a checked (F, 3) angle array.
+
+    The unanchored closed form L(pi/2 - s) + sum_i L(pi/2 - psi_i)
+    + sum_i L(A_i) is the actual hyperbolic volume; the anchor subtracts its
+    value at the equilateral pi/6 triple (2.5157576984766887) so that only
+    differences and derivatives carry meaning.
+    """
+    s = A.sum(axis=1) / 2.0
+    psi = s[:, None] - A
+    return (
+        lobachevsky(np.pi / 2 - s)
+        + lobachevsky(np.pi / 2 - psi).sum(axis=1)
+        + lobachevsky(A).sum(axis=1)
+        - _ANCHOR
+    )
 
 
 def prism_volume(A: float, B: float, C: float) -> float:
-    """Volume of the triangle's ideal perpendicular prism, anchored.
-
-    The unanchored closed form L(pi/2 - s) + sum_i L(pi/2 - psi_i)
-    + sum_i L(A_i) is the actual hyperbolic volume; the exported value
-    subtracts its value at the equilateral pi/6 triple (2.5157576984766887)
-    so that only differences and derivatives carry meaning.
-    """
-    _validate_triple(A, B, C)
-    angs = np.array([A, B, C])
-    s = angs.sum() / 2.0
-    psi = s - angs
-    return float(
-        lobachevsky(np.pi / 2 - s)
-        + lobachevsky(np.pi / 2 - psi).sum()
-        + lobachevsky(angs).sum()
-        - _anchor()
-    )
+    """Volume of the triangle's ideal perpendicular prism, anchored at pi/6."""
+    return float(_prism_volumes(_valid_angles([[A, B, C]]))[0])
 
 
 _REF_ANGLES = np.array([np.pi / 6] * 3)
@@ -182,12 +188,11 @@ def prism_volume_path(
     # imported here: scipy.integrate is slow to load and only this cross-check needs it
     from scipy.integrate import quad
 
-    _validate_triple(A, B, C)
+    end = _valid_angles([A, B, C])
     waypoints = [_REF_PARTIALS]
     if via is not None:
-        _validate_triple(*via)
-        waypoints.append(_partials(np.asarray(via, dtype=float)))
-    waypoints.append(_partials(np.array([A, B, C])))
+        waypoints.append(_partials(_valid_angles(via)))
+    waypoints.append(_partials(end))
 
     total = 0.0
     for start, stop in zip(waypoints[:-1], waypoints[1:]):
@@ -209,43 +214,20 @@ def prism_volume_path(
 
 def prism_gradient(A: float, B: float, C: float) -> np.ndarray:
     """Derivative of the prism volume in the three partial angles."""
-    _validate_triple(A, B, C)
-    return log_half_cosh_minus_one(np.array([A, B, C]))
+    return log_half_cosh_minus_one(_valid_angles([A, B, C]))
 
 
 # -- the objective over an angle system ---------------------------------------------
 
 
-def _face_angles_checked(x: AngleSystem) -> np.ndarray:
-    A = all_corner_angles(x)
-    bad_angle = ~((A > ANGLE_GUARD) & (A < np.pi - ANGLE_GUARD))
-    bad_sum = np.pi - A.sum(axis=1) < ANGLE_GUARD
-    if bad_angle.any() or bad_sum.any():
-        t = int(np.argmax(bad_angle.any(axis=1) | bad_sum))
-        raise NotInDomain(
-            f"face {t} is not a valid hyperbolic triangle: angles {A[t].tolist()}"
-        )
-    return A
-
-
 def objective_H(x: AngleSystem) -> float:
     """Total prism volume over all faces."""
-    A = _face_angles_checked(x)
-    s = A.sum(axis=1) / 2.0
-    psi = s[:, None] - A
-    vals = (
-        lobachevsky(np.pi / 2 - s)
-        + lobachevsky(np.pi / 2 - psi).sum(axis=1)
-        + lobachevsky(A).sum(axis=1)
-        - _anchor()
-    )
-    return float(vals.sum())
+    return float(_prism_volumes(_valid_angles(all_corner_angles(x))).sum())
 
 
 def flag_log_terms(x: AngleSystem) -> np.ndarray:
     """log((cosh l - 1)/2) per flag, sides in flag order."""
-    A = _face_angles_checked(x)
-    return log_half_cosh_minus_one(A).reshape(-1)
+    return log_half_cosh_minus_one(_valid_angles(all_corner_angles(x))).reshape(-1)
 
 
 def flag_edge_lengths(x: AngleSystem) -> np.ndarray:
@@ -301,7 +283,8 @@ def class_hessian_sparse(x: AngleSystem) -> sparse.csc_array:
     T = x.complex
     e = T.edge_of_flag.reshape(-1, 3)
     s = class_lift(T, np.ones(T.edge_count)).reshape(-1, 3)
-    blocks = s[:, :, None] * s[:, None, :] * face_hessian(_face_angles_checked(x))
+    A = _valid_angles(all_corner_angles(x))
+    blocks = s[:, :, None] * s[:, None, :] * face_hessian(A)
     rows = np.broadcast_to(e[:, :, None], blocks.shape).reshape(-1)
     cols = np.broadcast_to(e[:, None, :], blocks.shape).reshape(-1)
     return sparse.csc_array(

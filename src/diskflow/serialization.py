@@ -23,6 +23,7 @@ import numpy as np
 from .angles import AngleSystem, ConformalClassSpec
 from .ascent import TraceRecord
 from .complexes import TopologicalTriangulation
+from .errors import finite_vector
 from .smoothflow import MeshMetric
 from .uniformize import HyperbolicStructure
 
@@ -139,14 +140,23 @@ def structure_to_dict(st: HyperbolicStructure) -> dict:
 
 
 def structure_from_dict(data: dict) -> HyperbolicStructure:
+    """The structure in ``data``; ``ValueError`` names a field not finite or not fit to F, E."""
     T = TopologicalTriangulation.from_dict(data["complex"])
+    E, F = T.edge_count, T.face_count
+
+    def field(key: str, n, what: str) -> np.ndarray:
+        try:
+            return finite_vector(data[key], n, what)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+
     return HyperbolicStructure(
         complex=T,
-        edge_lengths=np.asarray(data["edge_lengths"], dtype=float),
-        face_angles=np.asarray(data["face_angles"], dtype=float),
-        circumradii=np.asarray(data["circumradii"], dtype=float),
-        intersection_angles=np.asarray(data["intersection_angles"], dtype=float),
-        psi_edge=np.asarray(data["psi_edge"], dtype=float),
+        edge_lengths=field("edge_lengths", E, "edge"),
+        face_angles=field("face_angles", (F, 3), "corner"),
+        circumradii=field("circumradii", F, "face"),
+        intersection_angles=field("intersection_angles", E, "edge"),
+        psi_edge=field("psi_edge", E, "edge"),
     )
 
 

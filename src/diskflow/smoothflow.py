@@ -160,13 +160,17 @@ def teleport(mesh: MeshMetric) -> np.ndarray:
     return mean_zero(mesh, phi)
 
 
+U_FLOOR = 1e-12  # the objective's domain is Lap phi - k > U_FLOOR at every vertex
+
+
 def _domain_u(mesh: MeshMetric, phi: np.ndarray) -> np.ndarray:
+    """u = Lap phi - k, or ``OutOfDomain`` naming its least vertex (NaN first)."""
     phi = np.asarray(phi, dtype=float)
     u = mesh.laplacian(phi) - mesh.curvature
-    if np.any(u <= 0):
+    if not np.all(u > U_FLOOR):
         v = int(np.argmin(u))
         raise OutOfDomain(
-            f"Lap phi - k is not positive at vertex {v} ({u[v]:.3e})", vertex=v
+            f"Lap phi - k is not above {U_FLOOR:g} at vertex {v} ({u[v]:.3e})", vertex=v
         )
     return u
 
@@ -229,9 +233,6 @@ def entropy(mesh: MeshMetric, phi: np.ndarray) -> float:
     return -float(w @ (kh * np.log(np.abs(kh))))
 
 
-U_FLOOR = 1e-12  # backtracking keeps Lap phi - k above this
-
-
 @dataclass(frozen=True)
 class FlowOptions:
     tol: float = 1e-6  # bound on both the curvature spread and the gradient's sup norm
@@ -261,10 +262,10 @@ def log_ricci_flow(
 
     Every step is a damped Newton step; the mean-zero projection of
     -Lap log|k_h| (the mass-preconditioned gradient) is taken only when the
-    Newton solve fails or its direction does not ascend.  Steps are
-    backtracked to keep Lap phi - k positive and the objective nondecreasing.
+    Newton solve fails or its direction does not ascend.  Steps are halved
+    until they keep Lap phi - k > U_FLOOR and the objective nondecreasing.
     Starts from the teleported factor by default.  The only start condition
-    is Lap phi0 - k > 0 (k_h(phi0) < 0), which teleport guarantees on any
+    is Lap phi0 - k > U_FLOOR (k_h(phi0) < 0), which teleport meets on any
     chi < 0 metric; otherwise ``OutOfDomain`` names a vertex.  Converged
     means both the curvature spread and the sup norm of the gradient are
     below ``tol``.  The report's step residual is the curvature spread.  Raises
@@ -285,7 +286,6 @@ def log_ricci_flow(
             converged=lambda grad_inf, spread: spread < opts.tol and grad_inf < opts.tol,
             newton_dir=lambda p, G: _newton(mesh, p, G),
             fallback_dir=lambda p, G: mean_zero(mesh, G / mesh.masses),
-            in_domain=lambda p: np.all(mesh.laplacian(p) - mesh.curvature > U_FLOOR),
             move=lambda p, step, d: p + step * d,
             max_iter=opts.max_iter,
         )

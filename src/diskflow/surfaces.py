@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTriple
+from .errors import DegenerateTriple, TooLarge
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,18 @@ def sample_poisson(surface: SurfaceModel, intensity: float, seed) -> PointSample
     """Poisson(intensity * area) many points, i.i.d. uniform for the area.
 
     ``seed`` may be an int or a sequence of ints; equal seeds reproduce the
-    sample exactly.
+    sample exactly.  Raises ``TooLarge`` naming n when the n points do not
+    fit in memory.
     """
     if intensity <= 0:
         raise ValueError("intensity must be positive")
     rng = _generator(seed)
     n = int(rng.poisson(intensity * surface.area))
-    return PointSample(surface, _draw_points(surface, rng, n), float(intensity), seed)
+    try:
+        points = _draw_points(surface, rng, n)
+    except MemoryError as exc:
+        raise TooLarge(f"the {n} points of the sample do not fit in memory") from exc
+    return PointSample(surface, points, float(intensity), seed)
 
 
 def sample_fixed_count(surface: SurfaceModel, n: int, seed) -> PointSample:

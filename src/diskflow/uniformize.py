@@ -5,10 +5,11 @@ along the class basis, so every per-edge partial-angle sum and every vertex
 sum is preserved to floating accumulation.  The ascent is the shared damped
 Newton driver of ``ascent`` (a sparse LU solve of the CSC class Hessian,
 gradient fallback when it is singular), with the domain being the open
-polytope of valid hyperbolic faces; memory is linear in the face count.  At
-the maximizer the two faces meeting along each edge assign it the same
-hyperbolic length, so the triangles assemble into an actual hyperbolic
-surface whose circumscribing disks form the empty pattern.
+polytope of valid hyperbolic faces, which the objective itself checks;
+memory is linear in the face count.  At the maximizer the two faces meeting
+along each edge assign it the same hyperbolic length, so the triangles
+assemble into an actual hyperbolic surface whose circumscribing disks form
+the empty pattern.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .hyperbolic import (
 )
 from .reports import Report
 
-INTERIOR_MARGIN = 1e-9  # backtracking keeps angles and defects this far inside
-
 
 @dataclass(frozen=True)
 class UniformizeOptions:
@@ -61,16 +60,11 @@ class HyperbolicStructure:
         return float((np.pi - self.face_angles.sum(axis=1)).sum())
 
 
-def _interior_margin(x: AngleSystem) -> float:
-    """Distance of the corner angles and face defects from the boundary."""
-    A = all_corner_angles(x)
-    return float(min(A.min(), (np.pi - A.sum(axis=1)).min()))
-
-
-def _length_mismatch(x: AngleSystem) -> float:
-    lengths = flag_edge_lengths(x)
-    lo, hi = x.complex.edges.T
-    return float(np.max(np.abs(lengths[lo] - lengths[hi])))
+def _two_sided_lengths(y: AngleSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Each side's length per flag, and per edge the gap between its two faces' lengths."""
+    lengths = flag_edge_lengths(y)
+    lo, hi = y.complex.edges.T
+    return lengths, np.abs(lengths[lo] - lengths[hi])
 
 
 def _newton(y: AngleSystem, g: np.ndarray) -> np.ndarray:
@@ -107,11 +101,10 @@ def uniformize(
         x,
         objective=objective_H,
         gradient=class_grad,
-        residual=_length_mismatch,
+        residual=lambda y: float(np.max(_two_sided_lengths(y)[1])),
         converged=lambda ginf, _: ginf < opts.tol,
         newton_dir=_newton,
         fallback_dir=lambda _, g: g,
-        in_domain=lambda y: _interior_margin(y) > INTERIOR_MARGIN,
         move=lambda y, step, d: AngleSystem(T, y.psi + step * class_lift(T, d)),
         max_iter=opts.max_iter,
     )
@@ -128,9 +121,8 @@ def assemble_structure(y: AngleSystem, tol: float = 1e-7) -> HyperbolicStructure
     relation holds with the signed value since only its cosine enters.
     """
     T = y.complex
-    lengths = flag_edge_lengths(y)
+    lengths, mismatch = _two_sided_lengths(y)
     lo, hi = T.edges.T
-    mismatch = np.abs(lengths[lo] - lengths[hi])
     worst = int(np.argmax(mismatch))
     if mismatch[worst] > tol:
         raise LengthMismatch(

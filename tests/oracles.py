@@ -14,8 +14,9 @@ LU are checked against their definitions.  ``margin_lp_simplex`` writes the
 margin LP out row by row and solves it with HiGHS's default method, the
 reference for the interior-point margin.
 ``derive_union_find`` derives a complex's edges and vertex orbits with a
-flag-by-flag union-find, the reference for the index-array derivation, and
-``gluing_mate_loop`` validates a side pairing pair by pair.
+flag-by-flag union-find, the reference for the index-array derivation,
+``gluing_mate_loop`` validates a side pairing pair by pair, and
+``subdivide_loop`` builds the midpoint subdivision pair by pair.
 ``emptiness_flags_dense`` tests every circumdisk against every sample point,
 the reference for the local Delaunay check.
 ``dumps_canonical_recursive`` renders canonical JSON one element at a time,
@@ -31,7 +32,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from diskflow.angles import AngleSystem, ConformalClassSpec, all_corner_angles
-from diskflow.complexes import TopologicalTriangulation
+from diskflow.complexes import SubdividedComplex, TopologicalTriangulation, build_complex
 from diskflow.errors import DuplicateSide, SelfGluedSide, UnmatchedSide
 from diskflow.hyperbolic import class_grad, face_hessian, lobachevsky
 from diskflow.smoothflow import MeshMetric, hessian_matrix, mean_zero
@@ -289,7 +290,8 @@ def gluing_mate_loop(face_count: int, gluing_pairs) -> np.ndarray:
     mate = np.full(3 * face_count, -1, dtype=np.int64)
     for (f1, s1), (f2, s2) in gluing_pairs:
         for f, s in ((f1, s1), (f2, s2)):
-            if not (0 <= f < face_count and 0 <= s < 3):
+            integers = isinstance(f, int) and isinstance(s, int)
+            if not (integers and 0 <= f < face_count and 0 <= s < 3):
                 raise UnmatchedSide(f"side (face {f}, side {s}) is outside the complex")
         a, b = 3 * f1 + s1, 3 * f2 + s2
         if a == b:
@@ -304,6 +306,36 @@ def gluing_mate_loop(face_count: int, gluing_pairs) -> np.ndarray:
         f, s = divmod(int(missing[0]), 3)
         raise UnmatchedSide(f"side (face {f}, side {s}) is not glued")
     return mate
+
+
+def subdivide_loop(T: TopologicalTriangulation) -> SubdividedComplex:
+    """Midpoint subdivision built side pair by side pair, with a provenance
+    dict per flag: the reference for ``subdivide``'s index arrays."""
+    pairs = []
+    provenance = {}  # lower flag -> (orig edge, medial?)
+    for t in range(T.face_count):
+        for j in range(3):
+            a, b = (4 * t + j, 0), (4 * t + 3, j)
+            pairs.append((a, b))
+            provenance[3 * a[0] + a[1]] = (int(T.edge_of_flag[3 * t + j]), True)
+            provenance[3 * b[0] + b[1]] = (int(T.edge_of_flag[3 * t + j]), True)
+    for a_flag, b_flag in T.edges.tolist():
+        t, i = divmod(a_flag, 3)
+        s, ip = divmod(b_flag, 3)
+        e = int(T.edge_of_flag[a_flag])
+        first = ((4 * t + (i + 1) % 3, 2), (4 * s + (ip + 2) % 3, 1))
+        second = ((4 * t + (i + 2) % 3, 1), (4 * s + (ip + 1) % 3, 2))
+        for pa, pb in (first, second):
+            pairs.append((pa, pb))
+            provenance[3 * pa[0] + pa[1]] = (e, False)
+            provenance[3 * pb[0] + pb[1]] = (e, False)
+
+    sub = build_complex(4 * T.face_count, pairs)
+    parent = np.empty(sub.edge_count, dtype=np.int64)
+    medial = np.zeros(sub.edge_count, dtype=bool)
+    for e, lo in enumerate(sub.edges[:, 0].tolist()):
+        parent[e], medial[e] = provenance[lo]
+    return SubdividedComplex(sub, parent, medial)
 
 
 def dumps_canonical_recursive(obj) -> str:

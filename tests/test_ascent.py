@@ -7,21 +7,29 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from diskflow.ascent import ascend, sparse_solve
+from diskflow.errors import OutOfDomain
 
 
-def _quadratic_ascent():
-    # maximize -(x - 1)^2 from 0 along a direction four times the Newton
-    # step: the unit step lands on 4 and step 1/2 on 2, neither gains, so
-    # step 1/4 is accepted after two halvings and reaches the maximum
+def _quadratic_ascent(upper=np.inf, rejected=None):
+    # maximize -(x - 1)^2 on x < upper from 0 along a direction four times
+    # the Newton step: the unit step lands on 4 and step 1/2 on 2, neither
+    # gains (or both leave the domain), so step 1/4 is accepted after two
+    # halvings and reaches the maximum
+    def objective(x):
+        if x[0] >= upper:
+            if rejected is not None:
+                rejected.append(float(x[0]))
+            raise OutOfDomain(f"x = {x[0]} is not below {upper}")
+        return -float((x[0] - 1.0) ** 2)
+
     return ascend(
         np.zeros(1),
-        objective=lambda x: -float((x[0] - 1.0) ** 2),
+        objective=objective,
         gradient=lambda x: -2.0 * (x - 1.0),
         residual=lambda x: abs(float(x[0]) - 1.0),
         converged=lambda grad_inf, r: r < 1e-12,
         newton_dir=lambda x, g: 2.0 * g,
         fallback_dir=lambda x, g: g,
-        in_domain=lambda x: True,
         move=lambda x, step, d: x + step * d,
         max_iter=5,
     )
@@ -33,6 +41,20 @@ def test_trace_counts_step_halvings():
     first, last = trace
     assert (first.step, first.backtracks, first.newton) == (0.25, 2, True)
     assert (last.step, last.backtracks) == (0.0, 0)
+
+
+def test_out_of_domain_candidates_are_halved():
+    rejected = []
+    x, trace = _quadratic_ascent(upper=1.5, rejected=rejected)
+    assert rejected == [4.0, 2.0]  # each raised once, and each was halved
+    assert x[0] == 1.0
+    assert (trace[0].step, trace[0].backtracks) == (0.25, 2)
+    assert trace == _quadratic_ascent()[1]
+
+
+def test_out_of_domain_start_propagates():
+    with pytest.raises(OutOfDomain, match="not below 0.0"):
+        _quadratic_ascent(upper=0.0)
 
 
 def test_trace_records_elapsed_time_outside_equality():

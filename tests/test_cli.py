@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -9,12 +10,14 @@ from diskflow.cli import run
 from diskflow.complexes import tetrahedron
 from diskflow.serialization import (
     class_spec_to_dict,
+    dumps_canonical,
     mesh_to_dict,
     read_json,
     structure_from_dict,
+    structure_to_dict,
     write_json,
 )
-from diskflow.uniformize import pattern_report
+from diskflow.uniformize import assemble_structure, pattern_report
 
 
 @pytest.fixture
@@ -69,8 +72,11 @@ def test_validate_bad_gluing(tmp_path, capsys):
          "UnmatchedSide: side (face 0, side 0) is not glued"),
         ('{"faces": 10000000000000, "gluing": [[[0, 0], [0, 1]], [[1, 0], [0, 2]]]}', 1,
          "UnmatchedSide: side (face 1, side 1) is not glued"),
+        # a non-integer side is not truncated into the complex
+        ('{"faces": 2, "gluing": [[[0, 0.9], [1, 0]], [[0, 1], [1, 1.5]], [[0, 2], [1, 2]]]}',
+         1, "UnmatchedSide: side (face 0, side 0.9) is outside the complex"),
     ],
-    ids=["inf", "negative", "float", "huge-unglued", "huge-partly-glued"],
+    ids=["inf", "negative", "float", "huge-unglued", "huge-partly-glued", "float-side"],
 )
 def test_validate_bad_face_count(text, code, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -216,7 +222,7 @@ def test_flow_on_a_mixed_sign_mesh(tmp_path, capsys):
     start = tmp_path / "zeros.json"
     write_json(start, {"phi": np.zeros(mesh.vertex_count)})
     assert run(["flow", str(path), "--phi0", str(start)]) == 2
-    assert "OutOfDomain: Lap phi - k is not positive at vertex" in capsys.readouterr().err
+    assert "OutOfDomain: Lap phi - k is not above 1e-12 at vertex" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["teleport", "flow"])
@@ -260,6 +266,27 @@ def test_non_finite_class_is_a_domain_error(bad, canonical24_spec, tmp_path, cap
     assert not out.exists()
     err = capsys.readouterr().err
     assert "ValueError: value at edge 7 is not finite" in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("intersection_angles", [1, 2], "expected shape (9,), one value per edge, got (2,)"),
+        ("intersection_angles", 1, "expected shape (9,), one value per edge, got ()"),
+        ("edge_lengths", None, "expected shape (9,), one value per edge, got ()"),
+        ("face_angles", [], "expected shape (6, 3), one value per corner, got (0,)"),
+        ("circumradii", [1.0] * 5 + [float("nan")], "value at face 5 is not finite (nan)"),
+    ],
+)
+def test_mis_shaped_structure_is_a_domain_error(
+    key, value, message, symmetric_g2_system, tmp_path, capsys
+):
+    data = json.loads(dumps_canonical(structure_to_dict(assemble_structure(symmetric_g2_system))))
+    data[key] = value
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(data))  # NaN, which json.loads reads back
+    assert run(["pattern", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: ValueError: {key}: {message}\n"
 
 
 def test_unknown_command_exits_nonzero(capsys):
@@ -310,6 +337,15 @@ def test_bad_monte_carlo_flag_is_a_domain_error(argv, flag, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert f"error: BadParameter: {flag} " in err
+
+
+def test_sample_beyond_memory_is_too_large(tmp_path, capsys):
+    # below numpy's Poisson limit, but n ~ 1.3e16 points cannot be allocated
+    out = tmp_path / "gb.csv"
+    argv = ["gauss-bonnet", "--lambda", "1e15", "--trials", "1", "--seed", "1"]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert re.search(r"error: TooLarge: the \d{17} points", capsys.readouterr().err)
 
 
 def test_one_trial_starts_no_pool(tmp_path, monkeypatch):

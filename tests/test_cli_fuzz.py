@@ -2,10 +2,11 @@
 
 Every file either works or fails with one of the documented exit codes;
 no exception escapes ``cli.run``.  Files start from well-formed complexes,
-classes and meshes of at most 64 faces and are then damaged: values swapped
-for wrong JSON types, NaN, inf or huge numbers, keys deleted, lists cut
-short (ragged gluings) or padded, edge lengths stretched past the triangle
-inequality.  The stock complexes include chi >= 0 ones.
+classes, meshes, structures and ``flow --phi0`` factors of at most 64 faces
+and are then damaged: values swapped for wrong JSON types, NaN, inf or huge
+numbers, keys deleted, lists cut short (ragged gluings) or padded, edge
+lengths stretched past the triangle inequality.  The stock complexes include
+chi >= 0 ones.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from diskflow.cli import run
 from diskflow.complexes import (
+    TopologicalTriangulation,
     csaszar_torus,
     genus2_octagon,
     octagon_cone,
@@ -83,21 +85,12 @@ def _mutate(draw, doc):
 _DELETE = object()
 
 
-@st.composite
-def input_files(draw):
-    command = draw(st.sampled_from(["validate", "uniformize", "teleport", "flow"]))
-    cx = draw(complexes())
-    edges = 3 * cx["faces"] // 2
-    if command == "validate":
-        doc = cx
-    elif command == "uniformize":
-        psi = draw(st.lists(st.floats(0.05, 3.1), min_size=edges, max_size=edges))
-        doc = {"complex": cx, "psi_edge": {str(e): p for e, p in enumerate(psi)}}
-    else:
-        lengths = draw(st.lists(st.floats(0.75, 1.3), min_size=edges, max_size=edges))
-        if draw(st.booleans()):  # one edge longer than all others together
-            lengths[draw(st.integers(0, edges - 1))] = sum(lengths)
-        doc = {"complex": cx, "lengths": lengths}
+def _floats(draw, n: int, lo: float, hi: float) -> list:
+    return draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+
+def _damaged(draw, doc) -> str:
+    """``doc`` after up to three damages, as JSON text."""
     for _ in range(draw(st.integers(0, 3))):
         doc = _mutate(draw, doc)
         if doc is _DELETE:
@@ -105,23 +98,61 @@ def input_files(draw):
     text = json.dumps(doc)
     if draw(st.booleans()):
         text = text.replace("Infinity", "1e400")
-    return command, text
+    return text
+
+
+@st.composite
+def input_files(draw):
+    """A subcommand, its input file's text, and a ``--phi0`` file's text or None."""
+    command = draw(st.sampled_from(["validate", "uniformize", "teleport", "flow", "pattern"]))
+    cx = draw(complexes())
+    faces, edges = cx["faces"], 3 * cx["faces"] // 2
+    phi0 = None
+    if command == "validate":
+        doc = cx
+    elif command == "uniformize":
+        psi = _floats(draw, edges, 0.05, 3.1)
+        doc = {"complex": cx, "psi_edge": {str(e): p for e, p in enumerate(psi)}}
+    elif command == "pattern":
+        doc = {
+            "complex": cx,
+            "edge_lengths": _floats(draw, edges, 0.1, 3.0),
+            "face_angles": [_floats(draw, 3, 0.05, 1.0) for _ in range(faces)],
+            "circumradii": _floats(draw, faces, 0.1, 3.0),
+            "intersection_angles": _floats(draw, edges, 0.05, 3.1),
+            "psi_edge": _floats(draw, edges, 0.05, 3.1),
+        }
+    else:
+        lengths = _floats(draw, edges, 0.75, 1.3)
+        if draw(st.booleans()):  # one edge longer than all others together
+            lengths[draw(st.integers(0, edges - 1))] = sum(lengths)
+        doc = {"complex": cx, "lengths": lengths}
+        if command == "flow" and draw(st.booleans()):
+            vertices = TopologicalTriangulation.from_dict(cx).vertex_count
+            phi0 = _damaged(draw, {"phi": _floats(draw, vertices, -0.1, 0.1)})
+    return command, _damaged(draw, doc), phi0
 
 
 @settings(max_examples=300, deadline=None)
 @given(input_files())
-@example(("validate", '{"faces": 1e400, "gluing": []}'))
-@example(("validate", '{"faces": 10000000000000, "gluing": []}'))
-@example(("teleport", '{"complex": {"faces": -6, "gluing": []}, "lengths": []}'))
-@example(("uniformize", '{"complex": {"faces": 2, "gluing": [[[0, 0]]]}, "psi_edge": {}}'))
+@example(("validate", '{"faces": 1e400, "gluing": []}', None))
+@example(("validate", '{"faces": 10000000000000, "gluing": []}', None))
+@example(("teleport", '{"complex": {"faces": -6, "gluing": []}, "lengths": []}', None))
+@example(("uniformize", '{"complex": {"faces": 2, "gluing": [[[0, 0]]]}, "psi_edge": {}}', None))
+@example(("pattern", json.dumps({"complex": genus2_octagon().to_dict(), "edge_lengths": [1] * 9,
+                                 "face_angles": [], "circumradii": [1] * 6,
+                                 "intersection_angles": [1, 2], "psi_edge": [1] * 9}), None))
 def test_cli_survives_adversarial_files(case):
-    command, text = case
+    command, text, phi0 = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         path.write_text(text, encoding="utf-8")
         argv = [command, str(path)]
         if command in ("uniformize", "flow"):
             argv += ["--max-iter", "20"]
+        if phi0 is not None:
+            (Path(tmp) / "phi0.json").write_text(phi0, encoding="utf-8")
+            argv += ["--phi0", str(Path(tmp) / "phi0.json")]
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = run(argv)

@@ -21,7 +21,7 @@ from diskflow.complexes import (
 from diskflow.errors import DuplicateSide, SelfGluedSide, UnknownVertex, UnmatchedSide
 
 from helpers import octahedron, random_complex
-from oracles import derive_union_find, gluing_mate_loop
+from oracles import derive_union_find, gluing_mate_loop, subdivide_loop
 
 
 def test_tetrahedron_counts():
@@ -130,6 +130,13 @@ def test_duplicate_side():
         # an earlier duplicate wins over a later side outside the complex
         ([((0, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 2), (5, 0))],
          DuplicateSide, "side (face 1, side 0) appears in two pairs"),
+        # a non-integer entry is outside the complex, named as written
+        ([((0, 0.9), (1, 0)), ((0, 1), (1, 1.5)), ((0, 2), (1, 2))],
+         UnmatchedSide, "side (face 0, side 0.9) is outside the complex"),
+        ([((0, 0), (1, 0)), ((1.0, 1), (0, 1)), ((0, 2), (1, 2))],
+         UnmatchedSide, "side (face 1.0, side 1) is outside the complex"),
+        ([((0, 0), (1, 0)), ((0, 1), (1, "1")), ((0, 2), (1, 2))],
+         UnmatchedSide, "side (face 1, side 1) is outside the complex"),
     ],
 )
 def test_gluing_errors_name_the_first_offending_side(pairs, error, message):
@@ -143,7 +150,8 @@ def test_from_dict_rejects_a_pair_that_is_not_two_sides():
         TopologicalTriangulation.from_dict(data)
 
 
-_side = st.tuples(st.integers(-1, 3), st.integers(-1, 3))
+_entry = st.integers(-1, 3) | st.sampled_from([0.5, 1.0])
+_side = st.tuples(_entry, _entry)
 
 
 @given(st.integers(1, 3), st.lists(st.tuples(_side, _side), max_size=8))
@@ -211,6 +219,23 @@ def test_subdivision_counts():
             mine = sub.parent_edge == e
             assert (mine & ~sub.is_medial).sum() == 2
             assert (mine & sub.is_medial).sum() == 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [tetrahedron, pillow, two_triangle_torus, csaszar_torus, genus2_octagon,
+     octagon_cone, octahedron],
+)
+def test_subdivision_matches_pair_by_pair_loop(make):
+    T = make()
+    while True:
+        got, want = subdivide(T), subdivide_loop(T)
+        assert np.array_equal(got.complex.mate, want.complex.mate)
+        assert np.array_equal(got.parent_edge, want.parent_edge)
+        assert np.array_equal(got.is_medial, want.is_medial)
+        if make is not genus2_octagon or T.face_count == 1536:
+            break
+        T = got.complex
 
 
 # -- derivation against the union-find oracle --------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diskflow.angles import AngleSystem, partials_from_angles
-from diskflow.errors import DegenerateAngle, NotHyperbolic, NotInDomain
+from diskflow.errors import DegenerateAngle, NotHyperbolic, NotInDomain, OutOfDomain
 from diskflow.hyperbolic import (
     angles_from_lengths,
     class_grad,
@@ -278,3 +278,27 @@ def test_objective_domain_error(genus2):
     )
     with pytest.raises(NotInDomain):
         objective_H(flat)
+
+
+def test_one_domain_check_names_the_first_bad_face(genus2):
+    # every face-wise function rejects through the same check; its errors
+    # are the domain errors the ascent halves on
+    assert issubclass(DegenerateAngle, NotInDomain) and issubclass(NotHyperbolic, NotInDomain)
+    assert issubclass(NotInDomain, OutOfDomain)
+    A = np.full((6, 3), 0.3)
+    A[2] = [1.5, 1.5, 1.5]
+    x = partials_from_angles(genus2, A)
+    for f in (objective_H, class_grad, flag_edge_lengths, class_hessian_sparse):
+        with pytest.raises(NotHyperbolic, match=r"^face 2: angles \[1.5"):
+            f(x)
+    A[4] = [0.5, 0.0, 0.5]  # a bad angle is named before an earlier bad sum
+    with pytest.raises(DegenerateAngle, match="^face 4: angle 1 = "):
+        objective_H(partials_from_angles(genus2, A))
+    with pytest.raises(DegenerateAngle, match="^face 0: angle 2 = "):
+        prism_volume_path(0.3, 0.3, 0.3, via=(0.5, 0.5, np.pi))
+
+
+def test_prism_volume_is_one_face_of_the_objective(genus2):
+    # one closed form: the objective is the sum of the faces' prism volumes, bit for bit
+    x = partials_from_angles(genus2, np.array([[0.3, 0.4, 0.5], [0.2, 0.7, 1.1]] * 3))
+    assert objective_H(x) == sum(prism_volume(*np.sum(p) - p) for p in x.psi.reshape(-1, 3))

@@ -182,6 +182,20 @@ def test_Ig_domain_errors(cone14_unit):
         evaluate_Ig(cone14_unit, big)
 
 
+def test_domain_is_lap_phi_minus_k_above_the_floor(cone14_unit, monkeypatch):
+    import diskflow.smoothflow as sf
+
+    phi = teleport(cone14_unit)
+    u = cone14_unit.laplacian(phi) - cone14_unit.curvature
+    v = int(np.argmin(u))
+    assert u[v] > 0
+    # u equal to the floor is outside, at the start as at every step
+    monkeypatch.setattr(sf, "U_FLOOR", float(u[v]))
+    with pytest.raises(OutOfDomain, match=f"not above {u[v]:g} at vertex {v} ") as exc:
+        log_ricci_flow(cone14_unit, phi)
+    assert exc.value.vertex == v
+
+
 def right_angle_vertex_mesh():
     """Twice-subdivided octagon with one edge split by a new vertex m whose
     four corners are the right angles of 3-4-5 triangles; every other edge
