@@ -9,6 +9,7 @@ here are report-style: they return the margins rather than raising.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .reports import Report
 CHECK_TOL = 1e-9     # absolute tolerance for linear constraint checks
 CLASS_TOL = 1e-12    # tolerance for class equality
 MARGIN_FLOOR = 1e-6  # minimum interior margin accepted as feasible
+IPM_TOL = 1e-10      # HiGHS interior-point optimality tolerance of the margin LP
 
 
 @dataclass(frozen=True)
@@ -258,14 +260,18 @@ def find_negative_delaunay(
                        face angle sums <= pi - eps.
 
     Corner angles below pi and vertex sums of 2 pi are implied.  The LP is
-    solved by HiGHS's interior-point method (``"highs-ipm"``), which runs
-    crossover to a basic optimal solution; the optimum is not unique, so
-    another method may return another start with the same margin.  Raises
+    solved by HiGHS's interior-point method (``"highs-ipm"``) at optimality
+    tolerance ``IPM_TOL`` and without crossover, so the returned point is the
+    method's interior solution, centred in the optimal face rather than at one
+    of its vertices; that is the Newton start of the uniformizer.  Without
+    crossover the equality rows hold only to the solver's primal tolerance,
+    so the upper flag of each edge is then set to ``psi_e`` minus the lower
+    one, which puts the point in the class up to rounding.  Raises
     ``Infeasible`` with the certificate margin when the maximum is below the
     feasibility floor.
     """
     # imported here: scipy.optimize is slow to load and only the uniformizer needs it
-    from scipy.optimize import linprog
+    from scipy.optimize import OptimizeWarning, linprog
 
     T = spec.complex
     F, E = T.face_count, T.edge_count
@@ -289,15 +295,20 @@ def find_negative_delaunay(
 
     c = np.zeros(n + 1)
     c[n] = -1.0  # maximize eps
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=[(None, None)] * n + [(None, np.pi)],
-        method="highs-ipm",
-    )
+    with warnings.catch_warnings():
+        # scipy does not list run_crossover among the highs-ipm options, warns
+        # that it is unrecognized, and passes it to HiGHS unchanged
+        warnings.simplefilter("ignore", OptimizeWarning)
+        res = linprog(
+            c,
+            A_ub=A_ub,
+            b_ub=b_ub,
+            A_eq=A_eq,
+            b_eq=b_eq,
+            bounds=[(None, None)] * n + [(None, np.pi)],
+            method="highs-ipm",
+            options={"run_crossover": "off", "ipm_optimality_tolerance": IPM_TOL},
+        )
     if not res.success:
         raise Infeasible(f"margin LP failed: {res.message}", margin=None)
     eps = float(res.x[n])
@@ -306,4 +317,6 @@ def find_negative_delaunay(
             f"no interior representative: maximal margin {eps:.3e} below floor {floor:.0e}",
             margin=eps,
         )
-    return AngleSystem(T, res.x[:n])
+    p = res.x[:n]
+    p[T.edges[:, 1]] = spec.psi_edge - p[T.edges[:, 0]]
+    return AngleSystem(T, p)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -189,26 +188,13 @@ def face_defect_in_region(
 # -- direct quadrature of the expected face count -----------------------------------
 
 
-def _inscribed_triangle_area(t2: float, t3: float) -> float:
-    # area of the triangle with vertices at angles (0, t2, t3) on the unit circle
-    return 0.5 * abs(np.sin(t2) + np.sin(t3 - t2) - np.sin(t3))
-
-
-@lru_cache(maxsize=1)
 def triangle_angle_integral() -> float:
     """Integral of the inscribed-triangle area over all three vertex angles.
 
-    Computed once by quadrature; equals (2 pi)^3 times the mean area of a
-    triangle inscribed by three uniform points on the unit circle, 3/(2 pi).
+    Equals (2 pi)^3 times the mean area of a triangle inscribed by three
+    uniform points on the unit circle, 3/(2 pi): that is 12 pi^2.
     """
-    # imported here: scipy.integrate is slow to load and only quadrature needs it
-    from scipy.integrate import dblquad
-
-    val, _ = dblquad(
-        _inscribed_triangle_area, 0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi,
-        epsabs=1e-11, epsrel=1e-11,
-    )
-    return 2.0 * np.pi * val
+    return 12.0 * np.pi**2
 
 
 def inscribed_triangle_mean_area() -> float:

@@ -6,6 +6,11 @@ ideal endpoints of the perpendicular geodesics through its vertices, and sums
 ideal-tetrahedron volumes over a fan of the convex hull.  Agreement with the
 production routes is therefore a genuine cross-check of the geometry.
 
+``lobachevsky_series60`` sums the Lobachevsky series to 60 terms from a
+power array, the reference for the 30-term Horner evaluation, and
+``triangle_angle_integral_dblquad`` integrates the inscribed-triangle area by
+``dblquad``, the reference for the closed-form quadrature constant.
+
 The dense oracles rebuild the solvers' sparse operators and solves the
 direct way (the dense class basis and its products, a finite-difference
 class Hessian, a dense Newton solve of the class Hessian, least-squares
@@ -26,10 +31,11 @@ the reference for the serializer's float-list and int-list fast paths.
 import json
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 from scipy.linalg import block_diag
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
+from scipy.special import zeta
 
 from diskflow.angles import AngleSystem, ConformalClassSpec, all_corner_angles
 from diskflow.complexes import SubdividedComplex, TopologicalTriangulation, build_complex
@@ -45,6 +51,39 @@ def lobachevsky_quad(theta: float) -> float:
         lambda u: -np.log(np.abs(2.0 * np.sin(u))), 0.0, theta, limit=300
     )
     return val
+
+
+def lobachevsky_series60(theta) -> np.ndarray:
+    """The Lobachevsky power series to 60 terms from an (N, 60) power array,
+    the reference for the 30-term Horner evaluation."""
+    m = np.arange(1, 61)
+    t = np.atleast_1d(np.asarray(theta, dtype=float)).copy()
+    t -= np.pi * np.round(t / np.pi)
+    sign = np.sign(t)
+    t = np.abs(t)
+    out = np.zeros_like(t)
+    nz = t > 0
+    tn = t[nz]
+    powers = tn[:, None] ** (2 * m + 1)
+    series = (powers * (zeta(2 * m) / (m * (2 * m + 1)))) / (np.pi ** (2 * m))
+    out[nz] = tn - tn * np.log(2 * tn) + series.sum(axis=1)
+    return out * sign
+
+
+def _inscribed_triangle_area(t2: float, t3: float) -> float:
+    # area of the triangle with vertices at angles (0, t2, t3) on the unit circle
+    return 0.5 * abs(np.sin(t2) + np.sin(t3 - t2) - np.sin(t3))
+
+
+def triangle_angle_integral_dblquad() -> float:
+    """Integral of the inscribed-triangle area over all three vertex angles,
+    by ``dblquad`` over two of them (the third is a rotation), the reference
+    for the closed form 12 pi^2."""
+    val, _ = dblquad(
+        _inscribed_triangle_area, 0.0, 2.0 * np.pi, 0.0, 2.0 * np.pi,
+        epsabs=1e-11, epsrel=1e-11,
+    )
+    return 2.0 * np.pi * val
 
 
 def _hyp_lengths(A, B, C):

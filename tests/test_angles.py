@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from diskflow.angles import (
+    CLASS_TOL,
     MARGIN_FLOOR,
     AngleSystem,
     ConformalClassSpec,
@@ -287,7 +290,9 @@ def _lp_margin(spec) -> tuple[bool, float]:
     return True, float(min(A.min(), (np.pi - A.sum(axis=1)).min()))
 
 
-def test_interior_point_margin_matches_the_simplex_oracle():
+def _margin_oracle_specs() -> list[ConformalClassSpec]:
+    """Three perturbed F=96 genus-2 classes, the all-right-angle octahedron
+    and random classes on small random complexes: 40 in all, some infeasible."""
     rng = np.random.default_rng(12)
     T96 = subdivide(subdivide(genus2_octagon()).complex).complex
     specs = [perturbed_canonical_spec(T96, rng) for _ in range(3)]
@@ -298,11 +303,51 @@ def test_interior_point_margin_matches_the_simplex_oracle():
             specs.append(random_class_spec(T, rng))
         except RuntimeError:
             continue
+    return specs
+
+
+def test_interior_point_margin_matches_the_simplex_oracle():
     verdicts = []
-    for spec in specs:
+    for spec in _margin_oracle_specs():
         ref = margin_lp_simplex(spec)
         feasible, margin = _lp_margin(spec)
         assert abs(margin - ref) <= 1e-9
         assert feasible == (ref >= MARGIN_FLOOR)
         verdicts.append(feasible)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-9])
+def test_interior_point_start_lies_in_its_class(noise, monkeypatch):
+    # without crossover the equality rows hold only to the solver's primal
+    # tolerance; a solution moved off them by ``noise`` (well inside that
+    # tolerance) must come back in the class once the upper flags are snapped
+    import scipy.optimize
+
+    linprog, rng = scipy.optimize.linprog, np.random.default_rng(5)
+
+    def off_the_rows(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        if res.x is not None:
+            res.x[:-1] += rng.uniform(-noise, noise, size=res.x.size - 1)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", off_the_rows)
+    members = 0
+    for spec in _margin_oracle_specs():
+        try:
+            y = find_negative_delaunay(spec)
+        except Infeasible:
+            continue
+        assert np.max(np.abs(edge_psi(y) - spec.psi_edge)) <= CLASS_TOL
+        members += 1
+    assert members > 0
+
+
+def test_margin_lp_raises_no_warning():
+    T96 = subdivide(subdivide(genus2_octagon()).complex).complex
+    spec = perturbed_canonical_spec(T96, np.random.default_rng(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = find_negative_delaunay(spec)
+    assert is_negatively_curved(y).ok and is_delaunay(y).ok

@@ -27,6 +27,7 @@ from oracles import (
     class_hessian_dense,
     class_hessian_fd,
     lobachevsky_quad,
+    lobachevsky_series60,
     true_prism_volume,
 )
 
@@ -56,6 +57,13 @@ def test_lobachevsky_symmetries(t):
 def test_lobachevsky_against_quadrature():
     for t in (np.pi / 6, 0.3, 1.0, 1.4, 2.2):
         assert abs(lobachevsky(t) - lobachevsky_quad(t)) < 1e-12
+
+
+def test_lobachevsky_horner_matches_the_60_term_series():
+    marks = np.array([0.0, np.pi / 2, -np.pi / 2, np.pi, 3.5, -7.0])
+    dense = np.linspace(-4.0, 4.0, 20001)
+    for ts in (marks, dense):
+        assert np.max(np.abs(lobachevsky(ts) - lobachevsky_series60(ts))) <= 2e-16
 
 
 def test_lobachevsky_known_value():

@@ -25,6 +25,7 @@ from diskflow.estimators import (
     expected_faces_quadrature,
     face_defect_in_region,
     inscribed_triangle_mean_area,
+    triangle_angle_integral,
 )
 from diskflow.surfaces import (
     PointSample,
@@ -34,7 +35,11 @@ from diskflow.surfaces import (
     sample_poisson,
 )
 
-from oracles import emptiness_decision, emptiness_flags_dense
+from oracles import (
+    emptiness_decision,
+    emptiness_flags_dense,
+    triangle_angle_integral_dblquad,
+)
 
 SPHERE = SurfaceModel.sphere()
 TORUS = SurfaceModel.torus(1.0, 1.0)
@@ -496,6 +501,13 @@ def test_quadrature_constant_matches_classical_value():
     mc = area.mean()
     se = area.std(ddof=1) / np.sqrt(area.size)
     assert abs(inscribed_triangle_mean_area() - mc) < 4 * se
+
+
+def test_quadrature_constant_matches_its_double_integral():
+    # the closed form 12 pi^2 against dblquad at tolerance 1e-11
+    ref = triangle_angle_integral_dblquad()
+    assert abs(triangle_angle_integral() - ref) <= 1e-9 * ref
+    assert triangle_angle_integral() == 12 * np.pi**2
 
 
 def test_quadrature_estimator_near_two():

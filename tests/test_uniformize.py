@@ -286,3 +286,21 @@ def test_uniformize_falls_back_cleanly_on_a_singular_hessian(canonical24_spec, m
     assert [r.newton for r in accepted] == [False] + [True] * (len(accepted) - 1)
     assert last.grad_inf < UniformizeOptions().tol
     assert abs(st.total_area - 4 * np.pi) < 1e-9
+
+
+@pytest.mark.parametrize("subdivisions", [1, 2, 3])
+def test_centred_lp_start_takes_full_newton_steps(subdivisions):
+    # the interior point of the margin LP is centred in its optimal face, so
+    # Newton converges from it without a single halving; a vertex of that
+    # face, ε from many constraints at once, needs damped steps at F=384
+    from diskflow.complexes import genus2_octagon, subdivide
+
+    T = genus2_octagon()
+    for _ in range(subdivisions):
+        T = subdivide(T).complex
+    for seed in range(5):
+        _, _, trace = uniformize(perturbed_canonical_spec(T, np.random.default_rng(seed)))
+        *accepted, last = trace
+        assert all(r.newton and r.step == 1.0 for r in accepted)
+        assert sum(r.backtracks for r in trace) == 0
+        assert len(accepted) <= 5 and last.grad_inf < UniformizeOptions().tol
