@@ -67,7 +67,6 @@ from .hyperbolic import (
     objective_H,
     prism_gradient,
     prism_volume,
-    prism_volume_path,
 )
 from .smoothflow import (
     FlowOptions,

@@ -82,6 +82,13 @@ def _check_positive(flag: str, value: float) -> None:
         raise BadParameter(f"{flag} must be finite and positive, got {value!r}")
 
 
+def _check_solver_flags(args) -> None:
+    """The flags ``uniformize`` and ``flow`` share."""
+    _check_positive("--tol", args.tol)
+    if args.max_iter < 0:
+        raise BadParameter(f"--max-iter must be at least 0, got {args.max_iter}")
+
+
 def _check_trial_flags(args) -> None:
     """The flags every Monte Carlo subcommand shares."""
     _check_positive("--lambda", args.intensity)
@@ -136,6 +143,7 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_uniformize(args) -> int:
+    _check_solver_flags(args)
     spec = class_spec_from_dict(read_json(args.spec))
     opts = UniformizeOptions(tol=args.tol, max_iter=args.max_iter)
     failure = None
@@ -176,6 +184,11 @@ def _cmd_gauss_bonnet(args) -> int:
 def _cmd_quadrature(args) -> int:
     _check_positive("--lambda", args.intensity)
     surface = SurfaceModel.sphere()
+    # the expected face count approaches 2 area lambda, which must be a float
+    if not np.isfinite(2.0 * surface.area * args.intensity):
+        raise BadParameter(
+            f"--lambda times twice the sphere's area must be finite, got {args.intensity!r}"
+        )
     ef = expected_faces_quadrature(surface, args.intensity, args.delta)
     estimate = surface.area * args.intensity - ef / 2.0
     print(f"expected_faces={fmt_float(ef)} estimator={fmt_float(estimate)}")
@@ -233,6 +246,7 @@ def _cmd_teleport(args) -> int:
 
 
 def _cmd_flow(args) -> int:
+    _check_solver_flags(args)
     mesh = mesh_from_dict(read_json(args.mesh))
     phi0 = read_json(args.phi0)["phi"] if args.phi0 else None
     opts = FlowOptions(tol=args.tol, max_iter=args.max_iter)

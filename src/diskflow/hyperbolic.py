@@ -117,10 +117,6 @@ def angles_from_lengths(a: float, b: float, c: float) -> tuple[float, float, flo
     return tuple(out)
 
 
-def _partials(angles: np.ndarray) -> np.ndarray:
-    return angles.sum(axis=-1, keepdims=True) / 2.0 - angles
-
-
 def log_half_cosh_minus_one(angles: np.ndarray) -> np.ndarray:
     """log((cosh l_i - 1)/2) per side, from the stable product identity.
 
@@ -163,51 +159,6 @@ def _prism_volumes(A: np.ndarray) -> np.ndarray:
 def prism_volume(A: float, B: float, C: float) -> float:
     """Volume of the triangle's ideal perpendicular prism, anchored at pi/6."""
     return float(_prism_volumes(_valid_angles([[A, B, C]]))[0])
-
-
-_REF_ANGLES = np.array([np.pi / 6] * 3)
-_REF_PARTIALS = _partials(_REF_ANGLES)
-
-
-def prism_volume_path(
-    A: float,
-    B: float,
-    C: float,
-    via: tuple[float, float, float] | None = None,
-    epsabs: float = 1e-10,
-) -> float:
-    """Prism volume by integrating the exact one-form from the anchor triple.
-
-    Integration runs along straight segments in partial-angle coordinates;
-    ``via`` inserts an intermediate angle triple, giving a second route for
-    path-independence checks.  Segments are subdivided once near the domain
-    boundary where the integrand's logarithm steepens.
-    """
-    # imported here: scipy.integrate is slow to load and only this cross-check needs it
-    from scipy.integrate import quad
-
-    end = _valid_angles([A, B, C])
-    waypoints = [_REF_PARTIALS]
-    if via is not None:
-        waypoints.append(_partials(_valid_angles(via)))
-    waypoints.append(_partials(end))
-
-    total = 0.0
-    for start, stop in zip(waypoints[:-1], waypoints[1:]):
-        d = stop - start
-
-        def integrand(t):
-            p = start + t * d
-            angles = p.sum() - p
-            return float(np.dot(log_half_cosh_minus_one(angles), d))
-
-        # defect at the endpoints decides whether to split the segment
-        defects = [np.pi - 2 * q.sum() for q in (start, stop)]
-        pieces = [(0.0, 1.0)] if min(defects) > 1e-3 else [(0.0, 0.5), (0.5, 1.0)]
-        for lo, hi in pieces:
-            val, _ = quad(integrand, lo, hi, epsabs=epsabs, epsrel=0.0, limit=200)
-            total += val
-    return total
 
 
 def prism_gradient(A: float, B: float, C: float) -> np.ndarray:

@@ -10,6 +10,10 @@ production routes is therefore a genuine cross-check of the geometry.
 power array, the reference for the 30-term Horner evaluation, and
 ``triangle_angle_integral_dblquad`` integrates the inscribed-triangle area by
 ``dblquad``, the reference for the closed-form quadrature constant.
+``expected_faces_quad`` integrates the radial face-creation density by
+``quad``, the reference for the closed-form expected face count, and
+``prism_volume_path`` integrates the prism volume's exact one-form along
+straight segments, the reference for its closed form.
 
 The dense oracles rebuild the solvers' sparse operators and solves the
 direct way (the dense class basis and its products, a finite-difference
@@ -40,7 +44,13 @@ from scipy.special import zeta
 from diskflow.angles import AngleSystem, ConformalClassSpec, all_corner_angles
 from diskflow.complexes import SubdividedComplex, TopologicalTriangulation, build_complex
 from diskflow.errors import DuplicateSide, SelfGluedSide, UnmatchedSide
-from diskflow.hyperbolic import class_grad, face_hessian, lobachevsky
+from diskflow.hyperbolic import (
+    _valid_angles,
+    class_grad,
+    face_hessian,
+    lobachevsky,
+    log_half_cosh_minus_one,
+)
 from diskflow.smoothflow import MeshMetric, hessian_matrix, mean_zero
 from diskflow.surfaces import geodesic_distance
 
@@ -84,6 +94,69 @@ def triangle_angle_integral_dblquad() -> float:
         epsabs=1e-11, epsrel=1e-11,
     )
     return 2.0 * np.pi * val
+
+
+def expected_faces_quad(lam: float, delta: float) -> float:
+    """Expected face count on the unit sphere by ``quad`` of the radial
+    density, the reference for the closed form ``2 n P(2, x) - 4 P(3, x)``.
+
+    With c = 2 pi lambda and t = 1 - cos r the count is (lambda^3 / 6)
+    * area * 2 * 12 pi^2 * int_0^T e^(-c t) t (2 - t) dt, T = 2 sin^2(delta/2).
+    The integrand's peak is about 1/c wide at t = 0, so the range stops at
+    60/c, past which e^(-c t) is below 1e-26: adaptive ``quad`` over the
+    whole range can miss the peak.
+    """
+    c = 2.0 * np.pi * lam
+    T = 2.0 * np.sin(delta / 2.0) ** 2
+    val, _ = quad(lambda t: np.exp(-c * t) * t * (2.0 - t), 0.0, min(T, 60.0 / c),
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    return (lam**3 / 6.0) * 4.0 * np.pi * 2.0 * 12.0 * np.pi**2 * val
+
+
+def _partials(angles: np.ndarray) -> np.ndarray:
+    return angles.sum(axis=-1, keepdims=True) / 2.0 - angles
+
+
+_REF_ANGLES = np.array([np.pi / 6] * 3)
+_REF_PARTIALS = _partials(_REF_ANGLES)
+
+
+def prism_volume_path(
+    A: float,
+    B: float,
+    C: float,
+    via: tuple[float, float, float] | None = None,
+    epsabs: float = 1e-10,
+) -> float:
+    """Prism volume by integrating the exact one-form from the anchor triple.
+
+    Integration runs along straight segments in partial-angle coordinates;
+    ``via`` inserts an intermediate angle triple, giving a second route for
+    path-independence checks.  Segments are subdivided once near the domain
+    boundary where the integrand's logarithm steepens.
+    """
+    end = _valid_angles([A, B, C])
+    waypoints = [_REF_PARTIALS]
+    if via is not None:
+        waypoints.append(_partials(_valid_angles(via)))
+    waypoints.append(_partials(end))
+
+    total = 0.0
+    for start, stop in zip(waypoints[:-1], waypoints[1:]):
+        d = stop - start
+
+        def integrand(t):
+            p = start + t * d
+            angles = p.sum() - p
+            return float(np.dot(log_half_cosh_minus_one(angles), d))
+
+        # defect at the endpoints decides whether to split the segment
+        defects = [np.pi - 2 * q.sum() for q in (start, stop)]
+        pieces = [(0.0, 1.0)] if min(defects) > 1e-3 else [(0.0, 0.5), (0.5, 1.0)]
+        for lo, hi in pieces:
+            val, _ = quad(integrand, lo, hi, epsabs=epsabs, epsrel=0.0, limit=200)
+            total += val
+    return total
 
 
 def _hyp_lengths(A, B, C):

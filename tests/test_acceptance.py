@@ -35,7 +35,6 @@ from diskflow.hyperbolic import (
     class_hessian,
     log_half_cosh_minus_one,
     prism_gradient,
-    prism_volume_path,
 )
 from diskflow.smoothflow import (
     curvature_h,
@@ -50,7 +49,7 @@ from diskflow.surfaces import SurfaceModel
 from diskflow.uniformize import UniformizeOptions, uniformize
 
 from helpers import octahedron, random_class_spec, random_complex, vertex_sum_matrix
-from oracles import class_basis, true_prism_volume
+from oracles import class_basis, prism_volume_path, true_prism_volume
 from test_smoothflow import random_mixed_sign_mesh, random_negative_mesh
 
 

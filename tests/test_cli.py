@@ -160,6 +160,19 @@ def test_quadrature_bad_delta():
     assert run(["quadrature", "--lambda", "10.0", "--delta", "3.0"]) == 2
 
 
+@pytest.mark.parametrize("lam", ["1e6", "1e8", "1e200"])
+def test_quadrature_at_large_lambda_is_finite(lam, tmp_path):
+    out = tmp_path / "q.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["quadrature", "--lambda", lam, "--delta", "0.5235987", "--out", str(out)]) == 0
+    result = read_json(out)
+    assert np.isfinite([result["expected_faces"], result["estimator"]]).all()
+    # the sphere's face count 2n - 4 is reached in the dense limit
+    two_n = 8 * np.pi * float(lam)
+    assert abs(result["expected_faces"] - (two_n - 4)) <= 1e-12 * two_n
+
+
 def test_defect_cap(tmp_path, capsys):
     code = run(
         [
@@ -327,6 +340,8 @@ MC = ["--trials", "2", "--seed", "1"]
         # above numpy's Poisson limit once multiplied by the area
         (["gauss-bonnet", "--lambda", "1e30", *MC], "--lambda"),
         (["defect", "--lambda", "1e30", *MC, "--cap-area", "2"], "--lambda"),
+        # twice the area times lambda overflows: the face count is not a float
+        (["quadrature", "--lambda", "1e308", "--delta", "0.5"], "--lambda"),
     ],
 )
 def test_bad_monte_carlo_flag_is_a_domain_error(argv, flag, tmp_path, capsys):
@@ -337,6 +352,32 @@ def test_bad_monte_carlo_flag_is_a_domain_error(argv, flag, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert f"error: BadParameter: {flag} " in err
+
+
+@pytest.mark.parametrize("command", ["uniformize", "flow"])
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--max-iter", "-1"], "--max-iter"),
+        (["--tol", "nan"], "--tol"),
+        (["--tol", "-1"], "--tol"),
+        (["--tol", "0"], "--tol"),
+        (["--tol", "inf"], "--tol"),
+    ],
+)
+def test_bad_solver_flag_is_a_domain_error(
+    command, extra, flag, canonical24_spec, cone14_file, tmp_path, capsys
+):
+    if command == "uniformize":
+        path = tmp_path / "class.json"
+        write_json(path, class_spec_to_dict(canonical24_spec))
+        source = str(path)
+    else:
+        source = cone14_file
+    out = tmp_path / "out.json"
+    assert run([command, source, *extra, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"error: BadParameter: {flag} " in capsys.readouterr().err
 
 
 def test_sample_beyond_memory_is_too_large(tmp_path, capsys):

@@ -18,7 +18,6 @@ from diskflow.hyperbolic import (
     objective_H,
     prism_gradient,
     prism_volume,
-    prism_volume_path,
 )
 
 from oracles import (
@@ -28,6 +27,7 @@ from oracles import (
     class_hessian_fd,
     lobachevsky_quad,
     lobachevsky_series60,
+    prism_volume_path,
     true_prism_volume,
 )
 

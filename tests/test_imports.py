@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import diskflow
 
 SRC = Path(diskflow.__file__).resolve().parents[1]
@@ -42,17 +44,25 @@ def test_cli_import_still_loads_every_submodule():
     assert loaded == names
 
 
-def test_gauss_bonnet_run_loads_no_solver_or_quadrature_scipy(tmp_path):
-    out = tmp_path / "gb.csv"
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["gauss-bonnet", "--lambda", "20", "--trials", "1", "--seed", "1"],
+         "trial,n,F,estimator\n"),
+        (["quadrature", "--lambda", "15.915494", "--delta", "0.5235987"], '{"estimator":'),
+    ],
+    ids=["gauss-bonnet", "quadrature"],
+)
+def test_run_loads_no_solver_or_quadrature_scipy(argv, head, tmp_path):
+    out = tmp_path / "out"
     loaded = _fresh(
         "import json, sys\nfrom diskflow.cli import run\n"
-        "code = run(['gauss-bonnet', '--lambda', '20', '--trials', '1', '--seed', '1',"
-        f" '--out', {str(out)!r}])\n"
+        f"code = run({argv + ['--out', str(out)]!r})\n"
         "assert code == 0, code\n"
         f"{LOADED}"
     )
     assert loaded == []
-    assert out.read_text().startswith("trial,n,F,estimator\n")
+    assert out.read_text().startswith(head)
 
 
 def test_delaunay_module_keeps_its_scipy_names():

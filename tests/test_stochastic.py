@@ -38,6 +38,7 @@ from diskflow.surfaces import (
 from oracles import (
     emptiness_decision,
     emptiness_flags_dense,
+    expected_faces_quad,
     triangle_angle_integral_dblquad,
 )
 
@@ -514,6 +515,17 @@ def test_quadrature_estimator_near_two():
     lam = 200 / (4 * np.pi)
     ef = expected_faces_quadrature(SPHERE, lam, np.pi / 6)
     assert 1.9 <= 4 * np.pi * lam - ef / 2 <= 2.1
+    # dense samples: the density's peak near r = 0 is about 1/sqrt(lambda) wide
+    for lam in (1e5, 1e6, 1e8):
+        ef = expected_faces_quadrature(SPHERE, lam, np.pi / 6)
+        assert abs(4 * np.pi * lam - ef / 2 - 2) < 1e-5, lam
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.1, 1, 15.915494, 1e3, 1e5, 1e6, 1e8, 1e10, 1e12])
+@pytest.mark.parametrize("delta", [1e-6, 1e-3, 0.1, 0.5235987])
+def test_quadrature_closed_form_matches_its_integral(lam, delta):
+    ref = expected_faces_quad(lam, delta)
+    assert abs(expected_faces_quadrature(SPHERE, lam, delta) - ref) <= 1e-12 * ref
 
 
 def test_quadrature_delta_validation():
