@@ -52,6 +52,7 @@ from .estimators import (
     CapRegion,
     RectRegion,
     chi_estimator,
+    chi_quadrature,
     expected_faces_quadrature,
     face_defect_in_region,
     inscribed_triangle_mean_area,

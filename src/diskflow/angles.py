@@ -5,6 +5,14 @@ opposite side ``i`` of a face is the sum of the other two partials, so corner
 angles are linear in the coordinates; the per-edge sum of the two incident
 partials is the quantity preserved by a conformal change.  All predicates
 here are report-style: they return the margins rather than raising.
+
+``find_negative_delaunay`` returns a member of a class with the largest
+interior margin (the least corner angle or face defect).  The defects of
+every member add up to the same total, so their mean U bounds that margin;
+the member whose faces all have the same area, found by one sparse solve on
+the dual graph, reaches the bound whenever its corners are at least U, and
+is then returned as is.  Otherwise, and for every infeasibility verdict, the
+margin-maximizing linear program decides.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .ascent import grounded_solve
 from .complexes import TopologicalTriangulation
 from .errors import ComplexMismatch, Infeasible, TooLarge, finite_vector
 from .reports import Report
@@ -23,6 +32,7 @@ CHECK_TOL = 1e-9     # absolute tolerance for linear constraint checks
 CLASS_TOL = 1e-12    # tolerance for class equality
 MARGIN_FLOOR = 1e-6  # minimum interior margin accepted as feasible
 IPM_TOL = 1e-10      # HiGHS interior-point optimality tolerance of the margin LP
+START_TOL = 1e-12    # how far the equal-area start's margin may fall below its bound
 
 
 @dataclass(frozen=True)
@@ -248,28 +258,80 @@ def is_teleportable_bruteforce(x, max_faces: int = 20) -> TeleportReport:
     )
 
 
+def equal_area_start(
+    spec: ConformalClassSpec, floor: float = MARGIN_FLOOR
+) -> AngleSystem | None:
+    """The member of the class whose faces all have the same area, when it
+    certifies itself as a margin-maximizing point; None otherwise.
+
+    Every member's face defects pi - (angle sum) add up to the class
+    invariant pi F - 2 sum(psi_e), so no member has a margin above their mean
+    U = (pi F - 2 sum(psi_e)) / F.  The point starts from the even split
+    psi_e / 2 on both flags of each edge and adds the least-norm class move
+    d = B^T y that sets every face's partial sum to (pi - U) / 2, where B is
+    the (F, E) signed face-edge incidence (+1 at the face of an edge's lower
+    flag, -1 at that of its upper flag): B B^T y = r is the dual graph's
+    Laplacian, solved by ``grounded_solve``.  Its defects are then U, and if
+    every corner angle is at least U as well, its margin is U up to
+    ``START_TOL`` and it is optimal for the margin LP.  None when U is below
+    ``floor``, when the solve declines, or when a corner falls short of U.
+    """
+    T = spec.complex
+    F, E = T.face_count, T.edge_count
+    U = (np.pi * F - 2.0 * float(spec.psi_edge.sum())) / F
+    if U < floor:
+        return None
+    # flag f lies in face f // 3 and carries class_lift's sign for its edge
+    B = sparse.csr_array(
+        (class_lift(T, np.ones(E)), (np.arange(3 * F) // 3, T.edge_of_flag)), shape=(F, E)
+    )
+    p = 0.5 * spec.psi_edge[T.edge_of_flag]
+    r = 0.5 * (np.pi - U) - p.reshape(-1, 3).sum(axis=1)
+    try:
+        y = grounded_solve(B @ B.T, r, symmetric=True)
+    except np.linalg.LinAlgError:
+        return None
+    p += class_lift(T, B.T @ y)
+    p[T.edges[:, 1]] = spec.psi_edge - p[T.edges[:, 0]]
+    x = AngleSystem(T, p)
+    A = all_corner_angles(x)
+    margin = min(A.min(), (np.pi - A.sum(axis=1)).min())
+    return x if margin >= U - START_TOL else None
+
+
 def find_negative_delaunay(
     spec: ConformalClassSpec, floor: float = MARGIN_FLOOR
 ) -> AngleSystem:
     """Produce a strictly interior negatively curved Delaunay representative.
 
-    Solves the margin-maximizing linear program over partials p:
+    The representative maximizes the margin eps of the linear program over
+    partials p:
 
         max eps  s.t.  p_a + p_b = psi_e              for every edge,
                        corner angles >= eps,
                        face angle sums <= pi - eps.
 
-    Corner angles below pi and vertex sums of 2 pi are implied.  The LP is
-    solved by HiGHS's interior-point method (``"highs-ipm"``) at optimality
-    tolerance ``IPM_TOL`` and without crossover, so the returned point is the
-    method's interior solution, centred in the optimal face rather than at one
-    of its vertices; that is the Newton start of the uniformizer.  Without
+    Corner angles below pi and vertex sums of 2 pi are implied.  The face
+    defects of every member sum to pi F - 2 sum(psi_e), so eps is at most
+    their mean U.  The ``equal_area_start``, one sparse solve, is tried
+    first: when its margin reaches U it is optimal, and it is returned.
+    Otherwise the LP is solved by HiGHS's interior-point method
+    (``"highs-ipm"``) at optimality tolerance ``IPM_TOL`` and without
+    crossover, so the returned point is the method's interior solution,
+    centred in the optimal face rather than at one of its vertices.  Without
     crossover the equality rows hold only to the solver's primal tolerance,
     so the upper flag of each edge is then set to ``psi_e`` minus the lower
-    one, which puts the point in the class up to rounding.  Raises
-    ``Infeasible`` with the certificate margin when the maximum is below the
-    feasibility floor.
+    one, which puts the point in the class up to rounding.  Either point is
+    the Newton start of the uniformizer.  Raises ``Infeasible`` with the LP's
+    certificate margin when the maximum is below the feasibility floor; that
+    verdict always comes from the LP.
     """
+    start = equal_area_start(spec, floor)
+    return start if start is not None else _margin_lp(spec, floor)
+
+
+def _margin_lp(spec: ConformalClassSpec, floor: float) -> AngleSystem:
+    """The interior-point solution of ``find_negative_delaunay``'s margin LP."""
     # imported here: scipy.optimize is slow to load and only the uniformizer needs it
     from scipy.optimize import OptimizeWarning, linprog
 

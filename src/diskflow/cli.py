@@ -32,6 +32,7 @@ from .estimators import (
     CapRegion,
     RectRegion,
     chi_estimator,
+    chi_quadrature,
     expected_faces_quadrature,
     face_defect_in_region,
 )
@@ -190,7 +191,7 @@ def _cmd_quadrature(args) -> int:
             f"--lambda times twice the sphere's area must be finite, got {args.intensity!r}"
         )
     ef = expected_faces_quadrature(surface, args.intensity, args.delta)
-    estimate = surface.area * args.intensity - ef / 2.0
+    estimate = chi_quadrature(surface, args.intensity, args.delta)
     print(f"expected_faces={fmt_float(ef)} estimator={fmt_float(estimate)}")
     if args.out:
         write_json(args.out, {"expected_faces": ef, "estimator": estimate})

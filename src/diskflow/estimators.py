@@ -11,6 +11,7 @@ The quadrature route integrates the face-creation density instead of
 sampling it.  The radial integral is elementary, so the expected count is
 two regularized incomplete gamma functions (``scipy.special.gammainc``),
 exact for every intensity; no numerical integration runs here.
+``chi_quadrature`` is the estimator at that expected count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincc
 
 from .delaunay import delaunay
 from .errors import BadDelta, DegenerateSample
@@ -235,6 +236,26 @@ def expected_faces_quadrature(
     the cap area.  As x grows this tends to 2n - 4, the sphere's face count.
     T is formed from the sine: 1 - cos delta loses digits at small delta.
     """
+    n, x = _cap_counts(surface, intensity, delta)
+    return float(2.0 * n * gammainc(2, x) - 4.0 * gammainc(3, x))
+
+
+def chi_quadrature(surface: SurfaceModel, intensity: float, delta: float) -> float:
+    """The estimator A lambda - E F / 2 at the expected face count of
+    ``expected_faces_quadrature``.
+
+    That is n - n P(2, x) + 2 P(3, x) = n Q(2, x) + 2 P(3, x), with Q = 1 - P
+    the upper regularized gamma (``scipy.special.gammaincc``): the same
+    quantity, evaluated without subtracting E F / 2 from n, which at large
+    lambda cancels to 0 where the value tends to 2.
+    """
+    n, x = _cap_counts(surface, intensity, delta)
+    return float(n * gammaincc(2, x) + 2.0 * gammainc(3, x))
+
+
+def _cap_counts(surface: SurfaceModel, intensity: float, delta: float) -> tuple[float, float]:
+    """The quadrature's n = lambda A and x = lambda times the area of a cap of
+    radius delta, after its checks of the surface and of delta."""
     if surface.kind != "sphere":
         raise BadDelta("quadrature route is defined on the unit sphere")
     if not (0.0 < delta <= surface.delta_max):
@@ -242,5 +263,4 @@ def expected_faces_quadrature(
             f"delta {delta!r} outside (0, {surface.delta_max!r}]"
         )
     n = surface.area * intensity
-    x = n * np.sin(delta / 2.0) ** 2
-    return float(2.0 * n * gammainc(2, x) - 4.0 * gammainc(3, x))
+    return n, n * np.sin(delta / 2.0) ** 2

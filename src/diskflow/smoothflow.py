@@ -26,8 +26,8 @@ Newton direction at every iterate: the second variation is negative definite
 on mean-zero directions throughout the domain, so that direction always
 ascends, and damped Newton converges from any start and then quadratically
 (Springborn-Schroeder-Pinkall 2008).  S and the second variation are sparse;
-``teleport`` and the Newton step ground one vertex to solve them by the
-shared sparse LU of ``ascent``, as their kernel is the constants.
+``teleport`` and the Newton step solve them by ``ascent.grounded_solve``,
+which grounds one vertex, as their kernel is the constants.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .ascent import TraceRecord, ascend, sparse_solve
+from .ascent import TraceRecord, ascend, grounded_solve
 from .complexes import TopologicalTriangulation
 from .errors import (
     NoConvergence,
@@ -129,19 +129,6 @@ def curvature_h(mesh: MeshMetric, phi: np.ndarray) -> np.ndarray:
     return np.exp(-2.0 * phi) * (-mesh.laplacian(phi) + mesh.curvature)
 
 
-def _grounded_solve(A, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b, A sparse symmetric with the constants as kernel, at x_0 = 0.
-
-    The complex is connected, so dropping row and column 0 leaves a regular
-    system; the dropped equation holds when b sums to zero.  Raises
-    ``LinAlgError`` when the grounded system is singular or the solution is
-    not finite.
-    """
-    x = np.zeros(len(b))
-    x[1:] = sparse_solve(A[1:, 1:], b[1:])
-    return x
-
-
 def teleport(mesh: MeshMetric) -> np.ndarray:
     """Mean-zero factor whose conformal curvature is negative everywhere.
 
@@ -152,7 +139,7 @@ def teleport(mesh: MeshMetric) -> np.ndarray:
     c = 2.0 * np.pi * mesh.complex.chi / mesh.area
     rhs = mesh.masses * (c - mesh.curvature)
     try:
-        phi = _grounded_solve(mesh.stiffness, rhs)
+        phi = grounded_solve(mesh.stiffness, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"stiffness solve failed: {exc}") from exc
     if np.max(np.abs(mesh.stiffness @ phi - rhs)) > 1e-8 * max(1.0, np.abs(rhs).max()):
@@ -238,6 +225,10 @@ class FlowOptions:
     tol: float = 1e-6  # bound on both the curvature spread and the gradient's sup norm
     max_iter: int = 5000  # cap on accepted steps; the last iterate is tested too
 
+    def __post_init__(self):
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be at least 0, got {self.max_iter!r}")
+
 
 @dataclass(frozen=True)
 class FlowReport:
@@ -250,7 +241,7 @@ class FlowReport:
 
 
 def _newton(mesh: MeshMetric, phi: np.ndarray, G: np.ndarray) -> np.ndarray:
-    return mean_zero(mesh, _grounded_solve(hessian_matrix(mesh, phi), -G))
+    return mean_zero(mesh, grounded_solve(hessian_matrix(mesh, phi), -G))
 
 
 def log_ricci_flow(

@@ -43,6 +43,10 @@ class UniformizeOptions:
     tol: float = 1e-10  # sup-norm gradient target
     max_iter: int = 200  # cap on accepted steps; the last iterate is tested too
 
+    def __post_init__(self):
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be at least 0, got {self.max_iter!r}")
+
 
 @dataclass(frozen=True)
 class HyperbolicStructure:
@@ -68,8 +72,12 @@ def _two_sided_lengths(y: AngleSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _newton(y: AngleSystem, g: np.ndarray) -> np.ndarray:
-    """Newton direction: the sparse LU solve of the class Hessian against -g."""
-    return sparse_solve(class_hessian_sparse(y), -g)
+    """Newton direction: the sparse LU solve of the class Hessian against -g.
+
+    The Hessian is negative definite on the class space, so it is factored
+    in ``sparse_solve``'s symmetric mode, without pivoting.
+    """
+    return sparse_solve(class_hessian_sparse(y), -g, symmetric=True)
 
 
 def uniformize(
@@ -79,12 +87,14 @@ def uniformize(
 ) -> tuple[AngleSystem, HyperbolicStructure, list[TraceRecord]]:
     """Find the uniform angle system in the class of ``spec``.
 
-    The start point defaults to the margin-maximizing LP representative
-    (raising ``Infeasible`` when the class has no negatively curved Delaunay
-    member).  Returns the maximizer, its assembled structure, and the
-    per-iteration trace, whose residual is the worst two-sided length
-    mismatch.  ``NoConvergence`` carries the best iterate and trace when the
-    line search stalls or ``max_iter`` steps do not reach ``tol``.
+    The start point defaults to the margin-maximizing representative of
+    ``find_negative_delaunay``: the equal-area member when it certifies
+    itself, the LP's interior point otherwise (raising ``Infeasible`` when
+    the class has no negatively curved Delaunay member).  Returns the
+    maximizer, its assembled structure, and the per-iteration trace, whose
+    residual is the worst two-sided length mismatch.  ``NoConvergence``
+    carries the best iterate and trace when the line search stalls or
+    ``max_iter`` steps do not reach ``tol``.
     """
     opts = opts or UniformizeOptions()
     T = spec.complex

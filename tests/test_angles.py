@@ -14,6 +14,7 @@ from diskflow.angles import (
     conformal_class_of,
     corner_angles,
     edge_psi,
+    equal_area_start,
     face_curvature,
     face_curvatures,
     find_negative_delaunay,
@@ -25,6 +26,7 @@ from diskflow.angles import (
     partials_from_angles,
     same_class,
     vertex_angle_sums,
+    _margin_lp,
 )
 from diskflow.complexes import genus2_octagon, subdivide, tetrahedron
 from diskflow.errors import ComplexMismatch, Infeasible, TooLarge
@@ -345,9 +347,67 @@ def test_interior_point_start_lies_in_its_class(noise, monkeypatch):
 
 
 def test_margin_lp_raises_no_warning():
+    # the LP itself, which this class's equal-area start would skip, and the
+    # default route through find_negative_delaunay
     T96 = subdivide(subdivide(genus2_octagon()).complex).complex
     spec = perturbed_canonical_spec(T96, np.random.default_rng(3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y = find_negative_delaunay(spec)
-    assert is_negatively_curved(y).ok and is_delaunay(y).ok
+        starts = [_margin_lp(spec, MARGIN_FLOOR), find_negative_delaunay(spec)]
+    for y in starts:
+        assert is_negatively_curved(y).ok and is_delaunay(y).ok
+
+
+def _margin_bound(spec) -> float:
+    """U: the mean face defect of every member of the class."""
+    F = spec.complex.face_count
+    return (np.pi * F - 2.0 * spec.psi_edge.sum()) / F
+
+
+def test_equal_area_start_is_a_class_member_at_the_margin_bound():
+    certified = 0
+    for spec in _margin_oracle_specs():
+        x = equal_area_start(spec)
+        if x is None:
+            continue
+        assert np.max(np.abs(edge_psi(x) - spec.psi_edge)) <= CLASS_TOL
+        A = all_corner_angles(x)
+        defects, U = np.pi - A.sum(axis=1), _margin_bound(spec)
+        assert np.max(np.abs(defects - U)) <= 1e-12  # every face has area U
+        assert abs(min(A.min(), defects.min()) - U) <= 1e-12
+        # the bound is the LP's optimum: its own point reaches the same margin
+        A_lp = all_corner_angles(_margin_lp(spec, MARGIN_FLOOR))
+        assert abs(min(A_lp.min(), (np.pi - A_lp.sum(axis=1)).min()) - U) <= 1e-9
+        certified += 1
+    assert certified > 0
+
+
+def test_the_lp_runs_exactly_when_the_equal_area_start_is_not_certified(monkeypatch):
+    import scipy.optimize
+
+    linprog, calls = scipy.optimize.linprog, []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    routes = {"start": 0, "lp": 0}
+    for spec in _margin_oracle_specs():
+        before = len(calls)
+        certified = equal_area_start(spec) is not None
+        try:
+            find_negative_delaunay(spec)
+        except Infeasible:
+            assert not certified  # every infeasibility verdict comes from the LP
+        assert len(calls) - before == (0 if certified else 1)
+        routes["start" if certified else "lp"] += 1
+    assert routes["start"] > 0 and routes["lp"] > 0
+
+
+def test_equal_area_start_declines_below_the_bound_and_the_floor():
+    # the symmetric genus-2 class has corners 2 pi / 18 below U = 2 pi / 3,
+    # and the all-right-angle octahedron has U = -pi / 2 below the floor
+    T = genus2_octagon()
+    assert equal_area_start(conformal_class_of(AngleSystem(T, np.full(18, np.pi / 18)))) is None
+    assert equal_area_start(ConformalClassSpec(octahedron(), np.full(12, np.pi / 2))) is None

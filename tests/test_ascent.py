@@ -6,8 +6,10 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from diskflow.ascent import ascend, sparse_solve
+from diskflow.ascent import ascend, grounded_solve, sparse_solve
 from diskflow.errors import OutOfDomain
+from diskflow.smoothflow import FlowOptions
+from diskflow.uniformize import UniformizeOptions
 
 
 def _quadratic_ascent(upper=np.inf, rejected=None):
@@ -95,3 +97,35 @@ def test_sparse_solve_declines_singular_systems_without_warning(A):
 def test_sparse_solve_declines_a_non_finite_solution():
     with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
         sparse_solve(sparse.csc_array(np.diag([1.0, 2.0])), np.array([1.0, np.inf]))
+
+
+def _path_laplacian(n: int) -> sparse.csr_array:
+    """Laplacian of the path graph on n vertices: symmetric, kernel the constants."""
+    degree = np.r_[1.0, np.full(n - 2, 2.0), 1.0]
+    return sparse.diags_array([-np.ones(n - 1), degree, -np.ones(n - 1)], offsets=[-1, 0, 1]).tocsr()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_symmetric_mode_solves_a_definite_system_like_the_default(sign):
+    A = (sign * (_path_laplacian(50) + sparse.eye_array(50))).tocsc()  # definite, of either sign
+    b = np.random.default_rng(8).normal(size=50)
+    x = sparse_solve(A, b, symmetric=True)
+    assert np.max(np.abs(A @ x - b)) < 1e-12
+    assert np.max(np.abs(x - sparse_solve(A, b))) <= 1e-13 * np.abs(x).max()
+
+
+def test_grounded_solve_pins_vertex_zero_and_solves_a_laplacian():
+    L = _path_laplacian(30)
+    b = np.random.default_rng(9).normal(size=30)
+    b -= b.mean()
+    for symmetric in (False, True):
+        x = grounded_solve(L, b, symmetric=symmetric)
+        assert x[0] == 0.0
+        assert np.max(np.abs(L @ x - b)) < 1e-12
+
+
+@pytest.mark.parametrize("options", [UniformizeOptions, FlowOptions])
+def test_options_reject_a_negative_step_cap(options):
+    with pytest.raises(ValueError, match="max_iter must be at least 0, got -1"):
+        options(max_iter=-1)
+    assert options(max_iter=0).max_iter == 0

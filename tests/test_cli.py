@@ -173,6 +173,14 @@ def test_quadrature_at_large_lambda_is_finite(lam, tmp_path):
     assert abs(result["expected_faces"] - (two_n - 4)) <= 1e-12 * two_n
 
 
+@pytest.mark.parametrize("lam", ["1e16", "1e200"])
+def test_quadrature_estimator_does_not_cancel_at_large_lambda(lam, tmp_path):
+    # n Q(2, x) + 2 P(3, x) is 2 to rounding here, where n - E F / 2 cancels to 0
+    out = tmp_path / "q.json"
+    assert run(["quadrature", "--lambda", lam, "--delta", "0.5235987", "--out", str(out)]) == 0
+    assert abs(read_json(out)["estimator"] - 2.0) <= 1e-12
+
+
 def test_defect_cap(tmp_path, capsys):
     code = run(
         [

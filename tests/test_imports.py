@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diskflow
@@ -63,6 +64,27 @@ def test_run_loads_no_solver_or_quadrature_scipy(argv, head, tmp_path):
     )
     assert loaded == []
     assert out.read_text().startswith(head)
+
+
+def test_uniformize_of_a_certified_class_loads_no_lp_solver(tmp_path):
+    # the canonical F=96 genus-2 class: its equal-area start is certified,
+    # so the margin LP, and scipy.optimize with it, never runs
+    from diskflow.angles import conformal_class_of, equal_area_start, partials_from_angles
+    from diskflow.complexes import genus2_octagon, subdivide
+    from diskflow.serialization import class_spec_to_dict, write_json
+
+    T = subdivide(subdivide(genus2_octagon()).complex).complex
+    deg = np.array([len(c) for c in T.corners_of_vertex])
+    spec = conformal_class_of(partials_from_angles(T, 2 * np.pi / deg[T.vertex_of_corner]))
+    assert equal_area_start(spec) is not None
+    path = tmp_path / "class.json"
+    write_json(path, class_spec_to_dict(spec))
+    loaded = _fresh(
+        "import json, sys\nfrom diskflow.cli import run\n"
+        f"assert run(['uniformize', {str(path)!r}]) == 0\n"
+        f"{LOADED}"
+    )
+    assert loaded == ["scipy.sparse.linalg", "scipy.sparse.csgraph"]
 
 
 def test_delaunay_module_keeps_its_scipy_names():

@@ -10,6 +10,7 @@ from diskflow.angles import (
     is_delaunay,
     is_negatively_curved,
 )
+from diskflow.complexes import genus2_octagon, subdivide
 from diskflow.errors import Infeasible, LengthMismatch
 from diskflow.hyperbolic import edge_lengths
 from diskflow.uniformize import (
@@ -288,13 +289,7 @@ def test_uniformize_falls_back_cleanly_on_a_singular_hessian(canonical24_spec, m
     assert abs(st.total_area - 4 * np.pi) < 1e-9
 
 
-@pytest.mark.parametrize("subdivisions", [1, 2, 3])
-def test_centred_lp_start_takes_full_newton_steps(subdivisions):
-    # the interior point of the margin LP is centred in its optimal face, so
-    # Newton converges from it without a single halving; a vertex of that
-    # face, ε from many constraints at once, needs damped steps at F=384
-    from diskflow.complexes import genus2_octagon, subdivide
-
+def _takes_full_newton_steps(subdivisions):
     T = genus2_octagon()
     for _ in range(subdivisions):
         T = subdivide(T).complex
@@ -304,3 +299,41 @@ def test_centred_lp_start_takes_full_newton_steps(subdivisions):
         assert all(r.newton and r.step == 1.0 for r in accepted)
         assert sum(r.backtracks for r in trace) == 0
         assert len(accepted) <= 5 and last.grad_inf < UniformizeOptions().tol
+
+
+@pytest.mark.parametrize("subdivisions", [1, 2, 3])
+def test_centred_lp_start_takes_full_newton_steps(subdivisions, monkeypatch):
+    # the interior point of the margin LP is centred in its optimal face, so
+    # Newton converges from it without a single halving; a vertex of that
+    # face, ε from many constraints at once, needs damped steps at F=384.
+    # The equal-area start is declined so that every class reaches the LP.
+    import diskflow.angles
+
+    monkeypatch.setattr(diskflow.angles, "equal_area_start", lambda spec, floor: None)
+    _takes_full_newton_steps(subdivisions)
+
+
+@pytest.mark.parametrize("subdivisions", [1, 2, 3])
+def test_equal_area_start_takes_full_newton_steps(subdivisions):
+    # the default start: the equal-area member where it certifies (F=96 and
+    # F=384 here), the LP's interior point otherwise (F=24)
+    _takes_full_newton_steps(subdivisions)
+
+
+def test_equal_area_and_lp_starts_reach_the_same_structure(monkeypatch):
+    # the three perturbed F=96 classes of the margin oracle, where the
+    # equal-area start is certified; the LP start is forced by declining it
+    import diskflow.angles
+
+    rng = np.random.default_rng(12)
+    T96 = subdivide(subdivide(genus2_octagon()).complex).complex
+    specs = [perturbed_canonical_spec(T96, rng) for _ in range(3)]
+    runs = []
+    for spec in specs:
+        assert diskflow.angles.equal_area_start(spec) is not None
+        runs.append(uniformize(spec))
+    monkeypatch.setattr(diskflow.angles, "equal_area_start", lambda spec, floor: None)
+    for spec, (_, st, trace) in zip(specs, runs):
+        _, st_lp, trace_lp = uniformize(spec)
+        assert len(trace) == len(trace_lp)
+        assert np.max(np.abs(st.edge_lengths - st_lp.edge_lengths)) <= 1e-10
