@@ -100,10 +100,10 @@ def edge_psi(x: AngleSystem) -> np.ndarray:
 
 def vertex_angle_sums(x: AngleSystem) -> np.ndarray:
     """Sum of corner angles around each vertex."""
-    A = all_corner_angles(x).reshape(-1)
-    sums = np.zeros(x.complex.vertex_count)
-    np.add.at(sums, x.complex.vertex_of_corner, A)
-    return sums
+    T = x.complex
+    return np.bincount(
+        T.vertex_of_corner, all_corner_angles(x).reshape(-1), minlength=T.vertex_count
+    )
 
 
 # -- predicates -------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 Every run echoes a reproducibility header (version, config hash, seed) on
 stdout; series go to CSV, structured results to canonical JSON, so repeated
-runs with identical flags produce identical bytes.  Exit codes: 0 success,
-1 I/O or parse failure, 2 domain error (infeasible class, factor outside the
-curvature domain, bad parameters), 3 convergence failure.
+runs with identical flags produce identical bytes.  ``run`` parses with one
+parser per process, built on the first call and reused by every later one.
+Exit codes: 0 success, 1 I/O or parse failure, 2 domain error (infeasible
+class, factor outside the curvature domain, bad parameters), 3 convergence
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -284,7 +287,14 @@ def _cmd_flow(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process on first use.
+
+    ``set_defaults(func=...)`` binds each subcommand's handler when the parser
+    is built.  Parsing reads the parser and never changes it, so ``run``
+    shares one parser across calls.
+    """
     p = argparse.ArgumentParser(
         prog="diskflow",
         description="Disk patterns, uniform hyperbolic structures, random "

@@ -15,6 +15,8 @@ negative-Euler-characteristic complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -39,6 +41,9 @@ class TopologicalTriangulation:
     edge_of_flag : edge id per flag
     vertex_of_corner : vertex id per corner flag (corner c of face f = 3f+c)
     vertex_count : number of corner orbits V
+    edge_endpoints : (E, 2) vertex ids of each edge's ends
+    corners_of_vertex : corner flags per vertex, a list of lists of ints
+        computed on first access, as nothing in the solvers reads it
     """
 
     def __init__(self, face_count: int, mate: np.ndarray):
@@ -75,14 +80,16 @@ class TopologicalTriangulation:
         self.vertex_count, labels = connected_components(glue, directed=False)
         _, first = np.unique(labels, return_index=True)
         self.vertex_of_corner = np.argsort(np.argsort(first))[labels].astype(np.int64)
-        order = np.argsort(self.vertex_of_corner, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(self.vertex_of_corner, minlength=self.vertex_count))
-        self.corners_of_vertex: list[list[int]] = [
-            order[a:b] for a, b in zip([0, *ends[:-1].tolist()], ends.tolist())
-        ]
 
         # edge endpoints as vertex ids (order: start corner of the lower flag, then end)
         self.edge_endpoints = self.vertex_of_corner[np.stack([nxt[lo], prv[lo]], axis=1)]
+
+    @cached_property
+    def corners_of_vertex(self) -> list[list[int]]:
+        """Corner flags at each vertex, ascending; built on first access."""
+        order = np.argsort(self.vertex_of_corner, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.vertex_of_corner, minlength=self.vertex_count))
+        return [order[a:b] for a, b in zip([0, *ends[:-1].tolist()], ends.tolist())]
 
     @property
     def chi(self) -> int:
@@ -121,38 +128,99 @@ class TopologicalTriangulation:
         return build_complex(faces, data["gluing"])
 
 
+def _flat_ints(pairs) -> list[int] | None:
+    """The entries of ``pairs``, flat, when it is a (P, 2, 2) tree of Python
+    ints (not bools); else None.
+
+    The lengths of each level and the types of the leaves are checked in C
+    (``set(map(len, ...))``, ``set(map(type, ...))``), as
+    ``serialization._int_tree`` does; a level whose items have no length
+    answers None.
+    """
+    try:
+        sides = list(chain.from_iterable(pairs))
+        if set(map(len, pairs)) != {2} or set(map(len, sides)) != {2}:
+            return None
+    except TypeError:
+        return None
+    flat = list(chain.from_iterable(sides))
+    return flat if set(map(type, flat)) == {int} else None
+
+
+def _ragged(pairs) -> ValueError:
+    """The shape error of a ragged gluing list, naming its first bad pair."""
+    for k, pair in enumerate(pairs):
+        try:
+            if np.shape(pair) == (2, 2):
+                continue
+        except ValueError:  # the pair itself is ragged
+            pass
+        return ValueError(f"gluing pairs must have shape (P, 2, 2), pair {k} is {pair!r}")
+    return ValueError("gluing pairs must have shape (P, 2, 2)")
+
+
+def _gluing_sides(gluing_pairs) -> np.ndarray:
+    """``gluing_pairs`` as an array of any shape: int64 when it is an int array
+    or a (P, 2, 2) list of Python ints that fit, else object with the entries
+    as written.  A ragged list raises the shape error naming its first bad pair.
+    """
+    if isinstance(gluing_pairs, np.ndarray) and gluing_pairs.dtype.kind == "i":
+        return gluing_pairs
+    if isinstance(gluing_pairs, (list, tuple)):
+        flat = _flat_ints(gluing_pairs)
+        if flat is not None:
+            try:
+                return np.array(flat, dtype=np.int64).reshape(-1, 2, 2)
+            except OverflowError:  # an entry beyond int64 is named as written
+                pass
+        try:
+            np.asarray(gluing_pairs)
+        except ValueError:
+            raise _ragged(gluing_pairs) from None
+    return np.asarray(gluing_pairs, dtype=object)
+
+
 def build_complex(
     face_count: int, gluing_pairs: list[tuple[Side, Side]]
 ) -> TopologicalTriangulation:
     """Validate a side pairing and build the triangulation.
 
-    ``gluing_pairs`` is a sequence (or (P, 2, 2) array) of side pairs
-    ``((face, side), (face, side))``.  It must cover every one of the 3F sides
-    exactly once and may not pair a side with itself.  Violations raise
-    ``UnmatchedSide``, ``DuplicateSide`` or ``SelfGluedSide`` naming the first
-    offending side as written, in pair order; a face or side entry that is
-    not an integer (a float such as 0.9, a string) lies outside the complex.
+    ``gluing_pairs`` is a sequence (or (P, 2, 2) int array) of side pairs
+    ``((face, side), (face, side))``.  Nested lists of Python ints, as JSON
+    decodes them, are checked level by level in C and converted by one
+    ``np.array`` of their flat entries; any other input is converted entry by
+    entry, keeping the entries as written for the error messages.  Another
+    shape raises ``ValueError``, which names the first bad pair of a ragged
+    list.  The pairs must cover every one of the 3F sides exactly once and may
+    not pair a side with itself.  Violations raise ``UnmatchedSide``,
+    ``DuplicateSide`` or ``SelfGluedSide`` naming the first offending side as
+    written, in pair order; a face or side entry that is not an integer (a
+    float such as 0.9, a string, a bool) lies outside the complex.
     """
-    sides = np.asarray(gluing_pairs)
-    if sides.dtype.kind != "i":  # keep the entries as written: floats, huge ints, strings
-        sides = np.asarray(gluing_pairs, dtype=object)
+    sides = _gluing_sides(gluing_pairs)
     if sides.size == 0:
         sides = np.empty((0, 2, 2), dtype=np.int64)
     elif sides.shape[1:] != (2, 2):
         raise ValueError(f"gluing pairs must have shape (P, 2, 2), got {sides.shape}")
     checked = sides
     if sides.dtype == object:  # an entry that is not an int lies outside the complex
-        is_int = np.vectorize(lambda v: isinstance(v, int), otypes=[bool])(sides)
+        is_int = np.vectorize(
+            lambda v: type(v) is int or isinstance(v, np.integer), otypes=[bool]
+        )(sides)
         checked = np.where(is_int, sides, -1)
     face, side = checked[..., 0], checked[..., 1]
     outside = ~((0 <= face) & (face < face_count) & (0 <= side) & (side < 3))
     flags = np.where(outside, -1, 3 * face + side).astype(np.int64)
     glued_to_itself = flags[:, 0] == flags[:, 1]
     # a side is a duplicate when its flag occurred before (within one pair
-    # that is a self-gluing, which is reported first)
+    # that is a self-gluing, which is reported first); the sorted flags show
+    # whether any side inside the complex is, before any is looked for
     flat = flags.reshape(-1)
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    repeated = (first[inverse] < np.arange(flat.size)).reshape(-1, 2)
+    ordered = np.sort(flat)
+    repeated = np.zeros(flags.shape, dtype=bool)
+    if ((ordered[1:] == ordered[:-1]) & (ordered[1:] >= 0)).any():
+        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+        repeated = (first[inverse] < np.arange(flat.size)).reshape(-1, 2)
     # the first bad pair names its first bad side, checked in this order
     bad = outside.any(axis=1) | glued_to_itself | repeated.any(axis=1)
     if bad.any():
@@ -168,7 +236,7 @@ def build_complex(
     # the flags are now distinct and inside the complex, so they cover all 3F
     # sides exactly when there are 3F of them; the first gap names a side
     if flat.size < 3 * face_count:
-        gaps = np.flatnonzero(np.sort(flat) != np.arange(flat.size))
+        gaps = np.flatnonzero(ordered != np.arange(flat.size))
         f, s = divmod(int(gaps[0]) if gaps.size else flat.size, 3)
         raise UnmatchedSide(f"side (face {f}, side {s}) is not glued")
     mate = np.empty(3 * face_count, dtype=np.int64)

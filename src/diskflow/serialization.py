@@ -3,18 +3,24 @@ and plain CSV series.  Identical inputs serialize to identical bytes, which
 is what makes seeded runs reproducible at the byte level.
 
 ``dumps_canonical`` writes the two bulky kinds of value in one pass each.  A
-list of Python floats, or a 1-D float array, is one ``",".join`` of
-``format(v, ".17g")`` over its ``tolist()``; nan and inf come out as the bare
-``nan`` and ``inf`` tokens.  A list of Python ints (not bools), or nested
-lists whose leaves are all such ints at one depth, such as a complex's
+list of Python floats, or a float array of any rank, is formatted with
+``format(v, ".17g")`` over its flat ``tolist()``; the rows of its last axis
+are joined, then the brackets of each outer axis added.  nan and inf come out
+as the bare ``nan`` and ``inf`` tokens.  A list of Python ints (not bools), or
+nested lists whose leaves are all such ints at one depth, such as a complex's
 gluing, goes through the standard library's C encoder with ``(",", ":")``
 separators.  Any other value is rendered element by element with the same
 rules, so every route gives the same bytes.
+
+Reading is the mirror image: a complex's gluing is decoded from one flat list
+of ints by ``complexes.build_complex``, and per-element float data, class
+intersection angles included, by one ``errors.finite_vector`` call each.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -52,6 +58,18 @@ def _int_tree(seq) -> bool:
     return True
 
 
+def _float_array_json(a: np.ndarray) -> str:
+    """A float array of rank >= 1 as nested JSON lists, in one formatting pass."""
+    parts = [format(v, ".17g") for v in a.reshape(-1).tolist()]
+    for axis in range(a.ndim - 1, -1, -1):  # innermost axis first
+        n = a.shape[axis]
+        parts = [
+            "[" + ",".join(parts[i * n : (i + 1) * n]) + "]"
+            for i in range(math.prod(a.shape[:axis]))
+        ]
+    return parts[0]
+
+
 def dumps_canonical(obj) -> str:
     """Deterministic JSON text: sorted keys, floats at 17 significant digits."""
 
@@ -60,12 +78,11 @@ def dumps_canonical(obj) -> str:
             items = sorted(o.items())
             inner = ",".join(f"{json.dumps(str(k))}:{render(v)}" for k, v in items)
             return "{" + inner + "}"
+        if isinstance(o, np.ndarray) and o.ndim and o.dtype.kind == "f":
+            return _float_array_json(o)
         if isinstance(o, (list, tuple, np.ndarray)):
-            if isinstance(o, np.ndarray):
-                seq, floats = o.tolist(), o.ndim == 1 and o.dtype.kind == "f"
-            else:
-                seq, floats = o, all(type(v) is float for v in o)
-            if floats:
+            seq = o.tolist() if isinstance(o, np.ndarray) else o
+            if all(type(v) is float for v in seq):
                 return "[" + ",".join([format(v, ".17g") for v in seq]) + "]"
             if _int_tree(seq):
                 return _INT_ENCODER.encode(seq)
@@ -113,10 +130,7 @@ def class_spec_to_dict(spec: ConformalClassSpec) -> dict:
 def class_spec_from_dict(data: dict) -> ConformalClassSpec:
     T = TopologicalTriangulation.from_dict(data["complex"])
     raw = data["psi_edge"]
-    pe = np.empty(T.edge_count)
-    for e in range(T.edge_count):
-        pe[e] = float(raw[str(e)])
-    return ConformalClassSpec(T, pe)
+    return ConformalClassSpec(T, [raw[str(e)] for e in range(T.edge_count)])
 
 
 def mesh_to_dict(mesh: MeshMetric) -> dict:

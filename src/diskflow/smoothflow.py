@@ -81,15 +81,12 @@ class MeshMetric:
             self.corner_angles[:, 0]
         )
 
-        corner_vertex = complex.vertex_of_corner.reshape(F, 3)
-        self.masses = np.zeros(V)
-        np.add.at(
-            self.masses,
-            corner_vertex.reshape(-1),
-            np.repeat(self.face_areas / 3.0, 3),
-        )
+        # bincount adds in corner order, as np.add.at would, so bit for bit alike
+        corners = complex.vertex_of_corner
+        self.masses = np.bincount(corners, np.repeat(self.face_areas / 3.0, 3), minlength=V)
 
         # corner i weights side i, whose endpoints are the other two corners
+        corner_vertex = corners.reshape(F, 3)
         u = np.roll(corner_vertex, -1, axis=1).reshape(-1)
         w = np.roll(corner_vertex, -2, axis=1).reshape(-1)
         weight = 0.5 / np.tan(self.corner_angles).reshape(-1)
@@ -104,8 +101,7 @@ class MeshMetric:
             shape=(V, V),
         )
 
-        angle_sums = np.zeros(V)
-        np.add.at(angle_sums, corner_vertex.reshape(-1), self.corner_angles.reshape(-1))
+        angle_sums = np.bincount(corners, self.corner_angles.reshape(-1), minlength=V)
         self.curvature = (2.0 * np.pi - angle_sums) / self.masses
         self.area = float(self.masses.sum())
 

@@ -402,7 +402,7 @@ def gluing_mate_loop(face_count: int, gluing_pairs) -> np.ndarray:
     mate = np.full(3 * face_count, -1, dtype=np.int64)
     for (f1, s1), (f2, s2) in gluing_pairs:
         for f, s in ((f1, s1), (f2, s2)):
-            integers = isinstance(f, int) and isinstance(s, int)
+            integers = type(f) is int and type(s) is int
             if not (integers and 0 <= f < face_count and 0 <= s < 3):
                 raise UnmatchedSide(f"side (face {f}, side {s}) is outside the complex")
         a, b = 3 * f1 + s1, 3 * f2 + s2

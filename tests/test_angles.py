@@ -28,7 +28,15 @@ from diskflow.angles import (
     vertex_angle_sums,
     _margin_lp,
 )
-from diskflow.complexes import genus2_octagon, subdivide, tetrahedron
+from diskflow.complexes import (
+    csaszar_torus,
+    genus2_octagon,
+    octagon_cone,
+    pillow,
+    subdivide,
+    tetrahedron,
+    two_triangle_torus,
+)
 from diskflow.errors import ComplexMismatch, Infeasible, TooLarge
 
 from helpers import (
@@ -411,3 +419,16 @@ def test_equal_area_start_declines_below_the_bound_and_the_floor():
     T = genus2_octagon()
     assert equal_area_start(conformal_class_of(AngleSystem(T, np.full(18, np.pi / 18)))) is None
     assert equal_area_start(ConformalClassSpec(octahedron(), np.full(12, np.pi / 2))) is None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [tetrahedron, pillow, two_triangle_torus, csaszar_torus, genus2_octagon,
+     octagon_cone, octahedron],
+)
+def test_vertex_angle_sums_match_the_add_at_scatter_bit_for_bit(make):
+    T = make()
+    x = AngleSystem(T, np.random.default_rng(5).uniform(0.1, 1.0, 3 * T.face_count))
+    want = np.zeros(T.vertex_count)
+    np.add.at(want, T.vertex_of_corner, all_corner_angles(x).reshape(-1))
+    assert vertex_angle_sums(x).tobytes() == want.tobytes()

@@ -75,14 +75,32 @@ def test_validate_bad_gluing(tmp_path, capsys):
         # a non-integer side is not truncated into the complex
         ('{"faces": 2, "gluing": [[[0, 0.9], [1, 0]], [[0, 1], [1, 1.5]], [[0, 2], [1, 2]]]}',
          1, "UnmatchedSide: side (face 0, side 0.9) is outside the complex"),
+        # nor is a JSON boolean read as side 1
+        ('{"faces": 2, "gluing": [[[0, true], [1, 0]], [[0, 1], [1, 1]], [[0, 2], [1, 2]]]}',
+         1, "UnmatchedSide: side (face 0, side True) is outside the complex"),
+        # a ragged gluing names its first pair that is not two sides of two entries
+        ('{"faces": 2, "gluing": [[[0, 0], [1, 0]], [[0, 1], [0, 2], [1, 1]]]}', 2,
+         "ValueError: gluing pairs must have shape (P, 2, 2), pair 1 is [[0, 1], [0, 2], [1, 1]]"),
+        ('{"faces": 2, "gluing": [[[0, 0], [1, 0]], [[0, 1]]]}', 2,
+         "ValueError: gluing pairs must have shape (P, 2, 2), pair 1 is [[0, 1]]"),
     ],
-    ids=["inf", "negative", "float", "huge-unglued", "huge-partly-glued", "float-side"],
+    ids=["inf", "negative", "float", "huge-unglued", "huge-partly-glued", "float-side",
+         "bool-side", "three-sided-pair", "one-sided-pair"],
 )
 def test_validate_bad_face_count(text, code, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert run(["validate", str(path)]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_null_in_a_class_is_not_finite(canonical24_spec, tmp_path, capsys):
+    data = class_spec_to_dict(canonical24_spec)
+    data["psi_edge"]["7"] = None
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(data))
+    assert run(["uniformize", str(path)]) == 2
+    assert "ValueError: value at edge 7 is not finite (nan)" in capsys.readouterr().err
 
 
 def test_uniformize_end_to_end(g2_spec_file, tmp_path, capsys):
@@ -418,3 +436,35 @@ def test_full_torus_rect_and_sphere_cap_are_accepted(capsys):
     assert run(["defect", "--surface", "torus", "--lambda", "20", *MC,
                 "--rect", "0", "0", "1", "1"]) == 0
     assert run(["defect", "--lambda", "5", *MC, "--cap-area", str(4 * np.pi)]) == 0
+
+
+def test_repeated_calls_in_one_process_give_the_same_bytes(
+    cone14_file, g2_spec_file, tmp_path, capsys
+):
+    # one parser serves every call of a process: no call may leave state
+    # behind that changes a later call's stdout, stderr or files
+    start = tmp_path / "phi0.json"
+    write_json(start, {"phi": 0.01 * np.sin(np.arange(14))})
+    out = tmp_path / "out.json"
+    trace = tmp_path / "trace.csv"
+    calls = [
+        ["flow", cone14_file, "--phi0", str(start), "--out", str(out)],
+        ["flow", cone14_file, "--out", str(out)],
+        ["uniformize", g2_spec_file, "--max-iter", "3", "--tol", "1e-300",
+         "--trace", str(trace)],
+        ["flow", cone14_file, "--max-iter", "many"],
+        ["uniformize", g2_spec_file, "--out", str(out), "--trace", str(trace)],
+    ]
+
+    def call(argv):
+        for path in (out, trace):
+            path.unlink(missing_ok=True)
+        code = run(argv)
+        files = tuple(p.read_bytes() if p.exists() else None for p in (out, trace))
+        return code, capsys.readouterr(), files
+
+    first = [call(argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 3, 1, 0]
+    assert first[2][2][1].startswith(b"iteration,")  # the capped run's trace
+    for i in [0, 4, 3, 2, 1, 0]:
+        assert call(calls[i]) == first[i], calls[i]

@@ -137,6 +137,14 @@ def test_duplicate_side():
          UnmatchedSide, "side (face 1.0, side 1) is outside the complex"),
         ([((0, 0), (1, 0)), ((0, 1), (1, "1")), ((0, 2), (1, 2))],
          UnmatchedSide, "side (face 1, side 1) is outside the complex"),
+        # a bool is not an integer: read as side 1 it would be a duplicate,
+        # and read as face 1 or side 0 it would be accepted
+        ([((0, True), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))],
+         UnmatchedSide, "side (face 0, side True) is outside the complex"),
+        ([((0, 0), (True, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))],
+         UnmatchedSide, "side (face True, side 0) is outside the complex"),
+        ([((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, False))],
+         UnmatchedSide, "side (face 1, side False) is outside the complex"),
     ],
 )
 def test_gluing_errors_name_the_first_offending_side(pairs, error, message):
@@ -150,7 +158,49 @@ def test_from_dict_rejects_a_pair_that_is_not_two_sides():
         TopologicalTriangulation.from_dict(data)
 
 
-_entry = st.integers(-1, 3) | st.sampled_from([0.5, 1.0])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([[0, 0], [0, 0], [1, 1]],
+         "gluing pairs must have shape (P, 2, 2), pair 1 is [[0, 0], [0, 0], [1, 1]]"),
+        ([[0, 0]], "gluing pairs must have shape (P, 2, 2), pair 1 is [[0, 0]]"),
+        ([[0, 1], [1]], "gluing pairs must have shape (P, 2, 2), pair 1 is [[0, 1], [1]]"),
+    ],
+    ids=["three-sides", "one-side", "short-side"],
+)
+def test_a_ragged_gluing_names_its_first_bad_pair(bad, message):
+    pairs = [[[0, 0], [1, 0]], bad, [[0, 2], [1, 2]], [[0, 1], [1]]]
+    with pytest.raises(ValueError) as info:
+        build_complex(2, pairs)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        TopologicalTriangulation.from_dict({"faces": 2, "gluing": pairs})
+    assert str(info.value) == message
+
+
+def test_flat_decode_matches_the_array_route():
+    T = subdivide(subdivide(genus2_octagon()).complex).complex
+    data = T.to_dict()
+    pairs = np.asarray(data["gluing"])
+    assert pairs.dtype == np.int64
+    T2 = TopologicalTriangulation.from_dict(data)
+    assert np.array_equal(T2.mate, build_complex(T.face_count, pairs).mate)
+    assert np.array_equal(T2.mate, T.mate)
+    # numpy ints and tuples take the entry-by-entry route to the same complex
+    as_numpy = [tuple(tuple(side) for side in pair) for pair in pairs]
+    assert np.array_equal(build_complex(T.face_count, as_numpy).mate, T.mate)
+
+
+def test_corners_of_vertex_is_built_on_first_access():
+    T = TopologicalTriangulation.from_dict(genus2_octagon().to_dict())
+    assert "corners_of_vertex" not in T.__dict__
+    corners = T.corners_of_vertex
+    assert "corners_of_vertex" in T.__dict__
+    assert T.corners_of_vertex is corners
+    assert corners == derive_union_find(T.face_count, T.mate)["corners_of_vertex"]
+
+
+_entry = st.integers(-1, 3) | st.sampled_from([0.5, 1.0, True, False])
 _side = st.tuples(_entry, _entry)
 
 

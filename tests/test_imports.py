@@ -34,6 +34,14 @@ def test_cli_import_loads_no_solver_or_quadrature_scipy():
     assert _fresh(f"import json, sys\nimport diskflow.cli\n{LOADED}") == []
 
 
+def test_cli_import_builds_no_parser():
+    # the parser is built by the first ``run``, so importing the CLI skips it
+    assert _fresh(
+        "import json\nimport diskflow.cli\n"
+        "print(json.dumps(diskflow.cli.build_parser.cache_info().currsize))"
+    ) == 0
+
+
 def test_cli_import_still_loads_every_submodule():
     names = sorted(
         p.stem for p in (SRC / "diskflow").glob("*.py") if p.stem != "__init__"

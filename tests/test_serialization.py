@@ -119,6 +119,15 @@ def test_canonical_json_matches_recursive_oracle(value):
     assert dumps_canonical(value) == dumps_canonical_recursive(value)
 
 
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.float16]),
+    hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4),
+))
+def test_float_arrays_of_any_rank_match_the_recursive_oracle(a):
+    assert dumps_canonical({"a": a}) == dumps_canonical_recursive({"a": a})
+
+
 def test_canonical_json_of_payloads_matches_recursive_oracle(symmetric_g2_system, cone14_mesh):
     st_ = assemble_structure(symmetric_g2_system)
     for payload in (

@@ -80,6 +80,18 @@ def test_mesh_rejects_non_finite_lengths(genus2_sub, bad):
         MeshMetric(T, lengths)
 
 
+@pytest.mark.parametrize("subdivisions", [1, 3])
+def test_masses_and_curvature_match_the_add_at_scatter_bit_for_bit(subdivisions):
+    mesh = random_mixed_sign_mesh(np.random.default_rng(4), subdivisions=subdivisions)
+    corners = mesh.complex.vertex_of_corner
+    masses = np.zeros(mesh.vertex_count)
+    np.add.at(masses, corners, np.repeat(mesh.face_areas / 3.0, 3))
+    angle_sums = np.zeros(mesh.vertex_count)
+    np.add.at(angle_sums, corners, mesh.corner_angles.reshape(-1))
+    assert mesh.masses.tobytes() == masses.tobytes()
+    assert mesh.curvature.tobytes() == ((2.0 * np.pi - angle_sums) / masses).tobytes()
+
+
 def test_gauss_bonnet_exact(cone_mesh, cone14_mesh):
     for mesh in (cone_mesh, cone14_mesh):
         total = mesh.masses @ mesh.curvature
