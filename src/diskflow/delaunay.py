@@ -7,19 +7,22 @@ tiled points is computed, and the triangles whose circumcenter falls in the
 central fundamental domain are kept, each periodic triangle having exactly
 one such representative while every circumradius stays below min(a, b)/2.
 
-Only the tiled points within a margin 3r of the domain are triangulated,
-where r = sqrt((log n + c) / (pi n / area)) with c = WINDOW_C is a radius
-the largest empty disk of n uniform points rarely reaches (a given disk of
-radius r is empty with probability e^-c / n).  The windowed result is exact
-whenever it certifies itself: a kept disk of radius below r lies inside the
-window, so it is empty of every tiled point and is a true Delaunay face;
-2n such faces are then all of them; and the face across each side is a
-translate of a kept one, so its third vertex lies within 3r of the domain
-and the vertex across the side is the true one.  When a kept radius reaches
-r, the count is not 2n, a kept face lies on the window's hull, or 3r
-reaches min(a, b)/2, the full nine-copy tiling is triangulated instead,
-with its own checks.  Only an exactly cocircular quadruple, which the
-emptiness check rejects either way, may be split along another diagonal.
+Only the tiled points within a margin m of the domain are triangulated.
+The first margin is m = 3r, where r = sqrt((log n + c) / (pi n / area))
+with c = WINDOW_C is a radius the largest empty disk of n uniform points
+rarely reaches (a given disk of radius r is empty with probability
+e^-c / n).  The windowed result is exact whenever it certifies itself: a
+kept disk of radius below m/3 lies inside the window, so it is empty of
+every tiled point and is a true Delaunay face; 2n such faces are then all
+of them; and the face across each side is a translate of a kept one, so
+its third vertex lies within m of the domain and the vertex across the
+side is the true one.  When a kept radius reaches m/3, the count is not
+2n or a kept face lies on the window's hull, the margin doubles (6r, 12r,
+...) and the wider window is tried, so a sample with one large hole still
+triangulates a few n points instead of 9n.  Once the margin reaches
+min(a, b)/2 the full nine-copy tiling is triangulated instead, with its
+own checks.  Only an exactly cocircular quadruple, which the emptiness
+check rejects either way, may be split along another diagonal.
 
 Construction always cross-checks itself: the Euler count must match the
 surface and every kept circumdisk must be verifiably empty and unambiguous
@@ -112,10 +115,8 @@ def _sphere_delaunay(sample: PointSample) -> DelaunayComplex:
         hull = ConvexHull(pts)
     except Exception as exc:  # qhull errors on coincident/degenerate input
         raise DegenerateSample(f"convex hull failed: {exc}") from exc
-    if hull.vertices.size != n:
-        raise DegenerateSample("not all points are hull vertices")
     faces = hull.simplices
-    if faces.shape[0] != 2 * n - 4:
+    if faces.shape[0] != 2 * n - 4:  # a triangulated hull of V vertices has 2V - 4 facets
         raise DegenerateSample(
             f"hull has {faces.shape[0]} facets, expected {2 * n - 4}"
         )
@@ -133,16 +134,17 @@ def _sphere_delaunay(sample: PointSample) -> DelaunayComplex:
 
 
 def _torus_delaunay(sample: PointSample) -> DelaunayComplex:
-    """Triangulate the tiled points near the domain; fall back to all nine
-    copies when that window cannot certify its own result."""
+    """Triangulate the tiled points near the domain, doubling the margin
+    while the window cannot certify its own result; fall back to all nine
+    copies once the margin reaches min(a, b)/2."""
     surf = sample.surface
     n = sample.count
-    r = np.sqrt((np.log(n) + WINDOW_C) * surf.area / (np.pi * n))
-    if 3.0 * r < surf.injectivity_radius:
+    margin = 3.0 * np.sqrt((np.log(n) + WINDOW_C) * surf.area / (np.pi * n))
+    while margin < surf.injectivity_radius:
         try:
-            return _tiled_delaunay(sample, 3.0 * r)
+            return _tiled_delaunay(sample, margin)
         except DegenerateSample:
-            pass  # the window did not certify itself; the full tiling decides
+            margin *= 2.0  # the window did not certify itself; widen it
     return _tiled_delaunay(sample, np.inf)
 
 

@@ -124,9 +124,20 @@ def finite_vector(values, n: int | tuple[int, ...], what: str) -> np.ndarray:
     """``values`` as n finite floats, one per ``what``, else ``ValueError`` saying why.
 
     ``n`` may be a shape such as (F, 3); a bad value is named by its flat index.
+    A nesting numpy cannot read as floats (a list where a number belongs) is
+    read cell by cell instead, to name the first cell that is not a number.
     """
     shape = n if isinstance(n, tuple) else (int(n),)
-    out = np.asarray(values, dtype=float)
+    try:
+        out = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        out = np.array(values, dtype=object)
+        if out.shape == shape:
+            for i, v in enumerate(out.flat):
+                try:
+                    float(v)
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(f"value at {what} {i} is not a number ({v!r})") from None
     if out.shape != shape:
         raise ValueError(f"expected shape {shape}, one value per {what}, got {out.shape}")
     bad = ~np.isfinite(out)

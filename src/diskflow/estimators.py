@@ -60,24 +60,30 @@ def _run_trial(surface: SurfaceModel, intensity: float, seed, trial: int,
     )
 
 
-def _chi_trial_worker(args) -> tuple[int, int, int, int]:
-    surface, intensity, seed, trial = args
-    sample, dc, retries = _run_trial(surface, intensity, seed, trial)
-    return trial, sample.count, dc.face_count, retries
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _map_trials(worker, args, jobs: int):
-    """Run trials possibly in parallel; per-trial streams make order moot.
+def _map_trials(worker, args, jobs: int) -> list:
+    """``[worker(a) for a in args]`` on up to ``jobs`` threads.
 
-    At most one worker per trial and per usable core is started, and none
-    when that leaves one.
+    A trial spends most of its time in qhull, which runs with the GIL
+    released, so threads overlap trials without forking, pickling or
+    copying the caller's memory.  At most one thread per trial and per
+    usable core is started, and none when that leaves one.  Results are
+    read in trial order, so the first failing trial's exception is raised,
+    as a sequential run would raise it.
     """
-    workers = min(jobs, len(args), os.cpu_count() or 1)
+    workers = min(jobs, len(args), _usable_cores())
     if workers <= 1:
         return [worker(a) for a in args]
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args))
 
 
@@ -86,14 +92,14 @@ def chi_estimator(
 ) -> ChiEstimate:
     """Monte Carlo estimate of the Euler characteristic, A*lambda - F/2."""
     area = surface.area
-    results = _map_trials(
-        _chi_trial_worker,
-        [(surface, intensity, seed, t) for t in range(trials)],
-        jobs,
-    )
+
+    def one_trial(trial: int) -> tuple[int, int, int, int]:
+        sample, dc, retries = _run_trial(surface, intensity, seed, trial)
+        return trial, sample.count, dc.face_count, retries
+
     records = []
     resampled = 0
-    for trial, n, faces, retries in sorted(results):
+    for trial, n, faces, retries in _map_trials(one_trial, range(trials), jobs):
         resampled += retries
         est = area * intensity - faces / 2.0
         records.append(TrialRecord(trial, n, faces, est))
@@ -155,12 +161,6 @@ class DefectEstimate:
     trials: int
 
 
-def _defect_trial_worker(args) -> tuple[int, int]:
-    surface, intensity, seed, trial, region = args
-    _, dc, _ = _run_trial(surface, intensity, seed, trial)
-    return trial, int(region.contains(dc.centers).sum())
-
-
 def face_defect_in_region(
     surface: SurfaceModel,
     intensity: float,
@@ -175,12 +175,12 @@ def face_defect_in_region(
     2 lambda area(region) - mean(count) converges to (1/pi) times the
     integral of the Gauss curvature over the region.
     """
-    results = _map_trials(
-        _defect_trial_worker,
-        [(surface, intensity, seed, t, region) for t in range(trials)],
-        jobs,
-    )
-    counts = np.array([c for _, c in sorted(results)], dtype=float)
+
+    def one_trial(trial: int) -> int:
+        _, dc, _ = _run_trial(surface, intensity, seed, trial)
+        return int(region.contains(dc.centers).sum())
+
+    counts = np.array(_map_trials(one_trial, range(trials), jobs), dtype=float)
     est = 2.0 * intensity * region.area - counts.mean()
     se = float(counts.std(ddof=1) / np.sqrt(trials)) if trials > 1 else np.inf
     return DefectEstimate(

@@ -117,7 +117,7 @@ def angle_system_to_dict(x: AngleSystem) -> dict:
 
 def angle_system_from_dict(data: dict) -> AngleSystem:
     T = TopologicalTriangulation.from_dict(data["complex"])
-    return AngleSystem(T, np.asarray(data["psi"], dtype=float))
+    return AngleSystem(T, data["psi"])
 
 
 def class_spec_to_dict(spec: ConformalClassSpec) -> dict:
@@ -139,7 +139,7 @@ def mesh_to_dict(mesh: MeshMetric) -> dict:
 
 def mesh_from_dict(data: dict) -> MeshMetric:
     T = TopologicalTriangulation.from_dict(data["complex"])
-    return MeshMetric(T, np.asarray(data["lengths"], dtype=float))
+    return MeshMetric(T, data["lengths"])
 
 
 def structure_to_dict(st: HyperbolicStructure) -> dict:

@@ -328,6 +328,34 @@ def test_mis_shaped_structure_is_a_domain_error(
     assert capsys.readouterr().err == f"error: ValueError: {key}: {message}\n"
 
 
+@pytest.mark.parametrize("kind", ["mesh", "class", "structure", "phi0"])
+def test_nested_value_is_named_by_its_flat_index(
+    kind, cone14_unit, cone14_file, canonical24_spec, symmetric_g2_system, tmp_path, capsys
+):
+    path = tmp_path / "bad.json"
+    if kind == "mesh":
+        data = json.loads(dumps_canonical(mesh_to_dict(cone14_unit)))
+        data["lengths"][3] = [1]
+        argv, message = ["teleport", str(path)], "value at edge 3 is not a number ([1])"
+    elif kind == "class":
+        data = json.loads(dumps_canonical(class_spec_to_dict(canonical24_spec)))
+        data["psi_edge"]["7"] = [1]
+        argv, message = ["uniformize", str(path)], "value at edge 7 is not a number ([1])"
+    elif kind == "structure":
+        data = json.loads(dumps_canonical(structure_to_dict(assemble_structure(symmetric_g2_system))))
+        data["face_angles"][2][1] = [1]
+        argv = ["pattern", str(path)]
+        message = "face_angles: value at corner 7 is not a number ([1])"
+    else:
+        data = {"phi": [0.0] * 13 + [[1]]}
+        argv, message = ["flow", cone14_file, "--phi0", str(path)], (
+            "value at vertex 13 is not a number ([1])"
+        )
+    path.write_text(json.dumps(data))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+
+
 def test_unknown_command_exits_nonzero(capsys):
     assert run(["frobnicate"]) == 1
 
@@ -419,13 +447,13 @@ def test_one_trial_starts_no_pool(tmp_path, monkeypatch):
     import concurrent.futures
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+        raise AssertionError("a thread pool was started")
 
     outputs = []
     for jobs in ("6", "1"):
         out = tmp_path / f"jobs{jobs}.csv"
         with monkeypatch.context() as m:
-            m.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+            m.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
             assert run(["gauss-bonnet", "--lambda", "5", "--trials", "1", "--seed", "1",
                         "--jobs", jobs, "--out", str(out)]) == 0
         outputs.append(out.read_bytes())

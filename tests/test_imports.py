@@ -102,3 +102,19 @@ def test_delaunay_module_keeps_its_scipy_names():
         "print(json.dumps([n for n in ('ConvexHull', 'PlanarDelaunay') if hasattr(module, n)]))"
     )
     assert names == ["ConvexHull", "PlanarDelaunay"]
+
+
+def test_parallel_defect_forks_nothing(tmp_path):
+    # trials run on threads: no process pool, and no multiprocessing, is loaded
+    out = tmp_path / "defect.csv"
+    argv = ["defect", "--surface", "torus", "--lambda", "50", "--trials", "4", "--seed", "1",
+            "--rect", "0", "0", "0.5", "0.5", "--jobs", "2", "--out", str(out)]
+    modules = ["multiprocessing", "concurrent.futures.process", "concurrent.futures.thread"]
+    loaded = _fresh(
+        "import json, sys\nfrom diskflow.cli import run\nfrom diskflow.estimators import _usable_cores\n"
+        f"assert run({argv!r}) == 0\n"
+        f"print(json.dumps([_usable_cores(), [m for m in {modules!r} if m in sys.modules]]))"
+    )
+    cores, names = loaded
+    assert names == (["concurrent.futures.thread"] if cores > 1 else [])
+    assert out.read_text().startswith("trial,")

@@ -1,10 +1,13 @@
 import json
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from diskflow.angles import conformal_class_of
+from diskflow.errors import finite_vector
 from diskflow.serialization import (
     angle_system_from_dict,
     angle_system_to_dict,
@@ -62,6 +65,24 @@ def test_structure_roundtrip(symmetric_g2_system):
     assert np.array_equal(st2.edge_lengths, st.edge_lengths)
     assert np.array_equal(st2.circumradii, st.circumradii)
     assert st2.complex == st.complex
+
+
+@pytest.mark.parametrize(
+    "values, shape, message",
+    [
+        ([1.0, [1], 2.0], 3, "value at edge 1 is not a number ([1])"),
+        ([1.0, {}, 2.0], 3, "value at edge 1 is not a number ({})"),
+        ([1.0, "x", 2.0], 3, "value at edge 1 is not a number ('x')"),
+        ([1.0, 10**400, 2.0], 3, "value at edge 1 is not a number (1000"),
+        ([[1.0, 2.0, 3.0], [1.0, [1], 3.0]], (2, 3), "value at edge 4 is not a number ([1])"),
+        ([[1.0, 2.0, 3.0], [1.0, 2.0]], (2, 3), "expected shape (2, 3), one value per edge, got (2,)"),
+        ([1.0, [1], 2.0], 5, "expected shape (5,), one value per edge, got (3,)"),
+    ],
+    ids=["list", "dict", "string", "huge-int", "list-in-a-row", "ragged-rows", "short-and-nested"],
+)
+def test_finite_vector_names_the_first_value_that_is_not_a_number(values, shape, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        finite_vector(values, shape, "edge")
 
 
 def test_trials_csv_shape():

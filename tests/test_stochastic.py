@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from diskflow.delaunay import (
     GENERIC_TOL,
-    WINDOW_C,
     _emptiness_flags,
     _tiled_delaunay,
     _torus_delaunay,
@@ -253,8 +252,10 @@ def test_cocircular_quadruple_on_torus_seam_rejected():
 
 
 def _window_radius(sample):
+    """The window radius r at the module's current ``WINDOW_C``."""
+    c = importlib.import_module("diskflow.delaunay").WINDOW_C
     n = sample.count
-    return np.sqrt((np.log(n) + WINDOW_C) * sample.surface.area / (np.pi * n))
+    return np.sqrt((np.log(n) + c) * sample.surface.area / (np.pi * n))
 
 
 def _canonical_rows(dc):
@@ -269,9 +270,10 @@ def _canonical_rows(dc):
 
 def _assert_window_matches_full_tiling(sample):
     """``_torus_delaunay`` gives the full 3x3 tiling's faces, opposite
-    vertices, centers and radii, or raises its error.  Returns "window" when
-    the cropped triangulation was accepted, "fallback" when it declined and
-    "full" when the window was too wide to try."""
+    vertices, centers and radii, or raises its error.  The windows it tries
+    have margins 3r, 6r, 12r, ..., then possibly inf.  Returns "window" when
+    a cropped triangulation was accepted, "fallback" when every window
+    declined and "full" when the first window was too wide to try."""
     module = importlib.import_module("diskflow.delaunay")
     margins = []
 
@@ -296,10 +298,13 @@ def _assert_window_matches_full_tiling(sample):
         np.testing.assert_array_equal(rows, full_rows)
         np.testing.assert_allclose(centers, full_centers, rtol=0, atol=1e-12)
         np.testing.assert_allclose(radii, full_radii, rtol=0, atol=1e-12)
-    if margins == [np.inf]:
+    windows = [m for m in margins if np.isfinite(m)]
+    assert windows == [3.0 * _window_radius(sample) * 2.0**k for k in range(len(windows))]
+    assert all(m < sample.surface.injectivity_radius for m in windows)
+    assert margins[len(windows):] in ([], [np.inf])
+    if not windows:
         return "full"
-    assert np.isfinite(margins[0]) and margins[1:] in ([], [np.inf])
-    return "fallback" if margins[1:] else "window"
+    return "fallback" if margins[-1] == np.inf else "window"
 
 
 @settings(max_examples=40, deadline=None)
@@ -311,17 +316,50 @@ def test_window_triangulation_matches_full_tiling(t, seed):
 
 
 def test_window_declines_a_circumdisk_wider_than_its_margin():
-    # a hole of radius 2.5 r leaves a Delaunay face of radius >= 1.25 r
+    # a hole of radius rho leaves a Delaunay face of radius about rho: at
+    # rho = 1.5 r the 3r window declines and the 6r window certifies, at
+    # rho = 2.74 r both decline and 12r reaches min(a,b)/2, so the full
+    # tiling decides
     sample = sample_poisson(TORUS, 2000.0, seed=24)
     assert _assert_window_matches_full_tiling(sample) == "window"
-    hole = geodesic_distance(TORUS, sample.points, np.array([0.5, 0.5])) > 0.15
-    holed = PointSample(TORUS, sample.points[hole], 1.0, 0)
-    r = _window_radius(holed)
-    assert 2.5 * r < 0.15
-    with pytest.raises(DegenerateSample, match="outside the window"):
-        _tiled_delaunay(holed, 3.0 * r)
-    assert _assert_window_matches_full_tiling(holed) == "fallback"
-    assert delaunay(holed).radii.max() > r
+    for rho, kind in ((0.08, "window"), (0.15, "fallback")):
+        hole = geodesic_distance(TORUS, sample.points, np.array([0.5, 0.5])) > rho
+        holed = PointSample(TORUS, sample.points[hole], 1.0, 0)
+        r = _window_radius(holed)
+        assert 1.25 * r < rho and 12.0 * r >= TORUS.injectivity_radius
+        with pytest.raises(DegenerateSample, match="outside the window"):
+            _tiled_delaunay(holed, 3.0 * r)
+        assert _assert_window_matches_full_tiling(holed) == kind
+        rmax = delaunay(holed).radii.max()
+        assert r < rmax and (rmax < 2.0 * r) == (kind == "window")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_doubled_windows_match_full_tiling(t, seed):
+    # at WINDOW_C = 0 a 3r window often declines, so the 6r, 12r, ... windows
+    # and the full tiling decide
+    sample = sample_poisson(TORUS, 4.0 * 1000.0 ** t, seed=seed)
+    assume(sample.count >= 4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("diskflow.delaunay"), "WINDOW_C", 0.0)
+        _assert_window_matches_full_tiling(sample)
+
+
+def test_low_window_constant_exercises_doubled_windows():
+    # the fuzz above is only as good as its declines: at n ~ 1000 most 3r
+    # windows decline and a doubled one certifies
+    kinds = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("diskflow.delaunay"), "WINDOW_C", 0.0)
+        for i in range(10):
+            sample = sample_poisson(TORUS, 1000.0, seed=[33, i])
+            r = _window_radius(sample)
+            try:
+                _tiled_delaunay(sample, 3.0 * r)
+            except DegenerateSample:
+                kinds.append(_assert_window_matches_full_tiling(sample))
+    assert kinds.count("window") >= 5
 
 
 def test_five_cocircular_sphere_points_rejected():
@@ -558,6 +596,60 @@ def test_parallel_jobs_match_sequential():
 
 
 @pytest.mark.parametrize(
+    "surface, intensity, region",
+    [(TORUS, 300.0, RectRegion(0.1, 0.2, 0.6, 0.9)), (SPHERE, 200 / (4 * np.pi), CapRegion(2.0))],
+    ids=["torus-rect", "sphere-cap"],
+)
+def test_parallel_defect_matches_sequential(surface, intensity, region):
+    seq = face_defect_in_region(surface, intensity, 8, region, seed=16, jobs=1)
+    par = face_defect_in_region(surface, intensity, 8, region, seed=16, jobs=2)
+    np.testing.assert_array_equal(seq.counts, par.counts)
+    assert (seq.estimate, seq.std_error) == (par.estimate, par.std_error)
+
+
+def test_parallel_torus_chi_matches_sequential():
+    seq = chi_estimator(TORUS, 300.0, trials=8, seed=17, jobs=1)
+    par = chi_estimator(TORUS, 300.0, trials=8, seed=17, jobs=2)
+    assert seq.records == par.records
+    assert (seq.mean, seq.std_error, seq.resampled) == (par.mean, par.std_error, par.resampled)
+
+
+def test_exhausted_resamples_raise_the_same_error_in_parallel(monkeypatch):
+    # trials 1 and 3 never triangulate; the first of them is named under
+    # either job count, whichever thread fails first
+    import diskflow.estimators as estimators
+
+    def flaky(sample):
+        if sample.seed[1] in (1, 3):
+            raise DegenerateSample("forced")
+        return delaunay(sample)
+
+    monkeypatch.setattr(estimators, "delaunay", flaky)
+    messages = []
+    for jobs in (1, 2):
+        with pytest.raises(DegenerateSample) as info:
+            chi_estimator(TORUS, 50.0, trials=4, seed=18, jobs=jobs)
+        messages.append(str(info.value))
+    assert messages == ["trial 1 failed 100 consecutive resamples"] * 2
+
+
+@pytest.mark.parametrize("extra", ["interior", "duplicate", "near-duplicate"])
+def test_sphere_point_off_the_hull_is_degenerate(extra):
+    # a triangulated hull of V vertices has 2V - 4 facets, so a point that
+    # is not a vertex leaves 2n - 6 and the facet count rejects the sample
+    pts = sample_poisson(SPHERE, 40 / (4 * np.pi), seed=31).points
+    added = {
+        "interior": 0.5 * pts[0],
+        "duplicate": pts[0],
+        "near-duplicate": pts[0] + np.array([1e-15, 0.0, 0.0]),
+    }[extra]
+    n = pts.shape[0] + 1
+    sample = PointSample(SPHERE, np.vstack([pts, added]), 1.0, 0)
+    with pytest.raises(DegenerateSample, match=f"hull has {2 * n - 6} facets, expected {2 * n - 4}"):
+        delaunay(sample)
+
+
+@pytest.mark.parametrize(
     "jobs, trials, cores, started",
     [(8, 3, 4, [3]), (8, 20, 2, [2]), (3, 20, 8, [3]), (2, 20, None, []),
      (1, 5, 4, []), (6, 1, 8, [])],
@@ -569,7 +661,7 @@ def test_map_trials_starts_one_worker_per_trial_and_core(jobs, trials, cores, st
 
     seen = []
 
-    class RecordingPool:  # runs inline, so no process is forked
+    class RecordingPool:  # runs inline, so no thread is started
         def __init__(self, max_workers):
             seen.append(max_workers)
 
@@ -582,7 +674,13 @@ def test_map_trials_starts_one_worker_per_trial_and_core(jobs, trials, cores, st
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    if cores is None:  # neither an affinity mask nor a core count: one core
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:  # the affinity mask counts, not the machine's cores
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert _map_trials(abs, list(range(-trials, 0)), jobs) == list(range(trials, 0, -1))
     assert seen == started
