@@ -16,31 +16,25 @@ from .angles import (
     ConformalClassSpec,
     class_lift,
     conformal_class_of,
-    corner_angles,
     edge_psi,
-    face_curvature,
     face_curvatures,
     find_negative_delaunay,
-    informal_intersection_angle,
     is_angle_system,
     is_delaunay,
     is_negatively_curved,
     is_teleportable_bruteforce,
     partials_from_angles,
-    same_class,
 )
 from .complexes import (
     TopologicalTriangulation,
     build_complex,
     csaszar_torus,
-    euler_characteristic,
     from_vertex_triples,
     genus2_octagon,
     octagon_cone,
     pillow,
     subdivide,
     tetrahedron,
-    vertex_edge_incidence,
 )
 from .delaunay import (
     DelaunayComplex,
@@ -55,7 +49,6 @@ from .estimators import (
     chi_quadrature,
     expected_faces_quadrature,
     face_defect_in_region,
-    inscribed_triangle_mean_area,
 )
 from .hyperbolic import (
     angles_from_lengths,
@@ -63,7 +56,6 @@ from .hyperbolic import (
     class_hessian,
     class_hessian_sparse,
     edge_lengths,
-    grad_H,
     lobachevsky,
     objective_H,
     prism_gradient,
@@ -77,7 +69,6 @@ from .smoothflow import (
     entropy,
     evaluate_Ig,
     gradient_Ig,
-    hessian_Ig,
     log_ricci_flow,
     teleport,
 )

@@ -25,11 +25,10 @@ from scipy import sparse
 
 from .ascent import grounded_solve
 from .complexes import TopologicalTriangulation
-from .errors import ComplexMismatch, Infeasible, TooLarge, finite_vector
+from .errors import Infeasible, TooLarge, finite_vector
 from .reports import Report
 
 CHECK_TOL = 1e-9     # absolute tolerance for linear constraint checks
-CLASS_TOL = 1e-12    # tolerance for class equality
 MARGIN_FLOOR = 1e-6  # minimum interior margin accepted as feasible
 IPM_TOL = 1e-10      # HiGHS interior-point optimality tolerance of the margin LP
 START_TOL = 1e-12    # how far the equal-area start's margin may fall below its bound
@@ -65,12 +64,6 @@ class ConformalClassSpec:
 # -- the linear angle algebra ----------------------------------------------------
 
 
-def corner_angles(x: AngleSystem, t: int) -> tuple[float, float, float]:
-    """Corner angles of face t; entry i sits opposite side i."""
-    p = x.face_partials(t)
-    return (p[1] + p[2], p[0] + p[2], p[0] + p[1])
-
-
 def all_corner_angles(x: AngleSystem) -> np.ndarray:
     """(F, 3) array of corner angles, corner i opposite side i."""
     p = x.psi.reshape(-1, 3)
@@ -84,12 +77,6 @@ def partials_from_angles(
     a = np.asarray(angles, dtype=float).reshape(T.face_count, 3)
     psi = (a.sum(axis=1, keepdims=True) - 2 * a) / 2.0
     return AngleSystem(T, psi.reshape(-1))
-
-
-def informal_intersection_angle(x: AngleSystem, e: int) -> float:
-    """Sum of the two partials across edge e."""
-    a, b = x.complex.edges[e]
-    return float(x.psi[a] + x.psi[b])
 
 
 def edge_psi(x: AngleSystem) -> np.ndarray:
@@ -151,11 +138,6 @@ def is_delaunay(x: AngleSystem, tol: float = CHECK_TOL) -> DelaunayReport:
     return DelaunayReport(not bad, bad, margin)
 
 
-def face_curvature(x: AngleSystem, t: int) -> float:
-    """Angle sum of face t minus pi."""
-    return float(sum(corner_angles(x, t)) - np.pi)
-
-
 def face_curvatures(x: AngleSystem) -> np.ndarray:
     return all_corner_angles(x).sum(axis=1) - np.pi
 
@@ -177,12 +159,6 @@ def is_negatively_curved(x: AngleSystem, tol: float = CHECK_TOL) -> CurvatureRep
 
 def conformal_class_of(x: AngleSystem) -> ConformalClassSpec:
     return ConformalClassSpec(x.complex, edge_psi(x))
-
-
-def same_class(x: AngleSystem, y: AngleSystem, tol: float = CLASS_TOL) -> bool:
-    if x.complex != y.complex:
-        raise ComplexMismatch("angle systems live on different complexes")
-    return bool(np.max(np.abs(edge_psi(x) - edge_psi(y))) <= tol)
 
 
 def class_lift(T: TopologicalTriangulation, d: np.ndarray) -> np.ndarray:
@@ -324,8 +300,11 @@ def find_negative_delaunay(
     one, which puts the point in the class up to rounding.  Either point is
     the Newton start of the uniformizer.  Raises ``Infeasible`` with the LP's
     certificate margin when the maximum is below the feasibility floor; that
-    verdict always comes from the LP.
+    verdict always comes from the LP, except on the empty complex, whose
+    hyperbolic area -2 pi chi is 0 and which is refused before either start.
     """
+    if spec.complex.face_count == 0:
+        raise Infeasible("the empty complex has area 0, so no member is hyperbolic")
     start = equal_area_start(spec, floor)
     return start if start is not None else _margin_lp(spec, floor)
 

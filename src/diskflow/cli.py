@@ -28,7 +28,6 @@ from .errors import (
     DuplicateSide,
     NoConvergence,
     SelfGluedSide,
-    UnknownVertex,
     UnmatchedSide,
 )
 from .estimators import (
@@ -383,7 +382,7 @@ def run(argv: list[str]) -> int:
     except NoConvergence as exc:
         print(f"error: NoConvergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (UnmatchedSide, SelfGluedSide, DuplicateSide, UnknownVertex) as exc:
+    except (UnmatchedSide, SelfGluedSide, DuplicateSide) as exc:
         # a structurally invalid input file is a parse failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_IO

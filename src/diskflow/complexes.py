@@ -19,9 +19,8 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
-from scipy import sparse
 
-from .errors import DuplicateSide, SelfGluedSide, UnknownVertex, UnmatchedSide
+from .errors import DuplicateSide, SelfGluedSide, UnmatchedSide
 
 Side = tuple[int, int]
 
@@ -67,19 +66,22 @@ class TopologicalTriangulation:
         self.edge_of_flag = np.empty(n, dtype=np.int64)
         self.edge_of_flag[lo] = self.edge_of_flag[hi] = np.arange(self.edge_count)
 
-        # imported here: csgraph loads scipy.sparse.linalg, which Monte Carlo never needs
-        from scipy.sparse.csgraph import connected_components
-
-        # corner orbits under head-to-tail identification, numbered in order
-        # of their smallest corner
-        glue = sparse.coo_array(
-            (np.ones(2 * self.edge_count), (np.concatenate([nxt[lo], prv[lo]]),
-                                           np.concatenate([prv[hi], nxt[hi]]))),
-            shape=(n, n),
-        )
-        self.vertex_count, labels = connected_components(glue, directed=False)
-        _, first = np.unique(labels, return_index=True)
-        self.vertex_of_corner = np.argsort(np.argsort(first))[labels].astype(np.int64)
+        # a gluing takes corner nxt[f] to corner prv[mate[f]], and the cycles of
+        # that permutation are the vertices.  Pointer doubling labels each corner
+        # with the least corner of its cycle; after k rounds a label covers 2^k
+        # turns, and a round that lowers no label has covered every cycle (in a
+        # longer one, the corner 2^k turns before the least would be lowered)
+        turn = np.empty(n, dtype=np.int64)
+        turn[nxt] = prv[mate]
+        least = flags
+        while True:
+            lower = np.minimum(least, least[turn])
+            if np.array_equal(lower, least):
+                break
+            least, turn = lower, turn[turn]
+        # vertices numbered in order of their least corner
+        least_corners, self.vertex_of_corner = np.unique(least, return_inverse=True)
+        self.vertex_count = len(least_corners)
 
         # edge endpoints as vertex ids (order: start corner of the lower flag, then end)
         self.edge_endpoints = self.vertex_of_corner[np.stack([nxt[lo], prv[lo]], axis=1)]
@@ -243,22 +245,6 @@ def build_complex(
     mate[flags[:, 0]] = flags[:, 1]
     mate[flags[:, 1]] = flags[:, 0]
     return TopologicalTriangulation(face_count, mate)
-
-
-def euler_characteristic(T: TopologicalTriangulation) -> int:
-    """V - E + F of the complex."""
-    return T.chi
-
-
-def vertex_edge_incidence(T: TopologicalTriangulation, v: int) -> list[int]:
-    """Edges at vertex v, one entry per endpoint incidence.
-
-    A loop edge (both endpoints at v) is listed twice; summed over all
-    vertices this gives exactly 2E entries.
-    """
-    if not (0 <= v < T.vertex_count):
-        raise UnknownVertex(f"vertex {v} not in complex with V={T.vertex_count}")
-    return np.nonzero(T.edge_endpoints == v)[0].tolist()
 
 
 def from_vertex_triples(triples: list[tuple[int, int, int]]) -> TopologicalTriangulation:

@@ -23,10 +23,6 @@ class DuplicateSide(DiskflowError):
     """A side appears in more than one gluing pair."""
 
 
-class UnknownVertex(DiskflowError):
-    """Vertex index outside the complex."""
-
-
 class ComplexMismatch(DiskflowError):
     """Two objects refer to different triangulations."""
 

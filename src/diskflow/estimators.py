@@ -195,20 +195,6 @@ def face_defect_in_region(
 # -- direct quadrature of the expected face count -----------------------------------
 
 
-def triangle_angle_integral() -> float:
-    """Integral of the inscribed-triangle area over all three vertex angles.
-
-    Equals (2 pi)^3 times the mean area of a triangle inscribed by three
-    uniform points on the unit circle, 3/(2 pi): that is 12 pi^2.
-    """
-    return 12.0 * np.pi**2
-
-
-def inscribed_triangle_mean_area() -> float:
-    """Mean area of the triangle spanned by 3 uniform points on the unit circle."""
-    return triangle_angle_integral() / (2.0 * np.pi) ** 3
-
-
 def expected_faces_quadrature(
     surface: SurfaceModel, intensity: float, delta: float
 ) -> float:
@@ -219,8 +205,9 @@ def expected_faces_quadrature(
     factor 2 (sin r)^3 nu per unit center area, where nu is the inscribed
     Euclidean triangle area and sin r the circle's direction-speed; the
     factor 2 is the Jacobian of the (center, radius, angles) chart, and
-    ordered triples are compensated by 1/6.  The angle integral is
-    ``triangle_angle_integral()`` = 12 pi^2, so with c = 2 pi lambda
+    ordered triples are compensated by 1/6.  The angle integral is 12 pi^2,
+    (2 pi)^3 times the mean area 3/(2 pi) of a triangle on three uniform
+    points of the unit circle, so with c = 2 pi lambda
 
         E F = 16 pi^3 lambda^3  int_0^delta e^(-c (1 - cos r)) sin^3 r dr.
 

@@ -185,11 +185,6 @@ def flag_edge_lengths(x: AngleSystem) -> np.ndarray:
     return np.arccosh(2.0 * np.exp(logs) + 1.0)
 
 
-def grad_H(x: AngleSystem) -> np.ndarray:
-    """Gradient of the objective in the 3F partial coordinates."""
-    return flag_log_terms(x)
-
-
 def class_grad(x: AngleSystem) -> np.ndarray:
     """Gradient restricted to the conformal class, one entry per edge.
 

@@ -179,16 +179,6 @@ def gradient_Ig(mesh: MeshMetric, phi: np.ndarray) -> np.ndarray:
     return mesh.stiffness @ log_kh
 
 
-def hessian_Ig(mesh: MeshMetric, phi: np.ndarray, psi: np.ndarray) -> float:
-    """Second variation of the objective at phi in direction psi.
-
-    Quadratic form of ``hessian_matrix``, -[2 psi' S psi + sum m (Lap psi)^2 / u];
-    strictly negative for nonzero mean-zero psi and zero on constants.
-    """
-    psi = np.asarray(psi, dtype=float)
-    return float(psi @ (hessian_matrix(mesh, phi) @ psi))
-
-
 def hessian_matrix(mesh: MeshMetric, phi: np.ndarray) -> sparse.csr_array:
     """Sparse second variation -(2 S + S diag(1/(m u)) S), singular on constants."""
     u = _domain_u(mesh, np.asarray(phi, dtype=float))

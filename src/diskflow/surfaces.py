@@ -123,17 +123,6 @@ def sample_poisson(surface: SurfaceModel, intensity: float, seed) -> PointSample
     return PointSample(surface, points, float(intensity), seed)
 
 
-def sample_fixed_count(surface: SurfaceModel, n: int, seed) -> PointSample:
-    """Exactly n i.i.d. area-uniform points.
-
-    Hook for the fixed-count sampling variant: the result plugs into the
-    same triangulation and estimator machinery as the Poisson sample (the
-    recorded intensity is the matching n / area).
-    """
-    pts = _draw_points(surface, _generator(seed), n)
-    return PointSample(surface, pts, n / surface.area, seed)
-
-
 def geodesic_distance(surface: SurfaceModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Pairwise-broadcast geodesic distance between points."""
     p = np.asarray(p, dtype=float)

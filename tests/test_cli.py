@@ -148,6 +148,15 @@ def test_uniformize_infeasible(tmp_path):
     assert run(["uniformize", str(path)]) == 2
 
 
+def test_uniformize_refuses_the_empty_complex(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"complex": {"faces": 0, "gluing": []}, "psi_edge": {}}')
+    assert run(["uniformize", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: Infeasible: the empty complex has area 0, so no member is hyperbolic\n"
+    )
+
+
 def test_gauss_bonnet_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = [

@@ -8,7 +8,6 @@ from diskflow.complexes import (
     TopologicalTriangulation,
     build_complex,
     csaszar_torus,
-    euler_characteristic,
     from_vertex_triples,
     genus2_octagon,
     octagon_cone,
@@ -16,12 +15,18 @@ from diskflow.complexes import (
     subdivide,
     tetrahedron,
     two_triangle_torus,
-    vertex_edge_incidence,
 )
-from diskflow.errors import DuplicateSide, SelfGluedSide, UnknownVertex, UnmatchedSide
+from diskflow.errors import DuplicateSide, SelfGluedSide, UnmatchedSide
 
 from helpers import octahedron, random_complex
-from oracles import derive_union_find, gluing_mate_loop, subdivide_loop
+from oracles import (
+    UnknownVertex,
+    derive_union_find,
+    euler_characteristic,
+    gluing_mate_loop,
+    subdivide_loop,
+    vertex_edge_incidence,
+)
 
 
 def test_tetrahedron_counts():
@@ -316,6 +321,21 @@ def test_derivation_matches_union_find_on_subdivisions():
         while T.face_count <= 6144:
             assert_matches_union_find(T)
             T = subdivide(T).complex
+
+
+def test_derivation_matches_union_find_on_the_empty_complex():
+    assert_matches_union_find(build_complex(0, []))
+
+
+@pytest.mark.parametrize("m", [1025, 4096])
+def test_derivation_matches_union_find_on_suspensions(m):
+    # each apex of the suspended m-gon is one corner cycle of length m, which
+    # the least-corner labels cover only after log2(m) doubling rounds
+    T = from_vertex_triples(
+        [(i, (i + 1) % m, m) for i in range(m)] + [((i + 1) % m, i, m + 1) for i in range(m)]
+    )
+    assert (T.vertex_count, T.chi) == (m + 2, 2)
+    assert_matches_union_find(T)
 
 
 @given(st.integers(1, 12).flatmap(

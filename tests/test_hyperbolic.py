@@ -12,7 +12,7 @@ from diskflow.hyperbolic import (
     edge_lengths,
     face_hessian,
     flag_edge_lengths,
-    grad_H,
+    flag_log_terms as grad_H,
     lobachevsky,
     log_half_cosh_minus_one,
     objective_H,

@@ -92,7 +92,64 @@ def test_uniformize_of_a_certified_class_loads_no_lp_solver(tmp_path):
         f"assert run(['uniformize', {str(path)!r}]) == 0\n"
         f"{LOADED}"
     )
-    assert loaded == ["scipy.sparse.linalg", "scipy.sparse.csgraph"]
+    assert loaded == ["scipy.sparse.linalg"]
+
+
+@pytest.fixture
+def cli_inputs(tmp_path, symmetric_g2_system, cone14_unit):
+    """Input files for the subcommands that read one: a complex, a structure,
+    a feasible class, a class the margin LP refuses, and a mesh."""
+    from helpers import octahedron
+    from diskflow.angles import ConformalClassSpec, conformal_class_of
+    from diskflow.complexes import tetrahedron
+    from diskflow.serialization import (
+        class_spec_to_dict, mesh_to_dict, structure_to_dict, write_json,
+    )
+    from diskflow.uniformize import assemble_structure
+
+    T = octahedron()
+    files = {
+        "complex": tetrahedron().to_dict(),
+        "structure": structure_to_dict(assemble_structure(symmetric_g2_system)),
+        "class": class_spec_to_dict(conformal_class_of(symmetric_g2_system)),
+        "infeasible": class_spec_to_dict(ConformalClassSpec(T, np.full(T.edge_count, np.pi / 2))),
+        "mesh": mesh_to_dict(cone14_unit),
+    }
+    for name, data in files.items():
+        write_json(tmp_path / f"{name}.json", data)
+    return {name: str(tmp_path / f"{name}.json") for name in files}
+
+
+def test_validate_and_pattern_load_no_lazy_scipy(cli_inputs):
+    loaded = _fresh(
+        "import json, sys\nfrom diskflow.cli import run\n"
+        f"assert run(['validate', {cli_inputs['complex']!r}]) == 0\n"
+        f"assert run(['pattern', {cli_inputs['structure']!r}]) == 0\n"
+        f"{LOADED}"
+    )
+    assert loaded == []
+
+
+def test_no_subcommand_loads_csgraph(cli_inputs, tmp_path):
+    runs = [
+        (["validate", cli_inputs["complex"]], 0),
+        (["pattern", cli_inputs["structure"]], 0),
+        (["uniformize", cli_inputs["class"]], 0),
+        (["uniformize", cli_inputs["infeasible"]], 2),  # the margin LP runs
+        (["gauss-bonnet", "--lambda", "20", "--trials", "1", "--seed", "1",
+          "--out", str(tmp_path / "gb.csv")], 0),
+        (["quadrature", "--lambda", "15.915494", "--delta", "0.5235987"], 0),
+        (["defect", "--surface", "torus", "--lambda", "50", "--trials", "1", "--seed", "1",
+          "--rect", "0", "0", "0.5", "0.5", "--out", str(tmp_path / "defect.csv")], 0),
+        (["teleport", cli_inputs["mesh"], "--out", str(tmp_path / "phi.json")], 0),
+        (["flow", cli_inputs["mesh"]], 0),
+    ]
+    loaded = _fresh(
+        "import json, sys\nfrom diskflow.cli import run\n"
+        f"codes = [run(argv) for argv, _ in {runs!r}]\n"
+        "print(json.dumps([codes, 'scipy.sparse.csgraph' in sys.modules]))"
+    )
+    assert loaded == [[code for _, code in runs], False]
 
 
 def test_delaunay_module_keeps_its_scipy_names():

