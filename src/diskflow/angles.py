@@ -3,8 +3,9 @@
 A point assigns one partial angle per (face, side) flag.  The corner angle
 opposite side ``i`` of a face is the sum of the other two partials, so corner
 angles are linear in the coordinates; the per-edge sum of the two incident
-partials is the quantity preserved by a conformal change.  All predicates
-here are report-style: they return the margins rather than raising.
+partials is the quantity preserved by a conformal change, so a member of a
+class is fixed by the partials on the edges' lower flags (``_member``).  All
+predicates here are report-style: they return the margins rather than raising.
 
 ``find_negative_delaunay`` returns a member of a class with the largest
 interior margin (the least corner angle or face defect).  The defects of
@@ -12,7 +13,8 @@ every member add up to the same total, so their mean U bounds that margin;
 the member whose faces all have the same area, found by one sparse solve on
 the dual graph, reaches the bound whenever its corners are at least U, and
 is then returned as is.  Otherwise, and for every infeasibility verdict, the
-margin-maximizing linear program decides.
+margin-maximizing linear program over those lower-flag partials decides.  Both
+points are built from them, so each is a member with no repair step.
 """
 
 from __future__ import annotations
@@ -171,6 +173,16 @@ def class_lift(T: TopologicalTriangulation, d: np.ndarray) -> np.ndarray:
     return out
 
 
+def _member(spec: ConformalClassSpec, lower: np.ndarray) -> AngleSystem:
+    """The member of the class with ``lower`` on the edges' lower flags and
+    ``psi_e`` minus it on their upper flags."""
+    T = spec.complex
+    p = np.empty(3 * T.face_count)
+    p[T.edges[:, 0]] = lower
+    p[T.edges[:, 1]] = spec.psi_edge - lower
+    return AngleSystem(T, p)
+
+
 # -- teleportability ---------------------------------------------------------------
 
 
@@ -249,11 +261,14 @@ def equal_area_start(
     flag, -1 at that of its upper flag): B B^T y = r is the dual graph's
     Laplacian, solved by ``grounded_solve``.  Its defects are then U, and if
     every corner angle is at least U as well, its margin is U up to
-    ``START_TOL`` and it is optimal for the margin LP.  None when U is below
-    ``floor``, when the solve declines, or when a corner falls short of U.
+    ``START_TOL`` and it is optimal for the margin LP.  None when the complex
+    has no face, when U is below ``floor``, when the solve declines, or when
+    a corner falls short of U.
     """
     T = spec.complex
     F, E = T.face_count, T.edge_count
+    if F == 0:
+        return None
     U = (np.pi * F - 2.0 * float(spec.psi_edge.sum())) / F
     if U < floor:
         return None
@@ -261,15 +276,13 @@ def equal_area_start(
     B = sparse.csr_array(
         (class_lift(T, np.ones(E)), (np.arange(3 * F) // 3, T.edge_of_flag)), shape=(F, E)
     )
-    p = 0.5 * spec.psi_edge[T.edge_of_flag]
-    r = 0.5 * (np.pi - U) - p.reshape(-1, 3).sum(axis=1)
+    half = spec.psi_edge / 2
+    r = 0.5 * (np.pi - U) - _member(spec, half).psi.reshape(-1, 3).sum(axis=1)
     try:
         y = grounded_solve(B @ B.T, r, symmetric=True)
     except np.linalg.LinAlgError:
         return None
-    p += class_lift(T, B.T @ y)
-    p[T.edges[:, 1]] = spec.psi_edge - p[T.edges[:, 0]]
-    x = AngleSystem(T, p)
+    x = _member(spec, half + B.T @ y)
     A = all_corner_angles(x)
     margin = min(A.min(), (np.pi - A.sum(axis=1)).min())
     return x if margin >= U - START_TOL else None
@@ -281,10 +294,9 @@ def find_negative_delaunay(
     """Produce a strictly interior negatively curved Delaunay representative.
 
     The representative maximizes the margin eps of the linear program over
-    partials p:
+    the lower-flag partials x of ``_member``, one per edge:
 
-        max eps  s.t.  p_a + p_b = psi_e              for every edge,
-                       corner angles >= eps,
+        max eps  s.t.  corner angles >= eps,
                        face angle sums <= pi - eps.
 
     Corner angles below pi and vertex sums of 2 pi are implied.  The face
@@ -294,14 +306,13 @@ def find_negative_delaunay(
     Otherwise the LP is solved by HiGHS's interior-point method
     (``"highs-ipm"``) at optimality tolerance ``IPM_TOL`` and without
     crossover, so the returned point is the method's interior solution,
-    centred in the optimal face rather than at one of its vertices.  Without
-    crossover the equality rows hold only to the solver's primal tolerance,
-    so the upper flag of each edge is then set to ``psi_e`` minus the lower
-    one, which puts the point in the class up to rounding.  Either point is
-    the Newton start of the uniformizer.  Raises ``Infeasible`` with the LP's
-    certificate margin when the maximum is below the feasibility floor; that
-    verdict always comes from the LP, except on the empty complex, whose
-    hyperbolic area -2 pi chi is 0 and which is refused before either start.
+    centred in the optimal face rather than at one of its vertices.  The LP
+    has no equality rows, so its solution is a member of the class whatever
+    the solver's primal tolerance.  Either point is the Newton start of the
+    uniformizer.  Raises ``Infeasible`` with the LP's certificate margin
+    when the maximum is below the feasibility floor; that verdict always
+    comes from the LP, except on the empty complex, whose hyperbolic area
+    -2 pi chi is 0 and which is refused before either start.
     """
     if spec.complex.face_count == 0:
         raise Infeasible("the empty complex has area 0, so no member is hyperbolic")
@@ -316,26 +327,21 @@ def _margin_lp(spec: ConformalClassSpec, floor: float) -> AngleSystem:
 
     T = spec.complex
     F, E = T.face_count, T.edge_count
-    n = 3 * F
 
-    # equality rows: one per edge, over its two flags
-    A_eq = sparse.csr_array(
-        (np.ones(2 * E), (np.repeat(np.arange(E), 2), T.edges.reshape(-1))),
-        shape=(E, n + 1),
-    )
-    b_eq = spec.psi_edge.copy()
-
-    # inequality rows in `A_ub z <= b_ub` form, z = (p, eps); per face
+    # inequality rows in `A_ub z <= b_ub` form, z = (x, eps); per face
     # eps - angle_c <= 0 for corners c = 0, 1, 2 (angle c is the sum of the
-    # other two partials), then eps + angle sum <= pi
-    face_rows = np.array([[0, -1, -1], [-1, 0, -1], [-1, -1, 0], [2, 2, 2]], dtype=float)
-    A_ub = sparse.hstack(
-        [sparse.kron(sparse.eye_array(F), face_rows), sparse.csr_array(np.ones((4 * F, 1)))]
+    # other two partials), then eps + angle sum <= pi.  The partials are
+    # _member(spec, 0) plus class_lift(T, x), the signed incidence times x
+    rows = np.array([[0, -1, -1], [-1, 0, -1], [-1, -1, 0], [2, 2, 2]], dtype=float)
+    face_rows = sparse.kron(sparse.eye_array(F), rows)
+    moves = sparse.csr_array(
+        (class_lift(T, np.ones(E)), (np.arange(3 * F), T.edge_of_flag)), shape=(3 * F, E)
     )
-    b_ub = np.tile([0.0, 0.0, 0.0, np.pi], F)
+    A_ub = sparse.hstack([face_rows @ moves, sparse.csr_array(np.ones((4 * F, 1)))])
+    b_ub = np.tile([0.0, 0.0, 0.0, np.pi], F) - face_rows @ _member(spec, np.zeros(E)).psi
 
-    c = np.zeros(n + 1)
-    c[n] = -1.0  # maximize eps
+    c = np.zeros(E + 1)
+    c[E] = -1.0  # maximize eps
     with warnings.catch_warnings():
         # scipy does not list run_crossover among the highs-ipm options, warns
         # that it is unrecognized, and passes it to HiGHS unchanged
@@ -344,20 +350,16 @@ def _margin_lp(spec: ConformalClassSpec, floor: float) -> AngleSystem:
             c,
             A_ub=A_ub,
             b_ub=b_ub,
-            A_eq=A_eq,
-            b_eq=b_eq,
-            bounds=[(None, None)] * n + [(None, np.pi)],
+            bounds=[(None, None)] * E + [(None, np.pi)],
             method="highs-ipm",
             options={"run_crossover": "off", "ipm_optimality_tolerance": IPM_TOL},
         )
     if not res.success:
         raise Infeasible(f"margin LP failed: {res.message}", margin=None)
-    eps = float(res.x[n])
+    eps = float(res.x[E])
     if eps < floor:
         raise Infeasible(
             f"no interior representative: maximal margin {eps:.3e} below floor {floor:.0e}",
             margin=eps,
         )
-    p = res.x[:n]
-    p[T.edges[:, 1]] = spec.psi_edge - p[T.edges[:, 0]]
-    return AngleSystem(T, p)
+    return _member(spec, res.x[:E])

@@ -379,9 +379,6 @@ def run(argv: list[str]) -> int:
     _echo_header(args)
     try:
         return args.func(args)
-    except NoConvergence as exc:
-        print(f"error: NoConvergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except (UnmatchedSide, SelfGluedSide, DuplicateSide) as exc:
         # a structurally invalid input file is a parse failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

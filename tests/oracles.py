@@ -20,8 +20,9 @@ direct way (the dense class basis and its products, a finite-difference
 class Hessian, a dense Newton solve of the class Hessian, least-squares
 solves of the singular systems), so the index-array assembly and the sparse
 LU are checked against their definitions.  ``margin_lp_simplex`` writes the
-margin LP out row by row and solves it with HiGHS's default method, the
-reference for the interior-point margin.
+margin LP out row by row over all 3F partials, with one equality row per
+edge, and solves it with HiGHS's default method, the reference for the
+interior-point margin over the lower-flag partials.
 ``derive_union_find`` derives a complex's edges and vertex orbits with a
 flag-by-flag union-find, the reference for the index-array derivation,
 ``gluing_mate_loop`` validates a side pairing pair by pair, and

@@ -24,6 +24,7 @@ from diskflow.angles import (
     _margin_lp,
 )
 from diskflow.complexes import (
+    build_complex,
     csaszar_torus,
     genus2_octagon,
     octagon_cone,
@@ -332,9 +333,10 @@ def test_interior_point_margin_matches_the_simplex_oracle():
 
 @pytest.mark.parametrize("noise", [0.0, 1e-9])
 def test_interior_point_start_lies_in_its_class(noise, monkeypatch):
-    # without crossover the equality rows hold only to the solver's primal
-    # tolerance; a solution moved off them by ``noise`` (well inside that
-    # tolerance) must come back in the class once the upper flags are snapped
+    # without crossover the solution holds only to the solver's primal
+    # tolerance; a solution moved by ``noise`` (well inside that tolerance)
+    # must still give a member of the class, whose upper flags are computed
+    # from its lower ones
     import scipy.optimize
 
     linprog, rng = scipy.optimize.linprog, np.random.default_rng(5)
@@ -414,6 +416,45 @@ def test_the_lp_runs_exactly_when_the_equal_area_start_is_not_certified(monkeypa
         assert len(calls) - before == (0 if certified else 1)
         routes["start" if certified else "lp"] += 1
     assert routes["start"] > 0 and routes["lp"] > 0
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-9])
+def test_margin_lp_runs_over_lower_flags_without_equality_rows(noise, monkeypatch):
+    # a member is its lower-flag partials, so the LP has one column per edge
+    # and one for the margin, no equality rows, and its point lies in the
+    # class to rounding wherever the solver's edge values land
+    import scipy.optimize
+
+    linprog, rng, calls = scipy.optimize.linprog, np.random.default_rng(5), []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        res = linprog(*args, **kwargs)
+        if res.x is not None:
+            res.x[:-1] += rng.uniform(-noise, noise, size=res.x.size - 1)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    members = 0
+    for spec in _margin_oracle_specs():
+        before = len(calls)
+        try:
+            y = _margin_lp(spec, MARGIN_FLOOR)
+        except Infeasible:
+            y = None
+        ((args, kwargs),) = calls[before:]
+        assert len(args) == 1 and "A_eq" not in kwargs and "b_eq" not in kwargs
+        assert kwargs["A_ub"].shape[1] == spec.complex.edge_count + 1
+        if y is not None:
+            assert np.max(np.abs(edge_psi(y) - spec.psi_edge)) <= 1e-15
+            members += 1
+    assert members > 0
+
+
+def test_equal_area_start_declines_on_the_empty_complex():
+    # no face has a margin to certify; find_negative_delaunay refuses F = 0
+    # before it tries either start
+    assert equal_area_start(ConformalClassSpec(build_complex(0, []), [])) is None
 
 
 def test_equal_area_start_declines_below_the_bound_and_the_floor():

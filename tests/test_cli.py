@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from diskflow.angles import conformal_class_of
+from diskflow.angles import conformal_class_of, edge_psi
 from diskflow.cli import run
 from diskflow.complexes import tetrahedron
 from diskflow.serialization import (
+    angle_system_from_dict,
     class_spec_to_dict,
     dumps_canonical,
     mesh_to_dict,
@@ -103,11 +104,13 @@ def test_null_in_a_class_is_not_finite(canonical24_spec, tmp_path, capsys):
     assert "ValueError: value at edge 7 is not finite (nan)" in capsys.readouterr().err
 
 
-def test_uniformize_end_to_end(g2_spec_file, tmp_path, capsys):
+def test_uniformize_end_to_end(g2_spec_file, symmetric_g2_system, tmp_path, capsys):
     out = tmp_path / "structure.json"
     trace = tmp_path / "trace.csv"
+    angles = tmp_path / "angles.json"
     code = run(
-        ["uniformize", g2_spec_file, "--out", str(out), "--trace", str(trace)]
+        ["uniformize", g2_spec_file, "--out", str(out), "--trace", str(trace),
+         "--angles-out", str(angles)]
     )
     assert code == 0
     st = structure_from_dict(read_json(out))
@@ -115,8 +118,16 @@ def test_uniformize_end_to_end(g2_spec_file, tmp_path, capsys):
     assert rep.ok and abs(rep.total_area - 4 * np.pi) < 1e-9
     header = trace.read_text().splitlines()[0]
     assert header == "iteration,H,grad_inf,step,worst_length_mismatch"
-    # the pattern subcommand accepts the structure file
-    assert run(["pattern", str(out)]) == 0
+    # the maximizing angle system is a member of the class it was given
+    y = angle_system_from_dict(read_json(angles))
+    spec = conformal_class_of(symmetric_g2_system)
+    assert y.complex.to_dict() == spec.complex.to_dict()
+    assert np.max(np.abs(edge_psi(y) - spec.psi_edge)) <= 1e-9
+    # the pattern subcommand accepts the structure file and reports on it
+    report = tmp_path / "pattern.json"
+    assert run(["pattern", str(out), "--out", str(report)]) == 0
+    pattern = read_json(report)
+    assert pattern["ok"] is True and pattern["area_target"] == 4 * np.pi
 
 
 def test_uniformize_deterministic_bytes(tmp_path):
@@ -405,6 +416,10 @@ MC = ["--trials", "2", "--seed", "1"]
         (["defect", "--lambda", "1e30", *MC, "--cap-area", "2"], "--lambda"),
         # twice the area times lambda overflows: the face count is not a float
         (["quadrature", "--lambda", "1e308", "--delta", "0.5"], "--lambda"),
+        # a region of the other surface
+        (["defect", "--surface", "torus", "--lambda", "50", *MC, "--cap-area", "2"],
+         "--cap-area"),
+        (["defect", "--lambda", "5", *MC, "--rect", "0", "0", "0.5", "0.5"], "--rect"),
     ],
 )
 def test_bad_monte_carlo_flag_is_a_domain_error(argv, flag, tmp_path, capsys):
