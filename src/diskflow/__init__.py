@@ -62,7 +62,6 @@ from .hyperbolic import (
     prism_volume,
 )
 from .smoothflow import (
-    FlowOptions,
     MeshMetric,
     curvature_h,
     curvature_spread,
@@ -75,7 +74,6 @@ from .smoothflow import (
 from .surfaces import PointSample, SurfaceModel, circumdisk, sample_poisson
 from .uniformize import (
     HyperbolicStructure,
-    UniformizeOptions,
     assemble_structure,
     pattern_report,
     uniformize,

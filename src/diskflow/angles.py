@@ -128,13 +128,13 @@ class DelaunayReport(Report):
     min_margin: float
 
 
-def is_delaunay(x: AngleSystem, tol: float = CHECK_TOL) -> DelaunayReport:
-    """Check every per-edge value lies strictly inside (0, pi)."""
+def is_delaunay(x: AngleSystem) -> DelaunayReport:
+    """Check every per-edge value lies inside (0, pi), ``CHECK_TOL`` clear of both ends."""
     pe = edge_psi(x)
     bad = [
         (e, float(pe[e]))
         for e in range(pe.size)
-        if not (tol < pe[e] < np.pi - tol)
+        if not (CHECK_TOL < pe[e] < np.pi - CHECK_TOL)
     ]
     margin = float(np.min(np.minimum(pe, np.pi - pe))) if pe.size else np.inf
     return DelaunayReport(not bad, bad, margin)
@@ -150,9 +150,10 @@ class CurvatureReport(Report):
     max_curvature: float
 
 
-def is_negatively_curved(x: AngleSystem, tol: float = CHECK_TOL) -> CurvatureReport:
+def is_negatively_curved(x: AngleSystem) -> CurvatureReport:
+    """Check every face curvature is below -``CHECK_TOL``."""
     k = face_curvatures(x)
-    bad = [(t, float(k[t])) for t in range(k.size) if k[t] > -tol]
+    bad = [(t, float(k[t])) for t in range(k.size) if k[t] > -CHECK_TOL]
     return CurvatureReport(not bad, bad, float(k.max()) if k.size else -np.inf)
 
 
@@ -246,9 +247,7 @@ def is_teleportable_bruteforce(x, max_faces: int = 20) -> TeleportReport:
     )
 
 
-def equal_area_start(
-    spec: ConformalClassSpec, floor: float = MARGIN_FLOOR
-) -> AngleSystem | None:
+def equal_area_start(spec: ConformalClassSpec) -> AngleSystem | None:
     """The member of the class whose faces all have the same area, when it
     certifies itself as a margin-maximizing point; None otherwise.
 
@@ -262,15 +261,15 @@ def equal_area_start(
     Laplacian, solved by ``grounded_solve``.  Its defects are then U, and if
     every corner angle is at least U as well, its margin is U up to
     ``START_TOL`` and it is optimal for the margin LP.  None when the complex
-    has no face, when U is below ``floor``, when the solve declines, or when
-    a corner falls short of U.
+    has no face, when U is below ``MARGIN_FLOOR``, when the solve declines,
+    or when a corner falls short of U.
     """
     T = spec.complex
     F, E = T.face_count, T.edge_count
     if F == 0:
         return None
     U = (np.pi * F - 2.0 * float(spec.psi_edge.sum())) / F
-    if U < floor:
+    if U < MARGIN_FLOOR:
         return None
     # flag f lies in face f // 3 and carries class_lift's sign for its edge
     B = sparse.csr_array(
@@ -288,9 +287,7 @@ def equal_area_start(
     return x if margin >= U - START_TOL else None
 
 
-def find_negative_delaunay(
-    spec: ConformalClassSpec, floor: float = MARGIN_FLOOR
-) -> AngleSystem:
+def find_negative_delaunay(spec: ConformalClassSpec) -> AngleSystem:
     """Produce a strictly interior negatively curved Delaunay representative.
 
     The representative maximizes the margin eps of the linear program over
@@ -310,17 +307,17 @@ def find_negative_delaunay(
     has no equality rows, so its solution is a member of the class whatever
     the solver's primal tolerance.  Either point is the Newton start of the
     uniformizer.  Raises ``Infeasible`` with the LP's certificate margin
-    when the maximum is below the feasibility floor; that verdict always
+    when the maximum is below ``MARGIN_FLOOR``; that verdict always
     comes from the LP, except on the empty complex, whose hyperbolic area
     -2 pi chi is 0 and which is refused before either start.
     """
     if spec.complex.face_count == 0:
         raise Infeasible("the empty complex has area 0, so no member is hyperbolic")
-    start = equal_area_start(spec, floor)
-    return start if start is not None else _margin_lp(spec, floor)
+    start = equal_area_start(spec)
+    return start if start is not None else _margin_lp(spec)
 
 
-def _margin_lp(spec: ConformalClassSpec, floor: float) -> AngleSystem:
+def _margin_lp(spec: ConformalClassSpec) -> AngleSystem:
     """The interior-point solution of ``find_negative_delaunay``'s margin LP."""
     # imported here: scipy.optimize is slow to load and only the uniformizer needs it
     from scipy.optimize import OptimizeWarning, linprog
@@ -357,9 +354,10 @@ def _margin_lp(spec: ConformalClassSpec, floor: float) -> AngleSystem:
     if not res.success:
         raise Infeasible(f"margin LP failed: {res.message}", margin=None)
     eps = float(res.x[E])
-    if eps < floor:
+    if eps < MARGIN_FLOOR:
         raise Infeasible(
-            f"no interior representative: maximal margin {eps:.3e} below floor {floor:.0e}",
+            f"no interior representative: maximal margin {eps:.3e} "
+            f"below floor {MARGIN_FLOOR:.0e}",
             margin=eps,
         )
     return _member(spec, res.x[:E])

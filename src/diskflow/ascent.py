@@ -112,8 +112,11 @@ def ascend(
     the sup norm of g to ``converged(grad_inf, residual)``, which is tested
     at every iterate, the last one included.  Returns the converged iterate
     and the trace; raises ``NoConvergence`` carrying both when the line
-    search stalls or the steps run out.
+    search stalls or the steps run out, and ``ValueError`` when ``max_iter``
+    is negative (at 0 only the start is tested).
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter!r}")
     start = time.perf_counter()
     f = objective(x)
     r = residual(x)

@@ -52,9 +52,9 @@ from .serialization import (
     trials_csv,
     write_json,
 )
-from .smoothflow import FlowOptions, curvature_h, log_ricci_flow, teleport
+from .smoothflow import curvature_h, log_ricci_flow, teleport
 from .surfaces import SurfaceModel
-from .uniformize import UniformizeOptions, pattern_report, uniformize
+from .uniformize import pattern_report, uniformize
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -148,10 +148,9 @@ def _cmd_pattern(args) -> int:
 def _cmd_uniformize(args) -> int:
     _check_solver_flags(args)
     spec = class_spec_from_dict(read_json(args.spec))
-    opts = UniformizeOptions(tol=args.tol, max_iter=args.max_iter)
     failure = None
     try:
-        y, st, trace = uniformize(spec, opts)
+        y, st, trace = uniformize(spec, tol=args.tol, max_iter=args.max_iter)
     except NoConvergence as exc:
         trace, failure = exc.trace, exc
     if args.trace:
@@ -252,10 +251,9 @@ def _cmd_flow(args) -> int:
     _check_solver_flags(args)
     mesh = mesh_from_dict(read_json(args.mesh))
     phi0 = read_json(args.phi0)["phi"] if args.phi0 else None
-    opts = FlowOptions(tol=args.tol, max_iter=args.max_iter)
     failure = None
     try:
-        phi, report = log_ricci_flow(mesh, phi0, opts)
+        phi, report = log_ricci_flow(mesh, phi0, tol=args.tol, max_iter=args.max_iter)
     except NoConvergence as exc:
         phi, report, failure = exc.best, exc.trace, exc
     if args.out:

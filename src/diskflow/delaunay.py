@@ -26,7 +26,7 @@ check rejects either way, may be split along another diagonal.
 
 Construction always cross-checks itself: the Euler count must match the
 surface and every kept circumdisk must be verifiably empty and unambiguous
-at tolerance 1e-10; violations raise ``DegenerateSample`` so that Monte
+within ``GENERIC_TOL``; violations raise ``DegenerateSample`` so that Monte
 Carlo drivers can resample (the probability of needing to decays faster than
 any power of the intensity).  The emptiness check is local: by the Delaunay
 lemma (Delaunay 1934; Lawson 1977) a triangulation whose every edge is
@@ -47,7 +47,8 @@ from .errors import DegenerateSample, DegenerateTriple
 from .reports import Report
 from .surfaces import PointSample, _planar_circumcenters, circumdisk, geodesic_distance
 
-GENERIC_TOL = 1e-10
+GENERIC_TOL = 1e-10  # distance within which a point counts as on a circumcircle
+EXHAUSTIVE_LIMIT = 60  # largest sample checked for cocircularity over every triple
 WINDOW_C = 10.0  # the window radius r is sqrt((log n + WINDOW_C) / (pi n / area))
 
 
@@ -78,10 +79,11 @@ class DelaunayComplex:
         return self.vertex_count - self.edge_count + self.face_count
 
 
-def delaunay(sample: PointSample, tol: float = GENERIC_TOL) -> DelaunayComplex:
-    """Build the Delaunay triangulation of a sample (>= 4 points)."""
+def delaunay(sample: PointSample) -> DelaunayComplex:
+    """Build the Delaunay triangulation of a sample (>= 4 points), checked
+    empty and generic within ``GENERIC_TOL``."""
     dc = _triangulate(sample)
-    _check_generic(dc, tol)
+    _check_generic(dc)
     return dc
 
 
@@ -201,9 +203,10 @@ def _tiled_delaunay(sample: PointSample, margin: float) -> DelaunayComplex:
     )
 
 
-def _emptiness_flags(dc: DelaunayComplex, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _emptiness_flags(dc: DelaunayComplex) -> tuple[np.ndarray, np.ndarray]:
     """(F, 3) boolean masks for the vertex across each side of each face:
-    strictly inside the face's circumdisk, and on its boundary.
+    inside the face's circumdisk by more than ``GENERIC_TOL``, and within
+    ``GENERIC_TOL`` of its boundary.
 
     A vertex across a side that is also a corner of the face (a periodic copy
     on a small torus) is neither.  On the sphere the comparison runs on dot
@@ -213,31 +216,32 @@ def _emptiness_flags(dc: DelaunayComplex, tol: float) -> tuple[np.ndarray, np.nd
     across = dc.sample.points[dc.opposite]
     if surf.kind == "sphere":
         dots = (dc.centers[:, None, :] * across).sum(axis=-1)
-        hi = np.cos(np.maximum(dc.radii - tol, 0.0))[:, None]
-        lo = np.cos(np.minimum(dc.radii + tol, np.pi))[:, None]
+        hi = np.cos(np.maximum(dc.radii - GENERIC_TOL, 0.0))[:, None]
+        lo = np.cos(np.minimum(dc.radii + GENERIC_TOL, np.pi))[:, None]
         inside = dots > hi
         on_circle = (dots <= hi) & (dots >= lo)
     else:
         dist = geodesic_distance(surf, dc.centers[:, None, :], across)
-        inside = dist < dc.radii[:, None] - tol
-        on_circle = np.abs(dist - dc.radii[:, None]) <= tol
+        inside = dist < dc.radii[:, None] - GENERIC_TOL
+        on_circle = np.abs(dist - dc.radii[:, None]) <= GENERIC_TOL
     other = (dc.opposite[:, :, None] != dc.faces[:, None, :]).all(axis=-1)
     return inside & other, on_circle & other
 
 
-def verify_empty_disks(dc: DelaunayComplex, tol: float = GENERIC_TOL) -> bool:
-    """True when no sample point lies strictly inside any face circumdisk.
+def verify_empty_disks(dc: DelaunayComplex) -> bool:
+    """True when no sample point lies inside any face circumdisk by more
+    than ``GENERIC_TOL``.
 
-    Checked locally: no vertex across a side of a face lies strictly inside
+    Checked locally: no vertex across a side of a face lies that far inside
     that face's circumdisk, which by the Delaunay lemma leaves every
     circumdisk empty.
     """
-    inside, _ = _emptiness_flags(dc, tol)
+    inside, _ = _emptiness_flags(dc)
     return not bool(inside.any())
 
 
-def _check_generic(dc: DelaunayComplex, tol: float) -> None:
-    inside, on_circle = _emptiness_flags(dc, tol)
+def _check_generic(dc: DelaunayComplex) -> None:
+    inside, on_circle = _emptiness_flags(dc)
     if inside.any():
         raise DegenerateSample("a sample point lies inside a circumdisk")
     if on_circle.any():
@@ -253,10 +257,11 @@ class DensityReport(Report):
     detail: str = ""
 
 
-def _exhaustive_cocircular(sample: PointSample, delta: float, tol: float) -> bool:
-    """True when some 4 points lie on a common circle of radius < delta.
+def _exhaustive_cocircular(sample: PointSample, delta: float) -> bool:
+    """True when some 4 points lie within ``GENERIC_TOL`` of a common circle
+    of radius < delta.
 
-    Quartic in the sample size, so only used below a small size cap.
+    Quartic in the sample size, so only used up to ``EXHAUSTIVE_LIMIT`` points.
     """
     surf = sample.surface
     pts = sample.points
@@ -270,30 +275,25 @@ def _exhaustive_cocircular(sample: PointSample, delta: float, tol: float) -> boo
             continue
         others = np.delete(np.arange(n), [i, j, k])
         d = geodesic_distance(surf, pts[others], cd.center)
-        if np.any(np.abs(d - cd.radius) <= tol):
+        if np.any(np.abs(d - cd.radius) <= GENERIC_TOL):
             return True
     return False
 
 
-def is_generically_delta_dense(
-    sample: PointSample,
-    delta: float,
-    tol: float = GENERIC_TOL,
-    exhaustive_limit: int = 60,
-) -> DensityReport:
+def is_generically_delta_dense(sample: PointSample, delta: float) -> DensityReport:
     """Covering and genericity check at decision radius ``delta``.
 
     Covering holds when the largest empty disk (the largest Delaunay
     circumradius) stays below delta.  Genericity means no four points are
-    cocircular within tolerance at radius below delta: samples up to
-    ``exhaustive_limit`` points are checked over every triple; larger ones
+    cocircular within ``GENERIC_TOL`` at radius below delta: samples up to
+    ``EXHAUSTIVE_LIMIT`` points are checked over every triple; larger ones
     through the empty circumdisks realized by the triangulation, each tested
     against the vertices across its sides, which by the Delaunay lemma
     decides emptiness and cocircularity for every sample point (a Poisson
     sample violates either check with probability zero).
     """
-    if sample.count <= exhaustive_limit and sample.count >= 4:
-        if _exhaustive_cocircular(sample, delta, tol):
+    if sample.count <= EXHAUSTIVE_LIMIT and sample.count >= 4:
+        if _exhaustive_cocircular(sample, delta):
             return DensityReport(
                 ok=False,
                 covering_ok=False,
@@ -312,7 +312,7 @@ def is_generically_delta_dense(
             detail="too few points to triangulate, so some delta ball is empty",
         )
     try:
-        dc = delaunay(sample, tol=tol)
+        dc = delaunay(sample)
     except DegenerateSample as exc:
         return DensityReport(
             ok=False,

@@ -24,7 +24,9 @@ from scipy.special import gammainc, gammaincc
 
 from .delaunay import delaunay
 from .errors import BadDelta, DegenerateSample
-from .surfaces import SurfaceModel, sample_poisson
+from .surfaces import SurfaceModel, _check_intensity, sample_poisson
+
+MAX_RESAMPLES = 100  # consecutive degenerate draws after which a trial fails
 
 
 @dataclass(frozen=True)
@@ -46,17 +48,16 @@ class ChiEstimate:
     seed: object
 
 
-def _run_trial(surface: SurfaceModel, intensity: float, seed, trial: int,
-               max_retries: int = 100):
+def _run_trial(surface: SurfaceModel, intensity: float, seed, trial: int):
     """Sample and triangulate one trial, resampling degenerate draws."""
-    for retry in range(max_retries):
+    for retry in range(MAX_RESAMPLES):
         sample = sample_poisson(surface, intensity, seed=[seed, trial, retry])
         try:
             return sample, delaunay(sample), retry
         except DegenerateSample:
             continue
     raise DegenerateSample(
-        f"trial {trial} failed {max_retries} consecutive resamples"
+        f"trial {trial} failed {MAX_RESAMPLES} consecutive resamples"
     )
 
 
@@ -242,12 +243,13 @@ def chi_quadrature(surface: SurfaceModel, intensity: float, delta: float) -> flo
 
 def _cap_counts(surface: SurfaceModel, intensity: float, delta: float) -> tuple[float, float]:
     """The quadrature's n = lambda A and x = lambda times the area of a cap of
-    radius delta, after its checks of the surface and of delta."""
+    radius delta, after its checks of the surface, delta and the intensity."""
     if surface.kind != "sphere":
         raise BadDelta("quadrature route is defined on the unit sphere")
     if not (0.0 < delta <= surface.delta_max):
         raise BadDelta(
             f"delta {delta!r} outside (0, {surface.delta_max!r}]"
         )
+    _check_intensity(intensity)
     n = surface.area * intensity
     return n, n * np.sin(delta / 2.0) ** 2

@@ -207,16 +207,6 @@ def entropy(mesh: MeshMetric, phi: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class FlowOptions:
-    tol: float = 1e-6  # bound on both the curvature spread and the gradient's sup norm
-    max_iter: int = 5000  # cap on accepted steps; the last iterate is tested too
-
-    def __post_init__(self):
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be at least 0, got {self.max_iter!r}")
-
-
-@dataclass(frozen=True)
 class FlowReport:
     converged: bool
     iterations: int
@@ -233,7 +223,9 @@ def _newton(mesh: MeshMetric, phi: np.ndarray, G: np.ndarray) -> np.ndarray:
 def log_ricci_flow(
     mesh: MeshMetric,
     phi0: np.ndarray | None = None,
-    opts: FlowOptions | None = None,
+    *,
+    tol: float = 1e-6,
+    max_iter: int = 5000,
 ) -> tuple[np.ndarray, FlowReport]:
     """Ascend the objective until the conformal curvature is constant.
 
@@ -245,12 +237,12 @@ def log_ricci_flow(
     is Lap phi0 - k > U_FLOOR (k_h(phi0) < 0), which teleport meets on any
     chi < 0 metric; otherwise ``OutOfDomain`` names a vertex.  Converged
     means both the curvature spread and the sup norm of the gradient are
-    below ``tol``.  The report's step residual is the curvature spread.  Raises
+    below ``tol``.  ``max_iter`` caps the accepted steps; the last iterate is
+    tested too.  The report's step residual is the curvature spread.  Raises
     ``NoConvergence`` with the best iterate and report attached if the line
     search stalls or ``max_iter`` steps do not reach ``tol``, and
     ``ValueError`` unless ``phi0`` is finite with one entry per vertex.
     """
-    opts = opts or FlowOptions()
     phi = teleport(mesh) if phi0 is None else finite_vector(phi0, mesh.vertex_count, "vertex")
 
     failure = None
@@ -260,11 +252,11 @@ def log_ricci_flow(
             objective=lambda p: evaluate_Ig(mesh, p),
             gradient=lambda p: gradient_Ig(mesh, p),
             residual=lambda p: curvature_spread(mesh, p),
-            converged=lambda grad_inf, spread: spread < opts.tol and grad_inf < opts.tol,
+            converged=lambda grad_inf, spread: spread < tol and grad_inf < tol,
             newton_dir=lambda p, G: _newton(mesh, p, G),
             fallback_dir=lambda p, G: mean_zero(mesh, G / mesh.masses),
             move=lambda p, step, d: p + step * d,
-            max_iter=opts.max_iter,
+            max_iter=max_iter,
         )
     except NoConvergence as exc:
         phi, trace, failure = exc.best, exc.trace, exc

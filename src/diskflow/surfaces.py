@@ -30,8 +30,8 @@ class SurfaceModel:
     def __post_init__(self):
         if self.kind not in ("sphere", "torus"):
             raise ValueError(f"unknown surface kind {self.kind!r}")
-        if self.kind == "torus" and (self.width <= 0 or self.height <= 0):
-            raise ValueError("torus dimensions must be positive")
+        if self.kind == "torus" and not (0 < self.width < np.inf and 0 < self.height < np.inf):
+            raise ValueError("torus dimensions must be finite and positive")
 
     @classmethod
     def sphere(cls) -> "SurfaceModel":
@@ -105,15 +105,20 @@ def _draw_points(surface: SurfaceModel, rng: np.random.Generator, n: int) -> np.
     return rng.uniform([0.0, 0.0], [surface.width, surface.height], size=(n, 2))
 
 
+def _check_intensity(intensity: float) -> None:
+    if not 0 < intensity < np.inf:
+        raise ValueError(f"intensity must be finite and positive, got {intensity!r}")
+
+
 def sample_poisson(surface: SurfaceModel, intensity: float, seed) -> PointSample:
     """Poisson(intensity * area) many points, i.i.d. uniform for the area.
 
     ``seed`` may be an int or a sequence of ints; equal seeds reproduce the
-    sample exactly.  Raises ``TooLarge`` naming n when the n points do not
-    fit in memory.
+    sample exactly.  Raises ``ValueError`` unless the intensity is finite
+    and positive, and ``TooLarge`` naming n when the n points do not fit in
+    memory.
     """
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
+    _check_intensity(intensity)
     rng = _generator(seed)
     n = int(rng.poisson(intensity * surface.area))
     try:

@@ -37,15 +37,7 @@ from .hyperbolic import (
 )
 from .reports import Report
 
-
-@dataclass(frozen=True)
-class UniformizeOptions:
-    tol: float = 1e-10  # sup-norm gradient target
-    max_iter: int = 200  # cap on accepted steps; the last iterate is tested too
-
-    def __post_init__(self):
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be at least 0, got {self.max_iter!r}")
+AREA_TOL = 1e-9  # how far the pattern's area may fall from -2 pi chi
 
 
 @dataclass(frozen=True)
@@ -82,8 +74,10 @@ def _newton(y: AngleSystem, g: np.ndarray) -> np.ndarray:
 
 def uniformize(
     spec: ConformalClassSpec,
-    opts: UniformizeOptions | None = None,
     start: AngleSystem | None = None,
+    *,
+    tol: float = 1e-10,
+    max_iter: int = 200,
 ) -> tuple[AngleSystem, HyperbolicStructure, list[TraceRecord]]:
     """Find the uniform angle system in the class of ``spec``.
 
@@ -92,11 +86,12 @@ def uniformize(
     itself, the LP's interior point otherwise (raising ``Infeasible`` when
     the class has no negatively curved Delaunay member).  Returns the
     maximizer, its assembled structure, and the per-iteration trace, whose
-    residual is the worst two-sided length mismatch.  ``NoConvergence``
-    carries the best iterate and trace when the line search stalls or
-    ``max_iter`` steps do not reach ``tol``.
+    residual is the worst two-sided length mismatch.  ``tol`` is the target
+    for the sup norm of the gradient, and ``max_iter`` caps the accepted
+    steps; the last iterate is tested too.  ``NoConvergence`` carries the
+    best iterate and trace when the line search stalls or ``max_iter``
+    steps do not reach ``tol``.
     """
-    opts = opts or UniformizeOptions()
     T = spec.complex
     if start is None:
         x = find_negative_delaunay(spec)
@@ -112,13 +107,13 @@ def uniformize(
         objective=objective_H,
         gradient=class_grad,
         residual=lambda y: float(np.max(_two_sided_lengths(y)[1])),
-        converged=lambda ginf, _: ginf < opts.tol,
+        converged=lambda ginf, _: ginf < tol,
         newton_dir=_newton,
         fallback_dir=lambda _, g: g,
         move=lambda y, step, d: AngleSystem(T, y.psi + step * class_lift(T, d)),
-        max_iter=opts.max_iter,
+        max_iter=max_iter,
     )
-    return y, assemble_structure(y, tol=10 * opts.tol), trace
+    return y, assemble_structure(y, tol=10 * tol), trace
 
 
 def assemble_structure(y: AngleSystem, tol: float = 1e-7) -> HyperbolicStructure:
@@ -182,17 +177,18 @@ class PatternReport(Report):
     angle_range: tuple[float, float]
 
 
-def pattern_report(structure: HyperbolicStructure, tol: float = 1e-9) -> PatternReport:
+def pattern_report(structure: HyperbolicStructure) -> PatternReport:
     """Summarize the empty disk pattern and check its area identity.
 
-    The total area (sum of face angle defects) must equal -2 pi chi, and
-    every disk intersection angle must lie strictly inside (0, pi).
+    The total area (sum of face angle defects) must equal -2 pi chi within
+    ``AREA_TOL``, and every disk intersection angle must lie strictly inside
+    (0, pi).
     """
     area = structure.total_area
     target = -2.0 * np.pi * structure.complex.chi
     angles = structure.intersection_angles
     lo, hi = float(angles.min()), float(angles.max())
-    ok = abs(area - target) < tol and lo > 0.0 and hi < np.pi
+    ok = abs(area - target) < AREA_TOL and lo > 0.0 and hi < np.pi
     return PatternReport(
         ok=ok,
         total_area=area,

@@ -45,7 +45,7 @@ from diskflow.smoothflow import (
     teleport,
 )
 from diskflow.surfaces import SurfaceModel
-from diskflow.uniformize import UniformizeOptions, uniformize
+from diskflow.uniformize import uniformize
 
 from helpers import octahedron, random_class_spec, random_complex, vertex_sum_matrix
 from oracles import class_basis, hessian_Ig, prism_volume_path, true_prism_volume
@@ -190,8 +190,7 @@ def test_criterion_3_concavity(canonical24_spec):
 @criterion(4, "discrete uniformization on the genus-2 complex, F=24")
 def test_criterion_4_uniformization(canonical24_spec):
     t0 = time.perf_counter()
-    opts = UniformizeOptions(tol=1e-10, max_iter=200)
-    y1, st, trace = uniformize(canonical24_spec, opts)
+    y1, st, trace = uniformize(canonical24_spec, tol=1e-10, max_iter=200)
     assert len(trace) <= 200
     assert trace[-1].grad_inf < 1e-10
     assert trace[-1].residual < 1e-8
@@ -203,7 +202,7 @@ def test_criterion_4_uniformization(canonical24_spec):
     y0 = find_negative_delaunay(canonical24_spec)
     pert = AngleSystem(T, y0.psi + B.T @ (0.01 * rng.standard_normal(T.edge_count)))
     assert is_delaunay(pert).ok and is_negatively_curved(pert).ok
-    y2, _, _ = uniformize(canonical24_spec, opts, start=pert)
+    y2, _, _ = uniformize(canonical24_spec, start=pert, tol=1e-10, max_iter=200)
     assert np.max(np.abs(y1.psi - y2.psi)) < 1e-8
     assert time.perf_counter() - t0 < 10.0
 

@@ -366,7 +366,7 @@ def test_margin_lp_raises_no_warning():
     spec = perturbed_canonical_spec(T96, np.random.default_rng(3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        starts = [_margin_lp(spec, MARGIN_FLOOR), find_negative_delaunay(spec)]
+        starts = [_margin_lp(spec), find_negative_delaunay(spec)]
     for y in starts:
         assert is_negatively_curved(y).ok and is_delaunay(y).ok
 
@@ -389,7 +389,7 @@ def test_equal_area_start_is_a_class_member_at_the_margin_bound():
         assert np.max(np.abs(defects - U)) <= 1e-12  # every face has area U
         assert abs(min(A.min(), defects.min()) - U) <= 1e-12
         # the bound is the LP's optimum: its own point reaches the same margin
-        A_lp = all_corner_angles(_margin_lp(spec, MARGIN_FLOOR))
+        A_lp = all_corner_angles(_margin_lp(spec))
         assert abs(min(A_lp.min(), (np.pi - A_lp.sum(axis=1)).min()) - U) <= 1e-9
         certified += 1
     assert certified > 0
@@ -439,7 +439,7 @@ def test_margin_lp_runs_over_lower_flags_without_equality_rows(noise, monkeypatc
     for spec in _margin_oracle_specs():
         before = len(calls)
         try:
-            y = _margin_lp(spec, MARGIN_FLOOR)
+            y = _margin_lp(spec)
         except Infeasible:
             y = None
         ((args, kwargs),) = calls[before:]

@@ -7,12 +7,12 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from diskflow.ascent import ascend, grounded_solve, sparse_solve
-from diskflow.errors import OutOfDomain
-from diskflow.smoothflow import FlowOptions
-from diskflow.uniformize import UniformizeOptions
+from diskflow.errors import NoConvergence, OutOfDomain
+from diskflow.smoothflow import log_ricci_flow
+from diskflow.uniformize import uniformize
 
 
-def _quadratic_ascent(upper=np.inf, rejected=None):
+def _quadratic_ascent(upper=np.inf, rejected=None, max_iter=5):
     # maximize -(x - 1)^2 on x < upper from 0 along a direction four times
     # the Newton step: the unit step lands on 4 and step 1/2 on 2, neither
     # gains (or both leave the domain), so step 1/4 is accepted after two
@@ -33,7 +33,7 @@ def _quadratic_ascent(upper=np.inf, rejected=None):
         newton_dir=lambda x, g: 2.0 * g,
         fallback_dir=lambda x, g: g,
         move=lambda x, step, d: x + step * d,
-        max_iter=5,
+        max_iter=max_iter,
     )
 
 
@@ -124,8 +124,23 @@ def test_grounded_solve_pins_vertex_zero_and_solves_a_laplacian():
         assert np.max(np.abs(L @ x - b)) < 1e-12
 
 
-@pytest.mark.parametrize("options", [UniformizeOptions, FlowOptions])
-def test_options_reject_a_negative_step_cap(options):
+# each solver from a start it does not accept as converged
+STEP_CAP_SOLVERS = {
+    "ascend": lambda request, max_iter: _quadratic_ascent(max_iter=max_iter),
+    "uniformize": lambda request, max_iter: uniformize(
+        request.getfixturevalue("canonical24_spec"), max_iter=max_iter
+    ),
+    "log_ricci_flow": lambda request, max_iter: log_ricci_flow(
+        request.getfixturevalue("cone14_unit"), 1e-3 * np.arange(14.0), max_iter=max_iter
+    ),
+}
+
+
+@pytest.mark.parametrize("solver", list(STEP_CAP_SOLVERS))
+def test_negative_step_cap_is_rejected(solver, request):
+    run = STEP_CAP_SOLVERS[solver]
     with pytest.raises(ValueError, match="max_iter must be at least 0, got -1"):
-        options(max_iter=-1)
-    assert options(max_iter=0).max_iter == 0
+        run(request, -1)
+    # a cap of 0 tests the start alone
+    with pytest.raises(NoConvergence, match="no convergence in 0 iterations"):
+        run(request, 0)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from diskflow.angles import conformal_class_of, edge_psi
-from diskflow.cli import run
+from diskflow.cli import build_parser, run
 from diskflow.complexes import tetrahedron
 from diskflow.serialization import (
     angle_system_from_dict,
@@ -18,7 +19,8 @@ from diskflow.serialization import (
     structure_to_dict,
     write_json,
 )
-from diskflow.uniformize import assemble_structure, pattern_report
+from diskflow.smoothflow import log_ricci_flow
+from diskflow.uniformize import assemble_structure, pattern_report, uniformize
 
 
 @pytest.fixture
@@ -456,6 +458,13 @@ def test_bad_solver_flag_is_a_domain_error(
     assert run([command, source, *extra, "--out", str(out)]) == 2
     assert not out.exists()
     assert f"error: BadParameter: {flag} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, solver", [("uniformize", uniformize), ("flow", log_ricci_flow)])
+def test_solver_flag_defaults_are_the_library_defaults(command, solver):
+    args = build_parser().parse_args([command, "input.json"])
+    defaults = inspect.signature(solver).parameters
+    assert (args.tol, args.max_iter) == (defaults["tol"].default, defaults["max_iter"].default)
 
 
 def test_sample_beyond_memory_is_too_large(tmp_path, capsys):

@@ -1,10 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from diskflow.complexes import from_vertex_triples, genus2_octagon, subdivide, tetrahedron
 from diskflow.errors import NoConvergence, OutOfDomain, ZeroCurvatureVertex
 from diskflow.smoothflow import (
-    FlowOptions,
     FlowReport,
     MeshMetric,
     curvature_h,
@@ -355,7 +356,7 @@ def test_flow_from_teleport_on_random_mesh(cone14_mesh):
 
 
 def test_flow_takes_full_newton_steps_on_jittered_meshes(cone14_mesh):
-    tol = FlowOptions().tol
+    tol = inspect.signature(log_ricci_flow).parameters["tol"].default
     for seed in range(6):
         for jitter in (0.015, 0.03):
             mesh = random_negative_mesh(cone14_mesh, np.random.default_rng(seed), jitter)
@@ -457,7 +458,7 @@ def test_flow_iteration_cap(cone14_mesh):
     rng = np.random.default_rng(10)
     mesh = random_negative_mesh(cone14_mesh, rng, jitter=0.03)
     with pytest.raises(NoConvergence) as exc:
-        log_ricci_flow(mesh, opts=FlowOptions(tol=1e-12, max_iter=2))
+        log_ricci_flow(mesh, tol=1e-12, max_iter=2)
     assert exc.value.best is not None
 
 

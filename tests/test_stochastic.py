@@ -21,6 +21,7 @@ from diskflow.estimators import (
     RectRegion,
     _map_trials,
     chi_estimator,
+    chi_quadrature,
     expected_faces_quadrature,
     face_defect_in_region,
 )
@@ -57,6 +58,18 @@ def test_surface_constants():
     assert TORUS.gauss_curvature == 0.0
     assert TORUS.injectivity_radius == 0.5
     assert np.isclose(TORUS.delta_max, 1 / 12)  # min(i/6, min(a,b)/4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_sizes_and_intensities_must_be_finite_and_positive(bad):
+    for dims in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="torus dimensions must be finite and positive"):
+            SurfaceModel.torus(*dims)
+    with pytest.raises(ValueError, match="intensity must be finite and positive"):
+        sample_poisson(SPHERE, bad, seed=0)
+    for quadrature in (expected_faces_quadrature, chi_quadrature):
+        with pytest.raises(ValueError, match="intensity must be finite and positive"):
+            quadrature(SPHERE, bad, 0.3)
 
 
 def test_sampling_determinism():
@@ -222,7 +235,7 @@ def _seam_circle_sample():
 def _assert_local_matches_dense(sample):
     """The local and dense checks make the same decision; returns it."""
     dc = _triangulate(sample)
-    local = emptiness_decision(*_emptiness_flags(dc, GENERIC_TOL))
+    local = emptiness_decision(*_emptiness_flags(dc))
     dense = emptiness_decision(*emptiness_flags_dense(dc, GENERIC_TOL))
     assert local == dense
     assert verify_empty_disks(dc) == (local != "inside")
@@ -243,7 +256,7 @@ def test_cocircular_quadruple_on_torus_seam_rejected():
     window = _tiled_delaunay(sample, 3.0 * _window_radius(sample))
     full = _tiled_delaunay(sample, np.inf)
     for dc in (window, full):
-        assert emptiness_decision(*_emptiness_flags(dc, GENERIC_TOL)) == "cocircular"
+        assert emptiness_decision(*_emptiness_flags(dc)) == "cocircular"
 
     def off_circle(dc):
         return {tuple(sorted(f)) for f in dc.faces.tolist() if not set(f) <= {0, 1, 2, 3}}
@@ -374,7 +387,7 @@ def test_five_cocircular_sphere_points_rejected():
     # the pentagon is cut into three faces; one of them has two other
     # cocircular points but only one of them across a side
     dc = _triangulate(sample)
-    local = _emptiness_flags(dc, GENERIC_TOL)[1].sum(axis=1)
+    local = _emptiness_flags(dc)[1].sum(axis=1)
     dense = emptiness_flags_dense(dc, GENERIC_TOL)[1].sum(axis=1)
     assert (local > 0).sum() == (dense > 0).sum() == 3
     assert np.any(local < dense)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,15 +15,13 @@ from diskflow.angles import (
 from diskflow.complexes import build_complex, genus2_octagon, subdivide
 from diskflow.errors import Infeasible, LengthMismatch
 from diskflow.hyperbolic import edge_lengths
-from diskflow.uniformize import (
-    UniformizeOptions,
-    assemble_structure,
-    pattern_report,
-    uniformize,
-)
+from diskflow.uniformize import assemble_structure, pattern_report, uniformize
 
 from helpers import octahedron, perturbed_canonical_spec
 from oracles import class_basis, class_newton_dense
+
+DEFAULTS = inspect.signature(uniformize).parameters
+TOL, MAX_ITER = DEFAULTS["tol"].default, DEFAULTS["max_iter"].default
 
 
 def test_symmetric_start_is_fixed_point(genus2, symmetric_g2_system):
@@ -42,10 +42,9 @@ def test_uniformize_symmetric_class_from_lp_start(genus2, symmetric_g2_system):
 
 
 def test_uniformize_genus2_24(canonical24_spec):
-    opts = UniformizeOptions()
-    y, st, trace = uniformize(canonical24_spec, opts)
-    assert len(trace) <= opts.max_iter
-    assert trace[-1].grad_inf < opts.tol
+    y, st, trace = uniformize(canonical24_spec)
+    assert len(trace) <= MAX_ITER
+    assert trace[-1].grad_inf < TOL
     assert trace[-1].residual < 1e-8
     assert abs(st.total_area - 4 * np.pi) < 1e-9
     # objective is nondecreasing along the accepted iterates
@@ -215,7 +214,7 @@ def test_no_convergence_reports_best(canonical24_spec):
     from diskflow.errors import NoConvergence
 
     with pytest.raises(NoConvergence) as exc:
-        uniformize(canonical24_spec, UniformizeOptions(tol=1e-10, max_iter=2))
+        uniformize(canonical24_spec, tol=1e-10, max_iter=2)
     assert exc.value.best is not None
     assert exc.value.trace is not None and len(exc.value.trace) == 2
 
@@ -294,7 +293,7 @@ def test_uniformize_falls_back_cleanly_on_a_singular_hessian(canonical24_spec, m
         _, st, trace = uniformize(canonical24_spec)
     *accepted, last = trace
     assert [r.newton for r in accepted] == [False] + [True] * (len(accepted) - 1)
-    assert last.grad_inf < UniformizeOptions().tol
+    assert last.grad_inf < TOL
     assert abs(st.total_area - 4 * np.pi) < 1e-9
 
 
@@ -307,7 +306,7 @@ def _takes_full_newton_steps(subdivisions):
         *accepted, last = trace
         assert all(r.newton and r.step == 1.0 for r in accepted)
         assert sum(r.backtracks for r in trace) == 0
-        assert len(accepted) <= 5 and last.grad_inf < UniformizeOptions().tol
+        assert len(accepted) <= 5 and last.grad_inf < TOL
 
 
 @pytest.mark.parametrize("subdivisions", [1, 2, 3])
@@ -318,7 +317,7 @@ def test_centred_lp_start_takes_full_newton_steps(subdivisions, monkeypatch):
     # The equal-area start is declined so that every class reaches the LP.
     import diskflow.angles
 
-    monkeypatch.setattr(diskflow.angles, "equal_area_start", lambda spec, floor: None)
+    monkeypatch.setattr(diskflow.angles, "equal_area_start", lambda spec: None)
     _takes_full_newton_steps(subdivisions)
 
 
@@ -341,7 +340,7 @@ def test_equal_area_and_lp_starts_reach_the_same_structure(monkeypatch):
     for spec in specs:
         assert diskflow.angles.equal_area_start(spec) is not None
         runs.append(uniformize(spec))
-    monkeypatch.setattr(diskflow.angles, "equal_area_start", lambda spec, floor: None)
+    monkeypatch.setattr(diskflow.angles, "equal_area_start", lambda spec: None)
     for spec, (_, st, trace) in zip(specs, runs):
         _, st_lp, trace_lp = uniformize(spec)
         assert len(trace) == len(trace_lp)
