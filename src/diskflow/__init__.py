@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .angles import (
     AngleSystem,
     ConformalClassSpec,
-    class_lift,
     conformal_class_of,
     edge_psi,
     face_curvatures,

@@ -107,18 +107,10 @@ class AngleSystemReport(Report):
 def is_angle_system(x: AngleSystem, tol: float = CHECK_TOL) -> AngleSystemReport:
     """Check corner angles in (0, pi) and vertex sums equal to 2 pi."""
     A = all_corner_angles(x)
-    corners = [
-        (t, c, float(A[t, c]))
-        for t in range(x.complex.face_count)
-        for c in range(3)
-        if not (tol < A[t, c] < np.pi - tol)
-    ]
-    sums = vertex_angle_sums(x)
-    verts = [
-        (v, float(sums[v] - 2 * np.pi))
-        for v in range(x.complex.vertex_count)
-        if abs(sums[v] - 2 * np.pi) > tol
-    ]
+    bad = np.argwhere(~((tol < A) & (A < np.pi - tol))).tolist()
+    corners = [(t, c, float(A[t, c])) for t, c in bad]
+    gap = vertex_angle_sums(x) - 2 * np.pi
+    verts = [(v, float(gap[v])) for v in np.flatnonzero(np.abs(gap) > tol).tolist()]
     return AngleSystemReport(not corners and not verts, corners, verts)
 
 
@@ -131,11 +123,8 @@ class DelaunayReport(Report):
 def is_delaunay(x: AngleSystem) -> DelaunayReport:
     """Check every per-edge value lies inside (0, pi), ``CHECK_TOL`` clear of both ends."""
     pe = edge_psi(x)
-    bad = [
-        (e, float(pe[e]))
-        for e in range(pe.size)
-        if not (CHECK_TOL < pe[e] < np.pi - CHECK_TOL)
-    ]
+    inside = (CHECK_TOL < pe) & (pe < np.pi - CHECK_TOL)
+    bad = [(e, float(pe[e])) for e in np.flatnonzero(~inside).tolist()]
     margin = float(np.min(np.minimum(pe, np.pi - pe))) if pe.size else np.inf
     return DelaunayReport(not bad, bad, margin)
 
@@ -162,16 +151,6 @@ def is_negatively_curved(x: AngleSystem) -> CurvatureReport:
 
 def conformal_class_of(x: AngleSystem) -> ConformalClassSpec:
     return ConformalClassSpec(x.complex, edge_psi(x))
-
-
-def class_lift(T: TopologicalTriangulation, d: np.ndarray) -> np.ndarray:
-    """Partial-angle move along a conformal class: ``d[e]`` added to the lower
-    flag of edge e and subtracted from its mate, which changes no per-edge
-    sum and no vertex sum."""
-    out = np.empty(3 * T.face_count)
-    out[T.edges[:, 0]] = d
-    out[T.edges[:, 1]] = -d
-    return out
 
 
 def _member(spec: ConformalClassSpec, lower: np.ndarray) -> AngleSystem:
@@ -256,8 +235,8 @@ def equal_area_start(spec: ConformalClassSpec) -> AngleSystem | None:
     U = (pi F - 2 sum(psi_e)) / F.  The point starts from the even split
     psi_e / 2 on both flags of each edge and adds the least-norm class move
     d = B^T y that sets every face's partial sum to (pi - U) / 2, where B is
-    the (F, E) signed face-edge incidence (+1 at the face of an edge's lower
-    flag, -1 at that of its upper flag): B B^T y = r is the dual graph's
+    the (F, E) signed face-edge incidence, the complex's ``signed_incidence``
+    summed over the three flags of each face: B B^T y = r is the dual graph's
     Laplacian, solved by ``grounded_solve``.  Its defects are then U, and if
     every corner angle is at least U as well, its margin is U up to
     ``START_TOL`` and it is optimal for the margin LP.  None when the complex
@@ -265,16 +244,14 @@ def equal_area_start(spec: ConformalClassSpec) -> AngleSystem | None:
     or when a corner falls short of U.
     """
     T = spec.complex
-    F, E = T.face_count, T.edge_count
+    F = T.face_count
     if F == 0:
         return None
     U = (np.pi * F - 2.0 * float(spec.psi_edge.sum())) / F
     if U < MARGIN_FLOOR:
         return None
-    # flag f lies in face f // 3 and carries class_lift's sign for its edge
-    B = sparse.csr_array(
-        (class_lift(T, np.ones(E)), (np.arange(3 * F) // 3, T.edge_of_flag)), shape=(F, E)
-    )
+    # CSR, not kron's default BSR, which grounded_solve's A[1:, 1:] cannot slice
+    B = sparse.kron(sparse.eye_array(F), np.ones((1, 3)), format="csr") @ T.signed_incidence
     half = spec.psi_edge / 2
     r = 0.5 * (np.pi - U) - _member(spec, half).psi.reshape(-1, 3).sum(axis=1)
     try:
@@ -285,6 +262,12 @@ def equal_area_start(spec: ConformalClassSpec) -> AngleSystem | None:
     A = all_corner_angles(x)
     margin = min(A.min(), (np.pi - A.sum(axis=1)).min())
     return x if margin >= U - START_TOL else None
+
+
+def refuse_empty(T: TopologicalTriangulation) -> None:
+    """Raise ``Infeasible`` on the complex with no face, whose area -2 pi chi is 0."""
+    if T.face_count == 0:
+        raise Infeasible("the empty complex has area 0, so no member is hyperbolic")
 
 
 def find_negative_delaunay(spec: ConformalClassSpec) -> AngleSystem:
@@ -311,8 +294,7 @@ def find_negative_delaunay(spec: ConformalClassSpec) -> AngleSystem:
     comes from the LP, except on the empty complex, whose hyperbolic area
     -2 pi chi is 0 and which is refused before either start.
     """
-    if spec.complex.face_count == 0:
-        raise Infeasible("the empty complex has area 0, so no member is hyperbolic")
+    refuse_empty(spec.complex)
     start = equal_area_start(spec)
     return start if start is not None else _margin_lp(spec)
 
@@ -328,13 +310,11 @@ def _margin_lp(spec: ConformalClassSpec) -> AngleSystem:
     # inequality rows in `A_ub z <= b_ub` form, z = (x, eps); per face
     # eps - angle_c <= 0 for corners c = 0, 1, 2 (angle c is the sum of the
     # other two partials), then eps + angle sum <= pi.  The partials are
-    # _member(spec, 0) plus class_lift(T, x), the signed incidence times x
+    # _member(spec, 0) plus T.signed_incidence @ x
     rows = np.array([[0, -1, -1], [-1, 0, -1], [-1, -1, 0], [2, 2, 2]], dtype=float)
     face_rows = sparse.kron(sparse.eye_array(F), rows)
-    moves = sparse.csr_array(
-        (class_lift(T, np.ones(E)), (np.arange(3 * F), T.edge_of_flag)), shape=(3 * F, E)
-    )
-    A_ub = sparse.hstack([face_rows @ moves, sparse.csr_array(np.ones((4 * F, 1)))])
+    moves = face_rows @ T.signed_incidence
+    A_ub = sparse.hstack([moves, sparse.csr_array(np.ones((4 * F, 1)))])
     b_ub = np.tile([0.0, 0.0, 0.0, np.pi], F) - face_rows @ _member(spec, np.zeros(E)).psi
 
     c = np.zeros(E + 1)

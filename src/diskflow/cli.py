@@ -377,11 +377,9 @@ def run(argv: list[str]) -> int:
     _echo_header(args)
     try:
         return args.func(args)
-    except (UnmatchedSide, SelfGluedSide, DuplicateSide) as exc:
-        # a structurally invalid input file is a parse failure
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    # a structurally invalid input file is a parse failure, as unreadable JSON is
+    except (UnmatchedSide, SelfGluedSide, DuplicateSide,
+            OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_IO
     except (DiskflowError, ValueError) as exc:

@@ -19,6 +19,7 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DuplicateSide, SelfGluedSide, UnmatchedSide
 
@@ -41,6 +42,7 @@ class TopologicalTriangulation:
     vertex_of_corner : vertex id per corner flag (corner c of face f = 3f+c)
     vertex_count : number of corner orbits V
     edge_endpoints : (E, 2) vertex ids of each edge's ends
+    signed_incidence : (3F, E) signed flag-edge incidence, computed on first access
     corners_of_vertex : corner flags per vertex, a list of lists of ints
         computed on first access, as nothing in the solvers reads it
     """
@@ -92,6 +94,19 @@ class TopologicalTriangulation:
         order = np.argsort(self.vertex_of_corner, kind="stable").tolist()
         ends = np.cumsum(np.bincount(self.vertex_of_corner, minlength=self.vertex_count))
         return [order[a:b] for a, b in zip([0, *ends[:-1].tolist()], ends.tolist())]
+
+    @cached_property
+    def signed_incidence(self) -> sparse.csr_array:
+        """(3F, E) CSR array D, +1 at (lower flag, edge) and -1 at (upper flag, edge).
+
+        A conformal-class move d moves the partials by D @ d, changing no
+        per-edge sum and no vertex sum; per-flag gradients and Hessians
+        restrict to the class as D^T g and D^T H D.
+        """
+        n = 3 * self.face_count
+        sign = np.where(np.arange(n) < self.mate, 1.0, -1.0)  # a flag below its mate is lower
+        indptr = np.arange(n + 1)  # one entry a row
+        return sparse.csr_array((sign, self.edge_of_flag, indptr), (n, self.edge_count))
 
     @property
     def chi(self) -> int:

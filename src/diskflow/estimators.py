@@ -88,10 +88,23 @@ def _map_trials(worker, args, jobs: int) -> list:
         return list(pool.map(worker, args))
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
+
+
+def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; the error of one value is inf."""
+    n = len(values)
+    se = values.std(ddof=1) / np.sqrt(n) if n > 1 else np.inf
+    return float(values.mean()), float(se)
+
+
 def chi_estimator(
     surface: SurfaceModel, intensity: float, trials: int, seed: int, jobs: int = 1
 ) -> ChiEstimate:
-    """Monte Carlo estimate of the Euler characteristic, A*lambda - F/2."""
+    """Monte Carlo estimate of the Euler characteristic, A*lambda - F/2; ``trials`` >= 1."""
+    _check_trials(trials)
     area = surface.area
 
     def one_trial(trial: int) -> tuple[int, int, int, int]:
@@ -104,10 +117,9 @@ def chi_estimator(
         resampled += retries
         est = area * intensity - faces / 2.0
         records.append(TrialRecord(trial, n, faces, est))
-    vals = np.array([r.estimator for r in records])
-    se = float(vals.std(ddof=1) / np.sqrt(trials)) if trials > 1 else np.inf
+    mean, se = _mean_and_se(np.array([r.estimator for r in records]))
     return ChiEstimate(
-        mean=float(vals.mean()),
+        mean=mean,
         std_error=se,
         records=records,
         resampled=resampled,
@@ -174,18 +186,18 @@ def face_defect_in_region(
 
     Faces are attributed to the region by circumcenter.  The estimate
     2 lambda area(region) - mean(count) converges to (1/pi) times the
-    integral of the Gauss curvature over the region.
+    integral of the Gauss curvature over the region.  ``trials`` >= 1.
     """
+    _check_trials(trials)
 
     def one_trial(trial: int) -> int:
         _, dc, _ = _run_trial(surface, intensity, seed, trial)
         return int(region.contains(dc.centers).sum())
 
     counts = np.array(_map_trials(one_trial, range(trials), jobs), dtype=float)
-    est = 2.0 * intensity * region.area - counts.mean()
-    se = float(counts.std(ddof=1) / np.sqrt(trials)) if trials > 1 else np.inf
+    mean, se = _mean_and_se(counts)
     return DefectEstimate(
-        estimate=float(est),
+        estimate=float(2.0 * intensity * region.area - mean),
         std_error=se,
         counts=counts,
         region_area=float(region.area),

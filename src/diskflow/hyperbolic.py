@@ -27,10 +27,10 @@ an ideal-tetrahedron decomposition of the prism).  The exported volume is
 anchored to 0 at the equilateral pi/6 triple; only differences and
 derivatives are meaningful to callers.  V is strictly concave along the
 directions that preserve every per-edge partial-angle sum, which is what
-makes maximizing the total volume over a conformal class well posed.  Its
-Hessian there is scattered from the 3x3 face blocks onto the edges by index
-arrays and returned as a ``scipy.sparse`` CSC array with at most five
-nonzeros per row, so it costs memory linear in the face count.
+makes maximizing the total volume over a conformal class well posed.  With
+D the complex's ``signed_incidence``, the class Hessian is D^T H D for H the
+block diagonal of the 3x3 face Hessians, a ``scipy.sparse`` CSC array with
+at most five nonzeros per row, so it costs memory linear in the face count.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import zeta
 
-from .angles import AngleSystem, all_corner_angles, class_lift
+from .angles import AngleSystem, all_corner_angles
 from .errors import DegenerateAngle, NotHyperbolic
 
 ANGLE_GUARD = 1e-9  # reject angles or defects closer than this to the boundary
@@ -188,13 +188,11 @@ def flag_edge_lengths(x: AngleSystem) -> np.ndarray:
 def class_grad(x: AngleSystem) -> np.ndarray:
     """Gradient restricted to the conformal class, one entry per edge.
 
-    Entry e is the log term of the lower flag minus that of its mate,
-    matching the +/- orientation of ``class_lift``; it vanishes exactly
-    when the two incident faces assign the edge the same length.
+    Entry e is the log term of the lower flag minus that of its mate (D^T of
+    the per-flag terms, D the ``signed_incidence``); it vanishes exactly when
+    the two incident faces assign the edge the same length.
     """
-    logs = flag_log_terms(x)
-    lo, hi = x.complex.edges.T
-    return logs[lo] - logs[hi]
+    return x.complex.signed_incidence.T @ flag_log_terms(x)
 
 
 def face_hessian(angles: np.ndarray) -> np.ndarray:
@@ -219,21 +217,15 @@ def face_hessian(angles: np.ndarray) -> np.ndarray:
 def class_hessian_sparse(x: AngleSystem) -> sparse.csc_array:
     """(E, E) Hessian of the objective along the conformal class, as CSC.
 
-    A flag moves by s = +1 (lower flag) or -1 (its mate) times its edge's
-    coordinate, so face entry (i, j) adds s_i s_j H[i, j] at the flags'
-    edges; the entries that land on one (row, column) pair are summed.  An
-    edge borders two faces, so a row holds itself and at most four others.
+    D^T H D, with D the complex's ``signed_incidence`` and H the (3F, 3F)
+    block diagonal of the face Hessians, stored as BSR with one 3x3 block
+    per face.  An edge borders two faces, so a row holds itself and at most
+    four others.
     """
-    T = x.complex
-    e = T.edge_of_flag.reshape(-1, 3)
-    s = class_lift(T, np.ones(T.edge_count)).reshape(-1, 3)
-    A = _valid_angles(all_corner_angles(x))
-    blocks = s[:, :, None] * s[:, None, :] * face_hessian(A)
-    rows = np.broadcast_to(e[:, :, None], blocks.shape).reshape(-1)
-    cols = np.broadcast_to(e[:, None, :], blocks.shape).reshape(-1)
-    return sparse.csc_array(
-        (blocks.reshape(-1), (rows, cols)), shape=(T.edge_count, T.edge_count)
-    )
+    D, F = x.complex.signed_incidence, x.complex.face_count
+    blocks = face_hessian(_valid_angles(all_corner_angles(x)))
+    H = sparse.bsr_array((blocks, np.arange(F), np.arange(F + 1)), shape=(3 * F, 3 * F))
+    return (D.T @ H @ D).tocsc()
 
 
 def class_hessian(x: AngleSystem) -> np.ndarray:

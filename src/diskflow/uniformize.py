@@ -1,15 +1,16 @@
 """Concave maximization of the prism-volume objective over a conformal class.
 
-The optimization variable is the per-edge class coordinate: iterates move only
-along the class basis, so every per-edge partial-angle sum and every vertex
-sum is preserved to floating accumulation.  The ascent is the shared damped
-Newton driver of ``ascent`` (a sparse LU solve of the CSC class Hessian,
-gradient fallback when it is singular), with the domain being the open
-polytope of valid hyperbolic faces, which the objective itself checks;
-memory is linear in the face count.  At the maximizer the two faces meeting
-along each edge assign it the same hyperbolic length, so the triangles
-assemble into an actual hyperbolic surface whose circumscribing disks form
-the empty pattern.
+The optimization variable is the per-edge class coordinate: a step d moves the
+partials by D d, D the complex's ``signed_incidence`` (D^T of the per-flag
+lengths is the two-sided length mismatch), so every per-edge partial-angle
+sum and every vertex sum is preserved to floating accumulation.  The ascent
+is the shared damped Newton driver of ``ascent`` (a sparse LU solve of the
+CSC class Hessian, gradient fallback when it is singular), with the domain
+being the open polytope of valid hyperbolic faces, which the objective
+itself checks; memory is linear in the face count.  At the maximizer the two
+faces meeting along each edge assign it the same hyperbolic length, so the
+triangles assemble into an actual hyperbolic surface whose circumscribing
+disks form the empty pattern.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import (
+    CHECK_TOL,
     AngleSystem,
     ConformalClassSpec,
     all_corner_angles,
-    class_lift,
     edge_psi,
     find_negative_delaunay,
+    refuse_empty,
 )
 from .ascent import TraceRecord, ascend, sparse_solve
 from .complexes import TopologicalTriangulation
@@ -59,8 +61,7 @@ class HyperbolicStructure:
 def _two_sided_lengths(y: AngleSystem) -> tuple[np.ndarray, np.ndarray]:
     """Each side's length per flag, and per edge the gap between its two faces' lengths."""
     lengths = flag_edge_lengths(y)
-    lo, hi = y.complex.edges.T
-    return lengths, np.abs(lengths[lo] - lengths[hi])
+    return lengths, np.abs(y.complex.signed_incidence.T @ lengths)
 
 
 def _newton(y: AngleSystem, g: np.ndarray) -> np.ndarray:
@@ -84,21 +85,23 @@ def uniformize(
     The start point defaults to the margin-maximizing representative of
     ``find_negative_delaunay``: the equal-area member when it certifies
     itself, the LP's interior point otherwise (raising ``Infeasible`` when
-    the class has no negatively curved Delaunay member).  Returns the
-    maximizer, its assembled structure, and the per-iteration trace, whose
-    residual is the worst two-sided length mismatch.  ``tol`` is the target
-    for the sup norm of the gradient, and ``max_iter`` caps the accepted
-    steps; the last iterate is tested too.  ``NoConvergence`` carries the
-    best iterate and trace when the line search stalls or ``max_iter``
-    steps do not reach ``tol``.
+    the class has no negatively curved Delaunay member).  The empty complex
+    is refused with ``Infeasible`` whether or not a start is given.  Returns
+    the maximizer, its assembled structure, and the per-iteration trace,
+    whose residual is the worst two-sided length mismatch.  ``tol`` is the
+    target for the sup norm of the gradient, and ``max_iter`` caps the
+    accepted steps; the last iterate is tested too.  ``NoConvergence``
+    carries the best iterate and trace when the line search stalls or
+    ``max_iter`` steps do not reach ``tol``.
     """
     T = spec.complex
+    refuse_empty(T)
     if start is None:
         x = find_negative_delaunay(spec)
     else:
         if start.complex != T:
             raise ComplexMismatch("start point lives on a different complex")
-        if np.max(np.abs(edge_psi(start) - spec.psi_edge)) > 1e-9:
+        if np.max(np.abs(edge_psi(start) - spec.psi_edge)) > CHECK_TOL:
             raise ValueError("start point does not lie in the requested class")
         x = start
 
@@ -110,7 +113,7 @@ def uniformize(
         converged=lambda ginf, _: ginf < tol,
         newton_dir=_newton,
         fallback_dir=lambda _, g: g,
-        move=lambda y, step, d: AngleSystem(T, y.psi + step * class_lift(T, d)),
+        move=lambda y, step, d: AngleSystem(T, y.psi + step * (T.signed_incidence @ d)),
         max_iter=max_iter,
     )
     return y, assemble_structure(y, tol=10 * tol), trace
@@ -127,14 +130,13 @@ def assemble_structure(y: AngleSystem, tol: float = 1e-7) -> HyperbolicStructure
     """
     T = y.complex
     lengths, mismatch = _two_sided_lengths(y)
-    lo, hi = T.edges.T
     worst = int(np.argmax(mismatch))
     if mismatch[worst] > tol:
         raise LengthMismatch(
-            f"edge {worst} (flags ({lo[worst]}, {hi[worst]})) length mismatch "
+            f"edge {worst} (flags {tuple(T.edges[worst].tolist())}) length mismatch "
             f"{mismatch[worst]:.3e} > {tol:.1e}"
         )
-    edge_lengths = 0.5 * (lengths[lo] + lengths[hi])
+    edge_lengths = 0.5 * lengths[T.edges].sum(axis=1)
 
     # circumradius per face; all three sides must give the same value
     A = all_corner_angles(y)

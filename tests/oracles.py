@@ -34,7 +34,8 @@ the reference for the serializer's float-list and int-list fast paths.
 
 The per-element helpers at the end read one face, edge or vertex at a time
 (``corner_angles``, ``face_curvature``, ``informal_intersection_angle``,
-``vertex_edge_incidence``), or state a quantity by its definition
+``vertex_edge_incidence``, ``angle_system_violations``,
+``delaunay_violations``), or state a quantity by its definition
 (``euler_characteristic``, ``same_class``, ``hessian_Ig``,
 ``triangle_angle_integral``, ``inscribed_triangle_mean_area``,
 ``sample_fixed_count``); the tests hold the vectorized library functions to
@@ -50,7 +51,13 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 from scipy.special import zeta
 
-from diskflow.angles import AngleSystem, ConformalClassSpec, all_corner_angles, edge_psi
+from diskflow.angles import (
+    AngleSystem,
+    ConformalClassSpec,
+    all_corner_angles,
+    edge_psi,
+    vertex_angle_sums,
+)
 from diskflow.complexes import SubdividedComplex, TopologicalTriangulation, build_complex
 from diskflow.errors import (
     ComplexMismatch,
@@ -516,6 +523,30 @@ def informal_intersection_angle(x: AngleSystem, e: int) -> float:
     """Sum of the two partials across edge e."""
     a, b = x.complex.edges[e]
     return float(x.psi[a] + x.psi[b])
+
+
+def angle_system_violations(x: AngleSystem, tol: float) -> tuple[list, list]:
+    """The corner and vertex violations of ``is_angle_system``, one element at a
+    time, from the library's corner angles and vertex sums."""
+    A, sums = all_corner_angles(x), vertex_angle_sums(x)
+    corners = [
+        (t, c, float(A[t, c]))
+        for t in range(x.complex.face_count)
+        for c in range(3)
+        if not (tol < A[t, c] < np.pi - tol)
+    ]
+    verts = [
+        (v, float(sums[v] - 2 * np.pi))
+        for v in range(x.complex.vertex_count)
+        if abs(sums[v] - 2 * np.pi) > tol
+    ]
+    return corners, verts
+
+
+def delaunay_violations(x: AngleSystem, tol: float) -> list[tuple[int, float]]:
+    """The edges of ``is_delaunay``'s report, one edge at a time."""
+    pe = edge_psi(x)
+    return [(e, float(pe[e])) for e in range(pe.size) if not (tol < pe[e] < np.pi - tol)]
 
 
 def same_class(x: AngleSystem, y: AngleSystem, tol: float = CLASS_TOL) -> bool:

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diskflow.angles import (
+    CHECK_TOL,
     MARGIN_FLOOR,
     AngleSystem,
     ConformalClassSpec,
     all_corner_angles,
-    class_lift,
     conformal_class_of,
     edge_psi,
     equal_area_start,
@@ -44,8 +44,10 @@ from helpers import (
 )
 from oracles import (
     CLASS_TOL,
+    angle_system_violations,
     class_basis,
     corner_angles,
+    delaunay_violations,
     face_curvature,
     informal_intersection_angle,
     margin_lp_simplex,
@@ -143,6 +145,19 @@ def test_is_angle_system_tetrahedron():
     assert len(rep.vertex_violations) == 2  # the two endpoints of that side's edge
 
 
+def test_violations_match_the_per_element_reference():
+    rng = np.random.default_rng(12)
+    T = random_complex(rng, 8)
+    # partials spread past both ends of (0, pi), so every kind of violation occurs
+    x = AngleSystem(T, rng.uniform(-0.6, 2.0, size=3 * T.face_count))
+    for tol in (CHECK_TOL, 0.2):
+        rep = is_angle_system(x, tol)
+        assert rep.corner_violations and rep.vertex_violations
+        assert (rep.corner_violations, rep.vertex_violations) == angle_system_violations(x, tol)
+    assert is_delaunay(x).violations == delaunay_violations(x, CHECK_TOL)
+    assert is_delaunay(x).violations
+
+
 def test_uniform_small_partials_fail_vertex_sums():
     T = tetrahedron()
     rep = is_angle_system(AngleSystem(T, np.full(12, np.pi / 8)))
@@ -194,10 +209,15 @@ def test_conformal_class_and_basis():
         y = AngleSystem(T, x.psi + 0.01 * B[e])
         assert same_class(x, y)
         assert np.max(np.abs(vertex_angle_sums(y) - vertex_angle_sums(x))) < 1e-12
+    # the complex's signed incidence is the transposed basis, entry for entry,
+    # with multi-edges (pillow, torus) and same-face gluings (the folded pair)
+    folded = build_complex(2, [((0, 0), (0, 1)), ((0, 2), (1, 0)), ((1, 1), (1, 2))])
+    for S in (pillow(), two_triangle_torus(), genus2_octagon(), folded, T):
+        assert np.array_equal(S.signed_incidence.toarray(), class_basis(S).T)
     z = rng.normal(size=T.edge_count)
-    assert np.array_equal(class_lift(T, z), B.T @ z)
-    y = AngleSystem(T, x.psi + B.T @ z)
+    y = AngleSystem(T, x.psi + T.signed_incidence @ z)
     assert np.max(np.abs(edge_psi(y) - edge_psi(x))) < 1e-12
+    assert np.max(np.abs(vertex_angle_sums(y) - vertex_angle_sums(x))) < 1e-12
     # bumping a single partial leaves the class
     bumped = x.psi.copy()
     bumped[0] += 0.01

@@ -540,6 +540,23 @@ def test_defect_full_sphere():
     assert abs(est.estimate - 4.0) < 3 * est.std_error
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trials_below_one_are_refused(trials):
+    # they used to return a nan mean after numpy's "Mean of empty slice"
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        chi_estimator(SPHERE, 10.0, trials, seed=1)
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        face_defect_in_region(SPHERE, 10.0, trials, region=CapRegion(np.pi), seed=1)
+
+
+def test_one_trial_has_an_infinite_standard_error():
+    chi = chi_estimator(SPHERE, 20 / (4 * np.pi), trials=1, seed=1)
+    defect = face_defect_in_region(SPHERE, 20 / (4 * np.pi), 1, region=CapRegion(np.pi), seed=1)
+    assert chi.std_error == defect.std_error == np.inf
+    assert chi.mean == chi.records[0].estimator
+    assert defect.estimate == 2 * 20 / (4 * np.pi) * np.pi - defect.counts[0]
+
+
 def test_quadrature_constant_matches_classical_value():
     assert abs(inscribed_triangle_mean_area() - 3 / (2 * np.pi)) < 1e-8
     # Monte Carlo oracle for the same constant

@@ -82,6 +82,14 @@ def test_uniformize_refuses_the_empty_complex():
         assert info.value.margin is None
 
 
+def test_uniformize_refuses_the_empty_complex_with_a_start():
+    # a start skips find_negative_delaunay, which used to leave the refusal
+    # to numpy's "zero-size array to reduction operation maximum"
+    T = build_complex(0, [])
+    with pytest.raises(Infeasible, match="the empty complex has area 0"):
+        uniformize(ConformalClassSpec(T, []), start=AngleSystem(T, []))
+
+
 def test_uniformize_rejects_start_outside_class(genus2, symmetric_g2_system):
     spec = conformal_class_of(symmetric_g2_system)
     shifted = AngleSystem(genus2, symmetric_g2_system.psi + 0.01)
