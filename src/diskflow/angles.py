@@ -7,14 +7,18 @@ partials is the quantity preserved by a conformal change, so a member of a
 class is fixed by the partials on the edges' lower flags (``_member``).  All
 predicates here are report-style: they return the margins rather than raising.
 
-``find_negative_delaunay`` returns a member of a class with the largest
-interior margin (the least corner angle or face defect).  The defects of
-every member add up to the same total, so their mean U bounds that margin;
-the member whose faces all have the same area, found by one sparse solve on
-the dual graph, reaches the bound whenever its corners are at least U, and
-is then returned as is.  Otherwise, and for every infeasibility verdict, the
-margin-maximizing linear program over those lower-flag partials decides.  Both
-points are built from them, so each is a member with no repair step.
+The admissible classes are the paper's: every psi_e lies in (0, pi), so the
+disks meet at angles pi - psi_e, and the psi_e around each vertex add up to
+2 pi, which is then every member's angle sum there.  ``find_negative_delaunay``
+refuses any other class (``refuse_inadmissible``).  On an admissible one it
+returns a member with the largest interior margin (the least corner angle or
+face defect).  The defects of every member add up to the same total, so their
+mean U bounds that margin; the member whose faces all have the same area,
+found by one sparse solve on the dual graph, reaches the bound whenever its
+corners are at least U, and is then returned as is.  Otherwise, and for every
+infeasibility verdict, the margin-maximizing linear program over those
+lower-flag partials decides.  Both points are built from them, so each is a
+member with no repair step.
 """
 
 from __future__ import annotations
@@ -142,7 +146,7 @@ class CurvatureReport(Report):
 def is_negatively_curved(x: AngleSystem) -> CurvatureReport:
     """Check every face curvature is below -``CHECK_TOL``."""
     k = face_curvatures(x)
-    bad = [(t, float(k[t])) for t in range(k.size) if k[t] > -CHECK_TOL]
+    bad = [(t, float(k[t])) for t in np.flatnonzero(k > -CHECK_TOL).tolist()]
     return CurvatureReport(not bad, bad, float(k.max()) if k.size else -np.inf)
 
 
@@ -264,10 +268,27 @@ def equal_area_start(spec: ConformalClassSpec) -> AngleSystem | None:
     return x if margin >= U - START_TOL else None
 
 
-def refuse_empty(T: TopologicalTriangulation) -> None:
-    """Raise ``Infeasible`` on the complex with no face, whose area -2 pi chi is 0."""
+def refuse_inadmissible(spec: ConformalClassSpec) -> None:
+    """Raise ``Infeasible`` (margin None) on a class outside the paper's domain.
+
+    That is the empty complex, whose area -2 pi chi is 0, an edge whose psi_e
+    is not ``CHECK_TOL`` inside (0, pi), or a vertex whose psi_e sum, the
+    angle sum there of every member, is not within ``CHECK_TOL`` of 2 pi.
+    The first bad edge or vertex is named with its value.
+    """
+    T, pe = spec.complex, spec.psi_edge
     if T.face_count == 0:
         raise Infeasible("the empty complex has area 0, so no member is hyperbolic")
+    bad = np.flatnonzero(~((CHECK_TOL < pe) & (pe < np.pi - CHECK_TOL)))
+    if bad.size:
+        e = int(bad[0])
+        raise Infeasible(f"edge {e} has psi_e {float(pe[e])}, not inside (0, pi)")
+    ends = T.edge_endpoints.reshape(-1)  # a loop edge counts at both of its ends
+    sums = np.bincount(ends, np.repeat(pe, 2), minlength=T.vertex_count)
+    bad = np.flatnonzero(np.abs(sums - 2 * np.pi) > CHECK_TOL)
+    if bad.size:
+        v = int(bad[0])
+        raise Infeasible(f"vertex {v} has psi_e sum {float(sums[v])}, not 2 pi")
 
 
 def find_negative_delaunay(spec: ConformalClassSpec) -> AngleSystem:
@@ -279,22 +300,22 @@ def find_negative_delaunay(spec: ConformalClassSpec) -> AngleSystem:
         max eps  s.t.  corner angles >= eps,
                        face angle sums <= pi - eps.
 
-    Corner angles below pi and vertex sums of 2 pi are implied.  The face
-    defects of every member sum to pi F - 2 sum(psi_e), so eps is at most
-    their mean U.  The ``equal_area_start``, one sparse solve, is tried
-    first: when its margin reaches U it is optimal, and it is returned.
-    Otherwise the LP is solved by HiGHS's interior-point method
-    (``"highs-ipm"``) at optimality tolerance ``IPM_TOL`` and without
-    crossover, so the returned point is the method's interior solution,
-    centred in the optimal face rather than at one of its vertices.  The LP
-    has no equality rows, so its solution is a member of the class whatever
-    the solver's primal tolerance.  Either point is the Newton start of the
-    uniformizer.  Raises ``Infeasible`` with the LP's certificate margin
-    when the maximum is below ``MARGIN_FLOOR``; that verdict always
-    comes from the LP, except on the empty complex, whose hyperbolic area
-    -2 pi chi is 0 and which is refused before either start.
+    Corner angles below pi are implied, and vertex sums of 2 pi checked:
+    ``refuse_inadmissible`` refuses a class outside the paper's domain before
+    either start, with margin None.  The face defects of every member sum to
+    pi F - 2 sum(psi_e), so eps is at most their mean U.  The
+    ``equal_area_start``, one sparse solve, is tried first: when its margin
+    reaches U it is optimal, and it is returned.  Otherwise the LP is solved
+    by HiGHS's interior-point method (``"highs-ipm"``) at optimality
+    tolerance ``IPM_TOL`` and without crossover, so the returned point is the
+    method's interior solution, centred in the optimal face rather than at
+    one of its vertices.  The LP has no equality rows, so its solution is a
+    member of the class whatever the solver's primal tolerance.  Either point
+    is the Newton start of the uniformizer.  Raises ``Infeasible`` with the
+    LP's certificate margin when the maximum is below ``MARGIN_FLOOR``; for
+    an admissible class that verdict always comes from the LP.
     """
-    refuse_empty(spec.complex)
+    refuse_inadmissible(spec)
     start = equal_area_start(spec)
     return start if start is not None else _margin_lp(spec)
 

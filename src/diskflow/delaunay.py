@@ -33,22 +33,22 @@ lemma (Delaunay 1934; Lawson 1977) a triangulation whose every edge is
 locally Delaunay is globally Delaunay, so each face is tested only against
 the three vertices across its sides, and a cocircular quadruple shows up as
 a tie in that same test.  The check is linear in the sample size.
+``is_generically_delta_dense`` takes both of its verdicts from one such
+construction: genericity from this check, covering from the largest radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay as PlanarDelaunay
 
-from .errors import DegenerateSample, DegenerateTriple
+from .errors import DegenerateSample
 from .reports import Report
-from .surfaces import PointSample, _planar_circumcenters, circumdisk, geodesic_distance
+from .surfaces import PointSample, _planar_circumcenters, geodesic_distance
 
 GENERIC_TOL = 1e-10  # distance within which a point counts as on a circumcircle
-EXHAUSTIVE_LIMIT = 60  # largest sample checked for cocircularity over every triple
 WINDOW_C = 10.0  # the window radius r is sqrt((log n + WINDOW_C) / (pi n / area))
 
 
@@ -257,77 +257,24 @@ class DensityReport(Report):
     detail: str = ""
 
 
-def _exhaustive_cocircular(sample: PointSample, delta: float) -> bool:
-    """True when some 4 points lie within ``GENERIC_TOL`` of a common circle
-    of radius < delta.
-
-    Quartic in the sample size, so only used up to ``EXHAUSTIVE_LIMIT`` points.
-    """
-    surf = sample.surface
-    pts = sample.points
-    n = pts.shape[0]
-    for i, j, k in combinations(range(n), 3):
-        try:
-            cd = circumdisk(surf, pts[[i, j, k]])
-        except DegenerateTriple:
-            continue
-        if cd.radius >= delta:
-            continue
-        others = np.delete(np.arange(n), [i, j, k])
-        d = geodesic_distance(surf, pts[others], cd.center)
-        if np.any(np.abs(d - cd.radius) <= GENERIC_TOL):
-            return True
-    return False
-
-
 def is_generically_delta_dense(sample: PointSample, delta: float) -> DensityReport:
-    """Covering and genericity check at decision radius ``delta``.
+    """Covering and genericity at decision radius ``delta``, from one ``delaunay`` call.
 
-    Covering holds when the largest empty disk (the largest Delaunay
-    circumradius) stays below delta.  Genericity means no four points are
-    cocircular within ``GENERIC_TOL`` at radius below delta: samples up to
-    ``EXHAUSTIVE_LIMIT`` points are checked over every triple; larger ones
-    through the empty circumdisks realized by the triangulation, each tested
-    against the vertices across its sides, which by the Delaunay lemma
-    decides emptiness and cocircularity for every sample point (a Poisson
-    sample violates either check with probability zero).
+    Covering holds when the largest Delaunay circumradius, the largest empty
+    disk, is below delta.  Generic means no empty circumdisk has a fourth
+    sample point within ``GENERIC_TOL`` of its circle, so the triangulation
+    is unique; ``delaunay``'s local check decides that for every sample point.
+    A sample it rejects fails both, with its reason as ``detail``, and so
+    does a torus sample whose largest empty disk reaches min(a, b)/2; fewer
+    than 4 points leave some delta ball empty and fail covering only.
     """
-    if sample.count <= EXHAUSTIVE_LIMIT and sample.count >= 4:
-        if _exhaustive_cocircular(sample, delta):
-            return DensityReport(
-                ok=False,
-                covering_ok=False,
-                generic_ok=False,
-                max_circumradius=np.inf,
-                delta=delta,
-                detail="four points lie on a common circle of radius below delta",
-            )
     if sample.count < 4:
         return DensityReport(
-            ok=False,
-            covering_ok=False,
-            generic_ok=True,
-            max_circumradius=np.inf,
-            delta=delta,
-            detail="too few points to triangulate, so some delta ball is empty",
+            False, False, True, np.inf, delta,
+            "too few points to triangulate, so some delta ball is empty",
         )
     try:
-        dc = delaunay(sample)
+        rmax = float(delaunay(sample).radii.max())
     except DegenerateSample as exc:
-        return DensityReport(
-            ok=False,
-            covering_ok=False,
-            generic_ok=False,
-            max_circumradius=np.inf,
-            delta=delta,
-            detail=str(exc),
-        )
-    rmax = float(dc.radii.max())
-    covering = rmax < delta
-    return DensityReport(
-        ok=covering,
-        covering_ok=covering,
-        generic_ok=True,
-        max_circumradius=rmax,
-        delta=delta,
-    )
+        return DensityReport(False, False, False, np.inf, delta, str(exc))
+    return DensityReport(rmax < delta, rmax < delta, True, rmax, delta)

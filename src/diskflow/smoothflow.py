@@ -186,23 +186,28 @@ def hessian_matrix(mesh: MeshMetric, phi: np.ndarray) -> sparse.csr_array:
     return -(2.0 * S + S @ sparse.diags_array(1.0 / (mesh.masses * u)) @ S)
 
 
-def curvature_spread(mesh: MeshMetric, phi: np.ndarray) -> float:
-    """Area-weighted relative standard deviation of the conformal curvature."""
+def _weighted_curvature(
+    mesh: MeshMetric, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """k_h, the new metric's masses m e^(2 phi), and the mean of k_h they weight."""
     phi = np.asarray(phi, dtype=float)
     kh = curvature_h(mesh, phi)
     w = mesh.masses * np.exp(2.0 * phi)
-    mean = float(w @ kh / w.sum())
+    return kh, w, float(w @ kh / w.sum())
+
+
+def curvature_spread(mesh: MeshMetric, phi: np.ndarray) -> float:
+    """Area-weighted relative standard deviation of the conformal curvature."""
+    kh, w, mean = _weighted_curvature(mesh, phi)
     sd = float(np.sqrt(w @ (kh - mean) ** 2 / w.sum()))
     return sd / abs(mean)
 
 
 def entropy(mesh: MeshMetric, phi: np.ndarray) -> float:
     """Uniformization entropy -sum m e^(2 phi) k_h log|k_h| of the new metric."""
-    phi = np.asarray(phi, dtype=float)
-    kh = curvature_h(mesh, phi)
+    kh, w, _ = _weighted_curvature(mesh, phi)
     if np.any(kh == 0.0):
         raise ZeroCurvatureVertex("conformal curvature vanishes at a vertex")
-    w = mesh.masses * np.exp(2.0 * phi)
     return -float(w @ (kh * np.log(np.abs(kh))))
 
 
@@ -261,14 +266,12 @@ def log_ricci_flow(
     except NoConvergence as exc:
         phi, trace, failure = exc.best, exc.trace, exc
     phi = mean_zero(mesh, phi)
-    kh = curvature_h(mesh, phi)
-    w = mesh.masses * np.exp(2.0 * phi)
     report = FlowReport(
         converged=failure is None,
         iterations=trace[-1].iteration if trace else 0,
         steps=trace,
         final_spread=curvature_spread(mesh, phi),
-        final_curvature_mean=float(w @ kh / w.sum()),
+        final_curvature_mean=_weighted_curvature(mesh, phi)[2],
         final_objective=evaluate_Ig(mesh, phi),
     )
     if failure is not None:

@@ -1,5 +1,8 @@
 """Concave maximization of the prism-volume objective over a conformal class.
 
+The class must be one of the paper's: every psi_e in (0, pi) and the psi_e
+around each vertex adding up to 2 pi (``angles.refuse_inadmissible``).
+
 The optimization variable is the per-edge class coordinate: a step d moves the
 partials by D d, D the complex's ``signed_incidence`` (D^T of the per-flag
 lengths is the two-sided length mismatch), so every per-edge partial-angle
@@ -26,7 +29,7 @@ from .angles import (
     all_corner_angles,
     edge_psi,
     find_negative_delaunay,
-    refuse_empty,
+    refuse_inadmissible,
 )
 from .ascent import TraceRecord, ascend, sparse_solve
 from .complexes import TopologicalTriangulation
@@ -85,20 +88,22 @@ def uniformize(
     The start point defaults to the margin-maximizing representative of
     ``find_negative_delaunay``: the equal-area member when it certifies
     itself, the LP's interior point otherwise (raising ``Infeasible`` when
-    the class has no negatively curved Delaunay member).  The empty complex
-    is refused with ``Infeasible`` whether or not a start is given.  Returns
-    the maximizer, its assembled structure, and the per-iteration trace,
-    whose residual is the worst two-sided length mismatch.  ``tol`` is the
-    target for the sup norm of the gradient, and ``max_iter`` caps the
-    accepted steps; the last iterate is tested too.  ``NoConvergence``
-    carries the best iterate and trace when the line search stalls or
-    ``max_iter`` steps do not reach ``tol``.
+    the class has no negatively curved Delaunay member).  Whether or not a
+    start is given, a class outside the paper's domain (the empty complex,
+    a psi_e not inside (0, pi), a vertex sum of psi_e off 2 pi) is refused
+    with ``Infeasible`` by ``refuse_inadmissible``.  Returns the maximizer,
+    its assembled structure, and the per-iteration trace, whose residual is
+    the worst two-sided length mismatch.  ``tol`` is the target for the sup
+    norm of the gradient, and ``max_iter`` caps the accepted steps; the last
+    iterate is tested too.  ``NoConvergence`` carries the best iterate and
+    trace when the line search stalls or ``max_iter`` steps do not reach
+    ``tol``.
     """
     T = spec.complex
-    refuse_empty(T)
     if start is None:
         x = find_negative_delaunay(spec)
     else:
+        refuse_inadmissible(spec)
         if start.complex != T:
             raise ComplexMismatch("start point lives on a different complex")
         if np.max(np.abs(edge_psi(start) - spec.psi_edge)) > CHECK_TOL:

@@ -94,3 +94,22 @@ def octahedron() -> TopologicalTriangulation:
             (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4),
         ]
     )
+
+
+def lognormal_class_spec(T, seed, sigma=0.5) -> ConformalClassSpec:
+    """Class of log-normal corner weights scaled to 2 pi at each vertex: every
+    vertex sum is 2 pi, but at sigma = 0.5 some psi_e fall to 0 or below."""
+    from diskflow.angles import conformal_class_of, partials_from_angles
+
+    w = np.random.default_rng([seed, 7]).lognormal(sigma=sigma, size=3 * T.face_count)
+    corner = 2 * np.pi * w / np.bincount(T.vertex_of_corner, w)[T.vertex_of_corner]
+    return conformal_class_of(partials_from_angles(T, corner.reshape(-1, 3)))
+
+
+def one_vertex_off_spec(spec, t) -> ConformalClassSpec:
+    """``spec`` with the psi_e sum at face 0's corner 0 raised by 2t: the two
+    sides meeting there gain t and the side across loses t, so the other two
+    corners' vertices, assumed distinct from it, keep their sums."""
+    pe = spec.psi_edge.copy()
+    pe[spec.complex.edge_of_flag[:3]] += [-t, t, t]
+    return ConformalClassSpec(spec.complex, pe)

@@ -56,6 +56,7 @@ from diskflow.angles import (
     ConformalClassSpec,
     all_corner_angles,
     edge_psi,
+    face_curvatures,
     vertex_angle_sums,
 )
 from diskflow.complexes import SubdividedComplex, TopologicalTriangulation, build_complex
@@ -547,6 +548,12 @@ def delaunay_violations(x: AngleSystem, tol: float) -> list[tuple[int, float]]:
     """The edges of ``is_delaunay``'s report, one edge at a time."""
     pe = edge_psi(x)
     return [(e, float(pe[e])) for e in range(pe.size) if not (tol < pe[e] < np.pi - tol)]
+
+
+def curvature_violations(x: AngleSystem, tol: float) -> list[tuple[int, float]]:
+    """The faces of ``is_negatively_curved``'s report, one face at a time."""
+    k = face_curvatures(x)
+    return [(t, float(k[t])) for t in range(k.size) if k[t] > -tol]
 
 
 def same_class(x: AngleSystem, y: AngleSystem, tol: float = CLASS_TOL) -> bool:

@@ -47,6 +47,7 @@ from oracles import (
     angle_system_violations,
     class_basis,
     corner_angles,
+    curvature_violations,
     delaunay_violations,
     face_curvature,
     informal_intersection_angle,
@@ -156,6 +157,9 @@ def test_violations_match_the_per_element_reference():
         assert (rep.corner_violations, rep.vertex_violations) == angle_system_violations(x, tol)
     assert is_delaunay(x).violations == delaunay_violations(x, CHECK_TOL)
     assert is_delaunay(x).violations
+    bad = is_negatively_curved(x).violations
+    assert bad == curvature_violations(x, CHECK_TOL)
+    assert 0 < len(bad) < T.face_count
 
 
 def test_uniform_small_partials_fail_vertex_sums():

@@ -8,7 +8,7 @@ import pytest
 
 from diskflow.angles import conformal_class_of, edge_psi
 from diskflow.cli import build_parser, run
-from diskflow.complexes import tetrahedron
+from diskflow.complexes import subdivide, tetrahedron
 from diskflow.serialization import (
     angle_system_from_dict,
     class_spec_to_dict,
@@ -168,6 +168,27 @@ def test_uniformize_refuses_the_empty_complex(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: Infeasible: the empty complex has area 0, so no member is hyperbolic\n"
     )
+
+
+@pytest.mark.parametrize("kind", ["no Delaunay member", "vertex sum off 2 pi"])
+def test_uniformize_refuses_a_class_outside_the_domain(
+    tmp_path, capsys, canonical24_spec, kind
+):
+    # both used to exit 0 with "converged": the first to intersection angles
+    # above pi, the second to a cone point
+    from helpers import lognormal_class_spec, one_vertex_off_spec
+
+    if kind == "no Delaunay member":
+        spec = lognormal_class_spec(subdivide(canonical24_spec.complex).complex, 0)
+        expected = r"edge 19 has psi_e -0\.18943\d*, not inside \(0, pi\)"
+    else:
+        spec = one_vertex_off_spec(canonical24_spec, 0.05)
+        expected = r"vertex 0 has psi_e sum 6\.38318\d*, not 2 pi"
+    path = tmp_path / "class.json"
+    write_json(path, class_spec_to_dict(spec))
+    assert run(["uniformize", str(path), "--out", str(tmp_path / "st.json")]) == 2
+    assert re.fullmatch(f"error: Infeasible: {expected}\n", capsys.readouterr().err)
+    assert not (tmp_path / "st.json").exists()
 
 
 def test_gauss_bonnet_deterministic_bytes(tmp_path):

@@ -491,6 +491,26 @@ def test_density_report_constructed_cocircular():
     assert not rep.ok and not rep.generic_ok
 
 
+def test_density_report_nonempty_cocircular_is_generic_at_any_size():
+    # four points on a circle of radius 0.3 < delta with a fifth at its center:
+    # that circle bounds no empty disk, so the triangulation stays unique, and
+    # the verdict does not depend on how many far-away points are added
+    r = 0.3
+    angs = [0.1, 1.3, 2.9, 5.0]
+    circle = np.array(
+        [[np.sin(r) * np.cos(a), np.sin(r) * np.sin(a), np.cos(r)] for a in angs]
+    )
+    pole = np.array([0.0, 0.0, 1.0])
+    rng = np.random.default_rng(3)
+    fill = rng.standard_normal((400, 3))
+    fill /= np.linalg.norm(fill, axis=1, keepdims=True)
+    fill = fill[np.abs(geodesic_distance(SPHERE, fill, pole) - r) > 0.1]
+    for n in (45, 85):
+        pts = np.vstack([circle, pole, fill[: n - 5]])
+        rep = is_generically_delta_dense(PointSample(SPHERE, pts, 1.0, 0), 0.5)
+        assert rep.generic_ok and rep.detail == ""
+
+
 def test_density_report_three_points():
     pts = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]])
     rep = is_generically_delta_dense(PointSample(SPHERE, pts, 1.0, 0), 0.2)

@@ -6,6 +6,7 @@ import pytest
 from diskflow.angles import (
     AngleSystem,
     ConformalClassSpec,
+    _member,
     conformal_class_of,
     edge_psi,
     find_negative_delaunay,
@@ -17,7 +18,12 @@ from diskflow.errors import Infeasible, LengthMismatch
 from diskflow.hyperbolic import edge_lengths
 from diskflow.uniformize import assemble_structure, pattern_report, uniformize
 
-from helpers import octahedron, perturbed_canonical_spec
+from helpers import (
+    lognormal_class_spec,
+    octahedron,
+    one_vertex_off_spec,
+    perturbed_canonical_spec,
+)
 from oracles import class_basis, class_newton_dense
 
 DEFAULTS = inspect.signature(uniformize).parameters
@@ -88,6 +94,33 @@ def test_uniformize_refuses_the_empty_complex_with_a_start():
     T = build_complex(0, [])
     with pytest.raises(Infeasible, match="the empty complex has area 0"):
         uniformize(ConformalClassSpec(T, []), start=AngleSystem(T, []))
+
+
+def _refused_at_both_entries(spec, match):
+    """``find_negative_delaunay`` and ``uniformize``, with and without a start
+    in the class, all raise ``Infeasible`` with margin None."""
+    start = _member(spec, spec.psi_edge / 2)
+    for solve in (find_negative_delaunay, uniformize, lambda s: uniformize(s, start=start)):
+        with pytest.raises(Infeasible, match=match) as info:
+            solve(spec)
+        assert info.value.margin is None
+
+
+def test_uniformize_refuses_a_class_with_no_delaunay_member():
+    # every vertex sum is 2 pi, but 7 of the 144 psi_e are <= 0; the ascent
+    # used to "converge" to a structure whose intersection angles exceed pi
+    T = subdivide(subdivide(genus2_octagon()).complex).complex
+    spec = lognormal_class_spec(T, 0)
+    e = int(np.flatnonzero(spec.psi_edge <= 0)[0])
+    assert np.count_nonzero(spec.psi_edge <= 0) == 7
+    _refused_at_both_entries(spec, f"edge {e} has psi_e {spec.psi_edge[e]}, not inside")
+
+
+def test_uniformize_refuses_a_class_with_a_vertex_sum_off_2pi(canonical24_spec):
+    # the ascent used to "converge" to a surface with a cone point there
+    spec = one_vertex_off_spec(canonical24_spec, 0.05)
+    v = canonical24_spec.complex.vertex_of_corner[0]
+    _refused_at_both_entries(spec, f"vertex {v} has psi_e sum {2 * np.pi + 0.1:.6f}")
 
 
 def test_uniformize_rejects_start_outside_class(genus2, symmetric_g2_system):
