@@ -70,7 +70,7 @@ from .smoothflow import (
     log_ricci_flow,
     teleport,
 )
-from .surfaces import PointSample, SurfaceModel, circumdisk, sample_poisson
+from .surfaces import PointSample, SurfaceModel, sample_poisson
 from .uniformize import (
     HyperbolicStructure,
     assemble_structure,

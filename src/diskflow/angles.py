@@ -124,9 +124,9 @@ class DelaunayReport(Report):
     min_margin: float
 
 
-def is_delaunay(x: AngleSystem) -> DelaunayReport:
-    """Check every per-edge value lies inside (0, pi), ``CHECK_TOL`` clear of both ends."""
-    pe = edge_psi(x)
+def is_delaunay(x: AngleSystem | ConformalClassSpec) -> DelaunayReport:
+    """Check every psi_e of a system or class lies in (0, pi), ``CHECK_TOL`` clear of both ends."""
+    _, pe = _psi_edge_of(x)
     inside = (CHECK_TOL < pe) & (pe < np.pi - CHECK_TOL)
     bad = [(e, float(pe[e])) for e in np.flatnonzero(~inside).tolist()]
     margin = float(np.min(np.minimum(pe, np.pi - pe))) if pe.size else np.inf
@@ -279,10 +279,10 @@ def refuse_inadmissible(spec: ConformalClassSpec) -> None:
     T, pe = spec.complex, spec.psi_edge
     if T.face_count == 0:
         raise Infeasible("the empty complex has area 0, so no member is hyperbolic")
-    bad = np.flatnonzero(~((CHECK_TOL < pe) & (pe < np.pi - CHECK_TOL)))
-    if bad.size:
-        e = int(bad[0])
-        raise Infeasible(f"edge {e} has psi_e {float(pe[e])}, not inside (0, pi)")
+    bad = is_delaunay(spec).violations
+    if bad:
+        e, value = bad[0]
+        raise Infeasible(f"edge {e} has psi_e {value}, not inside (0, pi)")
     ends = T.edge_endpoints.reshape(-1)  # a loop edge counts at both of its ends
     sums = np.bincount(ends, np.repeat(pe, 2), minlength=T.vertex_count)
     bad = np.flatnonzero(np.abs(sums - 2 * np.pi) > CHECK_TOL)

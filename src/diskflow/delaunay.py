@@ -46,7 +46,7 @@ from scipy.spatial import ConvexHull, Delaunay as PlanarDelaunay
 
 from .errors import DegenerateSample
 from .reports import Report
-from .surfaces import PointSample, _planar_circumcenters, geodesic_distance
+from .surfaces import PointSample, geodesic_distance
 
 GENERIC_TOL = 1e-10  # distance within which a point counts as on a circumcircle
 WINDOW_C = 10.0  # the window radius r is sqrt((log n + WINDOW_C) / (pi n / area))
@@ -59,8 +59,8 @@ class DelaunayComplex:
     sample: PointSample
     faces: np.ndarray        # (F, 3) indices into the sample
     opposite: np.ndarray     # (F, 3) sample index of the vertex across side j
-    centers: np.ndarray      # (F, d) circumdisk centers, in the fundamental domain
-    radii: np.ndarray        # (F,) geodesic circumradii
+    centers: np.ndarray      # (F, 3) unit vectors, or (F, 2) points of [0,a) x [0,b)
+    radii: np.ndarray        # (F,) geodesic distance from each center to its corners
 
     @property
     def face_count(self) -> int:
@@ -150,6 +150,25 @@ def _torus_delaunay(sample: PointSample) -> DelaunayComplex:
     return _tiled_delaunay(sample, np.inf)
 
 
+def _planar_circumcenters(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Circumcenters and radii of (S, 3, 2) planar triangles.
+
+    A collinear triangle, whose divisor d (twice the cross product of the
+    sides from the first vertex) is 0, gets a non-finite center and radius.
+    """
+    a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
+    d = 2.0 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+               - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    b2 = ((b - a) ** 2).sum(axis=1)
+    c2 = ((c - a) ** 2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = ((c[:, 1] - a[:, 1]) * b2 - (b[:, 1] - a[:, 1]) * c2) / d
+        uy = ((b[:, 0] - a[:, 0]) * c2 - (c[:, 0] - a[:, 0]) * b2) / d
+    centers = a + np.column_stack([ux, uy])
+    radii = np.linalg.norm(centers - a, axis=1)
+    return centers, radii
+
+
 def _tiled_delaunay(sample: PointSample, margin: float) -> DelaunayComplex:
     """Planar Delaunay triangulation of the 3x3 tiling, cropped to the points
     within ``margin`` of [0,a) x [0,b) (all 9n when ``margin`` is inf).
@@ -179,7 +198,7 @@ def _tiled_delaunay(sample: PointSample, margin: float) -> DelaunayComplex:
         raise DegenerateSample(f"planar triangulation failed: {exc}") from exc
 
     coords = big[tri.simplices]
-    centers, radii, _ = _planar_circumcenters(coords)
+    centers, radii = _planar_circumcenters(coords)
     keep = (
         np.isfinite(radii)
         & (centers[:, 0] >= 0.0) & (centers[:, 0] < a)

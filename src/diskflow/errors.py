@@ -79,7 +79,10 @@ class LengthMismatch(DiskflowError):
 class NoConvergence(DiskflowError):
     """Iteration hit its cap before reaching tolerance.
 
-    ``best`` holds the last iterate, ``trace`` the per-iteration records.
+    ``best`` holds the last iterate.  ``trace`` holds the list of
+    per-iteration ``TraceRecord``s when raised by ``ascend`` (so by
+    ``uniformize``), and the whole ``FlowReport``, whose ``steps`` are those
+    records, when raised by ``log_ricci_flow``.
     """
 
     def __init__(self, message: str, best=None, trace=None):
@@ -92,10 +95,6 @@ class NoConvergence(DiskflowError):
 
 class DegenerateSample(DiskflowError):
     """Sample contains a (near-)cocircular quadruple or coincident points."""
-
-
-class DegenerateTriple(DiskflowError):
-    """Three points do not determine a circumdisk."""
 
 
 class BadDelta(DiskflowError):

@@ -2,8 +2,8 @@
 
 Two surfaces are supported: the unit sphere (points as unit 3-vectors) and a
 flat rectangular torus (points in the fundamental domain [0,a) x [0,b)).
-Both have exactly computable geodesic circumdisks, which is what the empty
-disk constructions downstream rely on.
+Both have exactly computable geodesic circumdisks; ``delaunay`` computes
+one for every face of the triangulation it builds, in one vectorized pass.
 
 Randomness is counter based: every sample is drawn from a Philox generator
 keyed by a seed sequence, so a (seed, trial) pair names its stream
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTriple, TooLarge
+from .errors import TooLarge
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,6 @@ class SurfaceModel:
     def delta_max(self) -> float:
         """Largest admissible decision radius, min(i/6, convexity radius)."""
         return min(self.injectivity_radius / 6.0, self.convexity_radius)
-
-    def disk_area(self, r) -> np.ndarray | float:
-        """Area of a geodesic disk of radius r."""
-        if self.kind == "sphere":
-            return 2.0 * np.pi * (1.0 - np.cos(r))
-        return np.pi * np.asarray(r) ** 2
 
 
 @dataclass(frozen=True)
@@ -139,63 +133,3 @@ def geodesic_distance(surface: SurfaceModel, p: np.ndarray, q: np.ndarray) -> np
     d[..., 0] = np.minimum(d[..., 0], surface.width - d[..., 0])
     d[..., 1] = np.minimum(d[..., 1], surface.height - d[..., 1])
     return np.sqrt((d**2).sum(axis=-1))
-
-
-@dataclass(frozen=True)
-class Circumdisk:
-    center: np.ndarray
-    radius: float
-    area: float
-
-
-def _planar_circumcenters(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Circumcenters and radii of (S, 3, 2) planar triangles.
-
-    Also returns d, twice the cross product of the sides from the first
-    vertex; d = 0 (collinear) leaves a non-finite center and radius.
-    """
-    a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
-    d = 2.0 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-               - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-    b2 = ((b - a) ** 2).sum(axis=1)
-    c2 = ((c - a) ** 2).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ux = ((c[:, 1] - a[:, 1]) * b2 - (b[:, 1] - a[:, 1]) * c2) / d
-        uy = ((b[:, 0] - a[:, 0]) * c2 - (c[:, 0] - a[:, 0]) * b2) / d
-    centers = a + np.column_stack([ux, uy])
-    radii = np.linalg.norm(centers - a, axis=1)
-    return centers, radii, d
-
-
-def circumdisk(surface: SurfaceModel, triple: np.ndarray) -> Circumdisk:
-    """Geodesic circumdisk of three points.
-
-    On the sphere the two caps bounded by the circumscribed circle are both
-    candidates; the smaller one is returned.  On the torus the triple is
-    unwrapped to the nearest representatives of its first point, which is
-    faithful while the circumradius stays below the injectivity radius.
-    """
-    tri = np.asarray(triple, dtype=float)
-    if tri.shape[0] != 3:
-        raise DegenerateTriple(f"need exactly 3 points, got {tri.shape[0]}")
-    if surface.kind == "sphere":
-        n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-        norm = np.linalg.norm(n)
-        if norm < 1e-14:
-            raise DegenerateTriple("degenerate spherical triple")
-        c = n / norm
-        if float(c @ tri[0]) < 0.0:
-            c = -c
-        r = float(np.arccos(np.clip(c @ tri[0], -1.0, 1.0)))
-        return Circumdisk(c, r, float(surface.disk_area(r)))
-    # torus: unwrap relative to the first point
-    tri = tri.copy()
-    dims = np.array([surface.width, surface.height])
-    for i in (1, 2):
-        delta = tri[i] - tri[0]
-        tri[i] -= dims * np.round(delta / dims)
-    centers, radii, d = _planar_circumcenters(tri[None])
-    if abs(d[0]) < 1e-14 * max(1.0, np.abs(tri).max() ** 2):
-        raise DegenerateTriple("collinear triple has no circumdisk")
-    r = float(radii[0])
-    return Circumdisk(np.mod(centers[0], dims), r, float(np.pi * r * r))

@@ -156,6 +156,7 @@ def test_violations_match_the_per_element_reference():
         assert rep.corner_violations and rep.vertex_violations
         assert (rep.corner_violations, rep.vertex_violations) == angle_system_violations(x, tol)
     assert is_delaunay(x).violations == delaunay_violations(x, CHECK_TOL)
+    assert is_delaunay(conformal_class_of(x)).violations == is_delaunay(x).violations
     assert is_delaunay(x).violations
     bad = is_negatively_curved(x).violations
     assert bad == curvature_violations(x, CHECK_TOL)

@@ -15,7 +15,7 @@ from diskflow.delaunay import (
     is_generically_delta_dense,
     verify_empty_disks,
 )
-from diskflow.errors import BadDelta, DegenerateSample, DegenerateTriple
+from diskflow.errors import BadDelta, DegenerateSample
 from diskflow.estimators import (
     CapRegion,
     RectRegion,
@@ -28,7 +28,6 @@ from diskflow.estimators import (
 from diskflow.surfaces import (
     PointSample,
     SurfaceModel,
-    circumdisk,
     geodesic_distance,
     sample_poisson,
 )
@@ -122,57 +121,6 @@ def test_geodesic_distance_torus_wraps():
     assert np.isclose(d, 0.1)
 
 
-# -- circumdisks ----------------------------------------------------------------------
-
-
-def test_sphere_circumdisk_recovery():
-    r = 0.4
-    angs = [0.3, 2.0, 4.5]
-    pts = np.array(
-        [[np.sin(r) * np.cos(a), np.sin(r) * np.sin(a), np.cos(r)] for a in angs]
-    )
-    cd = circumdisk(SPHERE, pts)
-    assert np.allclose(cd.center, [0, 0, 1], atol=1e-12)
-    assert np.isclose(cd.radius, r)
-    assert np.isclose(cd.area, 2 * np.pi * (1 - np.cos(r)))
-
-
-def test_torus_circumdisk_recovery():
-    c = np.array([0.5, 0.5])
-    angs = [0.3, 2.0, 4.5]
-    pts = np.array([c + 0.1 * np.array([np.cos(a), np.sin(a)]) for a in angs])
-    cd = circumdisk(TORUS, pts)
-    assert np.allclose(cd.center, c, atol=1e-12)
-    assert np.isclose(cd.radius, 0.1)
-    assert np.isclose(cd.area, np.pi * 0.01)
-
-
-def test_torus_circumdisk_across_wrap():
-    c = np.array([0.02, 0.5])
-    angs = [0.5, 2.5, 4.0]
-    pts = np.mod(
-        np.array([c + 0.05 * np.array([np.cos(a), np.sin(a)]) for a in angs]), 1.0
-    )
-    cd = circumdisk(TORUS, pts)
-    assert np.isclose(cd.radius, 0.05)
-
-
-def test_flat_limit_area_ratio():
-    for r in (0.2, 0.02, 0.002):
-        ratio = SPHERE.disk_area(r) / (np.pi * r**2)
-        assert abs(ratio - 1) < r**2
-    assert TORUS.disk_area(0.01) == np.pi * 0.0001
-
-
-def test_degenerate_triple():
-    pts = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0]], dtype=float)
-    with pytest.raises(DegenerateTriple):
-        circumdisk(SPHERE, pts)
-    col = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]])
-    with pytest.raises(DegenerateTriple):
-        circumdisk(TORUS, col)
-
-
 # -- Delaunay -------------------------------------------------------------------------
 
 
@@ -200,6 +148,27 @@ def test_torus_euler_identity_runs():
         assert dc.face_count == 2 * dc.vertex_count
         assert dc.chi == 0
         assert verify_empty_disks(dc)
+
+
+def test_circumdisk_centers_are_radius_away_from_their_corners():
+    wide = SurfaceModel.torus(1.0, 0.6)
+    wraps = 0
+    for surface, lam in ((SPHERE, 300 / (4 * np.pi)), (TORUS, 300.0), (wide, 400.0)):
+        for i in range(5):
+            dc = delaunay(sample_poisson(surface, lam, seed=[26, i]))
+            corners = dc.sample.points[dc.faces]
+            dist = geodesic_distance(surface, dc.centers[:, None, :], corners)
+            assert np.abs(dist - dc.radii[:, None]).max() <= 1e-12
+            if surface.kind == "sphere":
+                assert np.abs(np.linalg.norm(dc.centers, axis=1) - 1.0).max() <= 1e-12
+                continue
+            dims = np.array([surface.width, surface.height])
+            assert ((dc.centers >= 0.0) & (dc.centers < dims)).all()
+            # a face spans the wrap when a corner is nearer to its center
+            # through the seam than in the plane of the fundamental domain
+            planar = np.linalg.norm(corners - dc.centers[:, None, :], axis=-1)
+            wraps += int((planar > dist + 1e-9).any(axis=1).sum())
+    assert wraps > 0
 
 
 def test_too_few_points():
@@ -461,10 +430,10 @@ def test_torus_face_count_short_of_2n_is_degenerate(monkeypatch):
 
     def lose_one(coords):
         # the first circumcenter in the domain moves out of it
-        centers, radii, d = planar(coords)
+        centers, radii = planar(coords)
         first = np.flatnonzero(((centers >= 0.0) & (centers < 1.0)).all(axis=1))[0]
         centers[first] = -1.0
-        return centers, radii, d
+        return centers, radii
 
     monkeypatch.setattr(module, "_planar_circumcenters", lose_one)
     sample = sample_poisson(TORUS, 1000.0, seed=25)
