@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .ascent import grounded_solve
 from .complexes import TopologicalTriangulation
@@ -254,6 +253,9 @@ def equal_area_start(spec: ConformalClassSpec) -> AngleSystem | None:
     U = (np.pi * F - 2.0 * float(spec.psi_edge.sum())) / F
     if U < MARGIN_FLOOR:
         return None
+    # imported here: scipy.sparse is slow to load and only the uniformizer needs it
+    from scipy import sparse
+
     # CSR, not kron's default BSR, which grounded_solve's A[1:, 1:] cannot slice
     B = sparse.kron(sparse.eye_array(F), np.ones((1, 3)), format="csr") @ T.signed_incidence
     half = spec.psi_edge / 2
@@ -323,6 +325,7 @@ def find_negative_delaunay(spec: ConformalClassSpec) -> AngleSystem:
 def _margin_lp(spec: ConformalClassSpec) -> AngleSystem:
     """The interior-point solution of ``find_negative_delaunay``'s margin LP."""
     # imported here: scipy.optimize is slow to load and only the uniformizer needs it
+    from scipy import sparse
     from scipy.optimize import OptimizeWarning, linprog
 
     T = spec.complex

@@ -17,11 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DuplicateSide, SelfGluedSide, UnmatchedSide
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 Side = tuple[int, int]
 
@@ -103,6 +106,9 @@ class TopologicalTriangulation:
         per-edge sum and no vertex sum; per-flag gradients and Hessians
         restrict to the class as D^T g and D^T H D.
         """
+        # imported here: scipy.sparse is slow to load and validate never builds D
+        from scipy import sparse
+
         n = 3 * self.face_count
         sign = np.where(np.arange(n) < self.mate, 1.0, -1.0)  # a flag below its mate is lower
         indptr = np.arange(n + 1)  # one entry a row

@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay as PlanarDelaunay
 
 from .errors import DegenerateSample
 from .reports import Report
@@ -50,6 +49,28 @@ from .surfaces import PointSample, geodesic_distance
 
 GENERIC_TOL = 1e-10  # distance within which a point counts as on a circumcircle
 WINDOW_C = 10.0  # the window radius r is sqrt((log n + WINDOW_C) / (pi n / area))
+
+
+def __getattr__(name: str):
+    """``ConvexHull`` and ``PlanarDelaunay``, scipy.spatial's triangulators.
+
+    The first access to either binds both into the module's globals, where
+    the triangulations look them up on every call, so replacing one of them
+    on the module replaces what runs.
+    """
+    if name not in ("ConvexHull", "PlanarDelaunay"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # imported here: scipy.spatial is slow to load and only Monte Carlo triangulates
+    from scipy.spatial import ConvexHull, Delaunay
+
+    globals().setdefault("ConvexHull", ConvexHull)
+    globals().setdefault("PlanarDelaunay", Delaunay)
+    return globals()[name]
+
+
+def _spatial(name: str):
+    """The module global ``ConvexHull`` or ``PlanarDelaunay``, bound on first use."""
+    return globals().get(name) or __getattr__(name)
 
 
 @dataclass(frozen=True)
@@ -114,7 +135,7 @@ def _sphere_delaunay(sample: PointSample) -> DelaunayComplex:
     pts = sample.points
     n = pts.shape[0]
     try:
-        hull = ConvexHull(pts)
+        hull = _spatial("ConvexHull")(pts)
     except Exception as exc:  # qhull errors on coincident/degenerate input
         raise DegenerateSample(f"convex hull failed: {exc}") from exc
     faces = hull.simplices
@@ -193,7 +214,7 @@ def _tiled_delaunay(sample: PointSample, margin: float) -> DelaunayComplex:
     )
     big, src = big[near], np.tile(np.arange(n), 9)[near]
     try:
-        tri = PlanarDelaunay(big)
+        tri = _spatial("PlanarDelaunay")(big)
     except Exception as exc:
         raise DegenerateSample(f"planar triangulation failed: {exc}") from exc
 

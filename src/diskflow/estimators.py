@@ -20,7 +20,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 from .delaunay import delaunay
 from .errors import BadDelta, DegenerateSample
@@ -236,6 +235,9 @@ def expected_faces_quadrature(
     the cap area.  As x grows this tends to 2n - 4, the sphere's face count.
     T is formed from the sine: 1 - cos delta loses digits at small delta.
     """
+    # imported here: scipy.special is slow to load and only the quadrature needs it
+    from scipy.special import gammainc
+
     n, x = _cap_counts(surface, intensity, delta)
     return float(2.0 * n * gammainc(2, x) - 4.0 * gammainc(3, x))
 
@@ -249,6 +251,8 @@ def chi_quadrature(surface: SurfaceModel, intensity: float, delta: float) -> flo
     quantity, evaluated without subtracting E F / 2 from n, which at large
     lambda cancels to 0 where the value tends to 2.
     """
+    from scipy.special import gammainc, gammaincc  # imported here, as above
+
     n, x = _cap_counts(surface, intensity, delta)
     return float(n * gammaincc(2, x) + 2.0 * gammainc(3, x))
 

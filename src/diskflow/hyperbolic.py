@@ -35,17 +35,31 @@ at most five nonzeros per row, so it costs memory linear in the face count.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
-from scipy.special import zeta
 
 from .angles import AngleSystem, all_corner_angles
 from .errors import DegenerateAngle, NotHyperbolic
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 ANGLE_GUARD = 1e-9  # reject angles or defects closer than this to the boundary
 
-_SERIES_M = np.arange(1, 31)
-_SERIES_COEF = zeta(2 * _SERIES_M) / (_SERIES_M * (2 * _SERIES_M + 1))
+# zeta(2m) / (m (2m+1)) for m = 1..30, the lobachevsky series coefficients
+_SERIES_COEF = np.array([
+    0.5483113556160755, 0.10823232337111381, 0.048444907713545204,
+    0.027891037672165123, 0.018199901365960326, 0.012823667776324462,
+    0.009524392839381512, 0.007353053546025064, 0.0058479755397266965,
+    0.004761909304581114, 0.00395257011245258, 0.0033333335320272967,
+    0.002849002891457421, 0.002463054196367818, 0.002150537636411457,
+    0.001893939394380362, 0.0016806722690053911, 0.0015015015015233512,
+    0.0013495276653220486, 0.0012195121951230604, 0.0011074197120711266,
+    0.0010101010101010676, 0.0009250693802035284, 0.0008503401360544248,
+    0.0007843137254901968, 0.0007256894049346882, 0.0006734006734006734,
+    0.0006265664160401002, 0.0005844535359438924, 0.000546448087431694,
+])
 
 
 def lobachevsky(theta):
@@ -54,7 +68,10 @@ def lobachevsky(theta):
     Odd and pi-periodic.  After range reduction to [0, pi/2] it is the power
     series t - t log(2t) + t sum_m zeta(2m) u^m / (m (2m+1)) in u = (t/pi)^2,
     cut at 30 terms and evaluated by Horner's rule.  There u <= 1/4, so the
-    remainder is below 1e-21.  Accepts scalars or arrays.
+    remainder is below 1e-21.  The coefficients zeta(2m) / (m (2m+1)) are
+    float literals, the ``repr`` of ``scipy.special.zeta(2m) / (m (2m+1))``
+    in float64; the test suite checks them against it bit for bit.  Accepts
+    scalars or arrays.
     """
     t = np.asarray(theta, dtype=float)
     scalar = t.ndim == 0
@@ -222,6 +239,9 @@ def class_hessian_sparse(x: AngleSystem) -> sparse.csc_array:
     per face.  An edge borders two faces, so a row holds itself and at most
     four others.
     """
+    # imported here: scipy.sparse is slow to load and only the uniformizer needs it
+    from scipy import sparse
+
     D, F = x.complex.signed_incidence, x.complex.face_count
     blocks = face_hessian(_valid_angles(all_corner_angles(x)))
     H = sparse.bsr_array((blocks, np.arange(F), np.arange(F + 1)), shape=(3 * F, 3 * F))

@@ -33,9 +33,9 @@ which grounds one vertex, as their kernel is the constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .ascent import TraceRecord, ascend, grounded_solve
 from .complexes import TopologicalTriangulation
@@ -46,6 +46,9 @@ from .errors import (
     ZeroCurvatureVertex,
     finite_vector,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class MeshMetric:
@@ -92,6 +95,9 @@ class MeshMetric:
         weight = 0.5 / np.tan(self.corner_angles).reshape(-1)
         keep = u != w  # a side whose endpoints coincide adds nothing
         u, w, weight = u[keep], w[keep], weight[keep]
+        # imported here: scipy.sparse is slow to load and only the flow needs it
+        from scipy import sparse
+
         # duplicate (row, column) pairs are summed
         self.stiffness = sparse.csr_array(
             (
@@ -181,6 +187,8 @@ def gradient_Ig(mesh: MeshMetric, phi: np.ndarray) -> np.ndarray:
 
 def hessian_matrix(mesh: MeshMetric, phi: np.ndarray) -> sparse.csr_array:
     """Sparse second variation -(2 S + S diag(1/(m u)) S), singular on constants."""
+    from scipy import sparse  # imported here, as in MeshMetric
+
     u = _domain_u(mesh, np.asarray(phi, dtype=float))
     S = mesh.stiffness
     return -(2.0 * S + S @ sparse.diags_array(1.0 / (mesh.masses * u)) @ S)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import zeta
 
 from diskflow.angles import AngleSystem, partials_from_angles
 from diskflow.errors import DegenerateAngle, NotHyperbolic, NotInDomain, OutOfDomain
 from diskflow.hyperbolic import (
+    _SERIES_COEF,
     angles_from_lengths,
     class_grad,
     class_hessian,
@@ -42,6 +44,11 @@ def random_hyperbolic_triples(rng, n, lo=0.1, hi=1.6, max_sum=0.97 * np.pi):
 
 
 # -- Lobachevsky --------------------------------------------------------------------
+
+
+def test_series_coefficients_are_zeta_bit_for_bit():
+    m = np.arange(1, 31)
+    assert np.array_equal(_SERIES_COEF, zeta(2 * m) / (m * (2 * m + 1)))
 
 
 def test_lobachevsky_zero():

@@ -1,6 +1,7 @@
 """Import boundary of the command line: a fresh interpreter loads only the
 scipy subpackages the subcommand it runs uses."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import diskflow
 
 SRC = Path(diskflow.__file__).resolve().parents[1]
 HEAVY = ["scipy.optimize", "scipy.integrate", "scipy.sparse.linalg", "scipy.sparse.csgraph"]
+LAZY = ["scipy.sparse", "scipy.spatial", "scipy.special"]
 
 
 def _fresh(code: str) -> dict:
@@ -28,10 +30,65 @@ def _fresh(code: str) -> dict:
 
 
 LOADED = f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+LOADED_LAZY = f"print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))"
+# every scipy subpackage in sys.modules, by its top-level name
+SUBPACKAGES = (
+    "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules\n"
+    "    if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))"
+)
+
+
+def _run_loads(argv: list, listing: str) -> list:
+    """``listing``'s output after ``run(argv)`` succeeds in a fresh interpreter."""
+    return _fresh(
+        "import json, sys\nfrom diskflow.cli import run\n"
+        f"code = run({argv!r})\n"
+        "assert code == 0, code\n"
+        f"{listing}"
+    )
 
 
 def test_cli_import_loads_no_solver_or_quadrature_scipy():
     assert _fresh(f"import json, sys\nimport diskflow.cli\n{LOADED}") == []
+
+
+def test_cli_import_loads_no_sparse_spatial_or_special():
+    assert _fresh(f"import json, sys\nimport diskflow.cli\n{LOADED_LAZY}") == []
+
+
+def test_quadrature_loads_special_alone():
+    argv = ["quadrature", "--lambda", "15.915494", "--delta", "0.5235987"]
+    assert _run_loads(argv, LOADED_LAZY) == ["scipy.special"]
+
+
+def test_gauss_bonnet_loads_what_scipy_spatial_loads(tmp_path):
+    # scipy.spatial.distance imports scipy.special when scipy.spatial loads,
+    # so the triangulating subcommands cannot skip it; they add nothing more
+    argv = ["gauss-bonnet", "--lambda", "20", "--trials", "1", "--seed", "1",
+            "--out", str(tmp_path / "gb.csv")]
+    spatial = _fresh(f"import json, sys\nimport scipy.spatial\n{SUBPACKAGES}")
+    assert _run_loads(argv, SUBPACKAGES) == spatial
+    assert {"spatial", "special"} <= set(spatial)
+
+
+def test_uniformize_teleport_and_flow_load_no_spatial_or_special(cli_inputs, certified_class, tmp_path):
+    runs = [
+        ["uniformize", certified_class],
+        ["teleport", cli_inputs["mesh"], "--out", str(tmp_path / "phi.json")],
+        ["flow", cli_inputs["mesh"]],
+    ]
+    for argv in runs:
+        assert _run_loads(argv, LOADED_LAZY) == ["scipy.sparse"], argv[0]
+
+
+def test_validate_and_pattern_load_no_scipy_subpackage(cli_inputs):
+    loaded = _fresh(
+        "import json, sys\nfrom diskflow.cli import run\n"
+        f"assert run(['validate', {cli_inputs['complex']!r}]) == 0\n"
+        f"assert run(['pattern', {cli_inputs['structure']!r}]) == 0\n"
+        f"{SUBPACKAGES}"
+    )
+    assert loaded == []
 
 
 def test_cli_import_builds_no_parser():
@@ -74,9 +131,10 @@ def test_run_loads_no_solver_or_quadrature_scipy(argv, head, tmp_path):
     assert out.read_text().startswith(head)
 
 
-def test_uniformize_of_a_certified_class_loads_no_lp_solver(tmp_path):
-    # the canonical F=96 genus-2 class: its equal-area start is certified,
-    # so the margin LP, and scipy.optimize with it, never runs
+@pytest.fixture
+def certified_class(tmp_path):
+    """The canonical F=96 genus-2 class as a file: its equal-area start is
+    certified, so the margin LP, and scipy.optimize with it, never runs."""
     from diskflow.angles import conformal_class_of, equal_area_start, partials_from_angles
     from diskflow.complexes import genus2_octagon, subdivide
     from diskflow.serialization import class_spec_to_dict, write_json
@@ -87,9 +145,13 @@ def test_uniformize_of_a_certified_class_loads_no_lp_solver(tmp_path):
     assert equal_area_start(spec) is not None
     path = tmp_path / "class.json"
     write_json(path, class_spec_to_dict(spec))
+    return str(path)
+
+
+def test_uniformize_of_a_certified_class_loads_no_lp_solver(certified_class):
     loaded = _fresh(
         "import json, sys\nfrom diskflow.cli import run\n"
-        f"assert run(['uniformize', {str(path)!r}]) == 0\n"
+        f"assert run(['uniformize', {certified_class!r}]) == 0\n"
         f"{LOADED}"
     )
     assert loaded == ["scipy.sparse.linalg"]
@@ -159,6 +221,38 @@ def test_delaunay_module_keeps_its_scipy_names():
         "print(json.dumps([n for n in ('ConvexHull', 'PlanarDelaunay') if hasattr(module, n)]))"
     )
     assert names == ["ConvexHull", "PlanarDelaunay"]
+
+
+def test_delaunay_binds_its_scipy_names_on_first_access():
+    # the bench tracer reads each name with getattr, then patches the module
+    # entry that is the same object: the access must bind it into the module
+    bound = _fresh(
+        "import importlib, json, sys\n"
+        "module = importlib.import_module('diskflow.delaunay')\n"
+        "before = [n in vars(module) for n in ('ConvexHull', 'PlanarDelaunay')]\n"
+        "spatial = 'scipy.spatial' in sys.modules\n"
+        "hull = getattr(module, 'ConvexHull')\n"
+        "print(json.dumps([before, spatial, vars(module).get('ConvexHull') is hull,\n"
+        "                  'PlanarDelaunay' in vars(module)]))"
+    )
+    assert bound == [[False, False], False, True, True]
+
+
+def test_delaunay_calls_its_patched_scipy_names(monkeypatch):
+    from diskflow.surfaces import SurfaceModel, sample_poisson
+
+    module = importlib.import_module("diskflow.delaunay")
+    calls = []
+    for name in ("ConvexHull", "PlanarDelaunay"):
+        def spy(points, original=getattr(module, name), name=name):
+            calls.append(name)
+            return original(points)
+
+        monkeypatch.setattr(module, name, spy)
+    module.delaunay(sample_poisson(SurfaceModel.sphere(), 40.0, seed=1))
+    assert calls == ["ConvexHull"]
+    module.delaunay(sample_poisson(SurfaceModel.torus(), 60.0, seed=1))
+    assert calls[0] == "ConvexHull" and set(calls[1:]) == {"PlanarDelaunay"}
 
 
 def test_parallel_defect_forks_nothing(tmp_path):
