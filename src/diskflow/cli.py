@@ -317,20 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--angles-out", default=None, help="maximizing angle system JSON")
     u.set_defaults(func=_cmd_uniformize)
 
-    def add_surface(sp, torus_default=False):
-        sp.add_argument(
-            "--surface", choices=["sphere", "torus"],
-            default="torus" if torus_default else "sphere",
-        )
+    def add_trial_flags(sp):
+        """The flags every Monte Carlo subcommand shares."""
+        sp.add_argument("--surface", choices=["sphere", "torus"], default="sphere")
         sp.add_argument("--torus-width", type=float, default=1.0)
         sp.add_argument("--torus-height", type=float, default=1.0)
+        sp.add_argument("--lambda", dest="intensity", type=float, required=True)
+        sp.add_argument("--trials", type=int, required=True)
+        sp.add_argument("--seed", type=int, required=True)
+        sp.add_argument("--jobs", type=int, default=1)
 
     g = sub.add_parser("gauss-bonnet", help="Monte Carlo Euler characteristic")
-    add_surface(g)
-    g.add_argument("--lambda", dest="intensity", type=float, required=True)
-    g.add_argument("--trials", type=int, required=True)
-    g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--jobs", type=int, default=1)
+    add_trial_flags(g)
     g.add_argument("--out", default=None, help="per-trial CSV output")
     g.set_defaults(func=_cmd_gauss_bonnet)
 
@@ -341,11 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_quadrature)
 
     d = sub.add_parser("defect", help="curvature defect of a region")
-    add_surface(d)
-    d.add_argument("--lambda", dest="intensity", type=float, required=True)
-    d.add_argument("--trials", type=int, required=True)
-    d.add_argument("--seed", type=int, required=True)
-    d.add_argument("--jobs", type=int, default=1)
+    add_trial_flags(d)
     d.add_argument("--cap-area", type=float, default=None)
     d.add_argument("--rect", type=float, nargs=4, default=None,
                    metavar=("X0", "Y0", "X1", "Y1"))

@@ -272,13 +272,16 @@ def from_vertex_triples(triples: list[tuple[int, int, int]]) -> TopologicalTrian
     """Import a triangulation given by vertex triples.
 
     Each unordered vertex pair must occur on exactly two face sides.  Faces
-    are re-oriented by breadth-first propagation so that shared sides are
-    traversed oppositely; non-orientable or ambiguous input fails loudly.
+    are re-oriented by propagation across shared sides so that those are
+    traversed oppositely; no triples give the empty complex, and
+    non-orientable, disconnected or ambiguous input raises ``ValueError``.
     This importer cannot express complexes with multi-edges or loops, which
     is why the side-gluing form is primary.
     """
     faces = [tuple(int(v) for v in t) for t in triples]
     F = len(faces)
+    if F == 0:
+        return build_complex(0, [])
     for t in faces:
         if len(set(t)) != 3:
             raise ValueError(f"face {t} repeats a vertex; use side gluings instead")
@@ -320,12 +323,9 @@ def from_vertex_triples(triples: list[tuple[int, int, int]]) -> TopologicalTrian
     if any(t is None for t in oriented):
         raise ValueError("triangulation is not connected")
 
-    flag_of_directed: dict[tuple[int, int], int] = {}
-    for f, tri in enumerate(oriented):
-        for i, (u, w) in enumerate(side_pairs(tri)):
-            if (u, w) in flag_of_directed:
-                raise ValueError(f"directed side {(u, w)} occurs twice after orienting")
-            flag_of_directed[(u, w)] = _flag(f, i)
+    # each vertex pair lies on two sides, which the walk made run opposite ways
+    flag_of_directed = {(u, w): _flag(f, i) for f, tri in enumerate(oriented)
+                        for i, (u, w) in enumerate(side_pairs(tri))}
 
     pairs = []
     for (u, w), a in flag_of_directed.items():

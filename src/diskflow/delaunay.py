@@ -51,26 +51,18 @@ GENERIC_TOL = 1e-10  # distance within which a point counts as on a circumcircle
 WINDOW_C = 10.0  # the window radius r is sqrt((log n + WINDOW_C) / (pi n / area))
 
 
-def __getattr__(name: str):
-    """``ConvexHull`` and ``PlanarDelaunay``, scipy.spatial's triangulators.
-
-    The first access to either binds both into the module's globals, where
-    the triangulations look them up on every call, so replacing one of them
-    on the module replaces what runs.
-    """
-    if name not in ("ConvexHull", "PlanarDelaunay"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # imported here: scipy.spatial is slow to load and only Monte Carlo triangulates
-    from scipy.spatial import ConvexHull, Delaunay
-
-    globals().setdefault("ConvexHull", ConvexHull)
-    globals().setdefault("PlanarDelaunay", Delaunay)
-    return globals()[name]
+# the triangulations call these by name, so replacing one on the module
+# (a tracer, ``monkeypatch``) replaces what runs
+def ConvexHull(points: np.ndarray):
+    """scipy.spatial's ``ConvexHull`` of ``points``; the sphere's triangulator."""
+    import scipy.spatial  # imported here: slow to load, and only Monte Carlo triangulates
+    return scipy.spatial.ConvexHull(points)
 
 
-def _spatial(name: str):
-    """The module global ``ConvexHull`` or ``PlanarDelaunay``, bound on first use."""
-    return globals().get(name) or __getattr__(name)
+def PlanarDelaunay(points: np.ndarray):
+    """scipy.spatial's ``Delaunay`` of ``points``; the torus's triangulator."""
+    import scipy.spatial  # imported here, as above
+    return scipy.spatial.Delaunay(points)
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,7 @@ def _sphere_delaunay(sample: PointSample) -> DelaunayComplex:
     pts = sample.points
     n = pts.shape[0]
     try:
-        hull = _spatial("ConvexHull")(pts)
+        hull = ConvexHull(pts)
     except Exception as exc:  # qhull errors on coincident/degenerate input
         raise DegenerateSample(f"convex hull failed: {exc}") from exc
     faces = hull.simplices
@@ -214,7 +206,7 @@ def _tiled_delaunay(sample: PointSample, margin: float) -> DelaunayComplex:
     )
     big, src = big[near], np.tile(np.arange(n), 9)[near]
     try:
-        tri = _spatial("PlanarDelaunay")(big)
+        tri = PlanarDelaunay(big)
     except Exception as exc:
         raise DegenerateSample(f"planar triangulation failed: {exc}") from exc
 

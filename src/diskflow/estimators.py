@@ -42,17 +42,15 @@ class ChiEstimate:
     std_error: float
     records: list[TrialRecord]
     resampled: int
-    surface: SurfaceModel
-    intensity: float
-    seed: object
 
 
 def _run_trial(surface: SurfaceModel, intensity: float, seed, trial: int):
-    """Sample and triangulate one trial, resampling degenerate draws."""
+    """Sample and triangulate one trial, resampling degenerate draws; the
+    triangulation and the number of draws it rejected."""
     for retry in range(MAX_RESAMPLES):
         sample = sample_poisson(surface, intensity, seed=[seed, trial, retry])
         try:
-            return sample, delaunay(sample), retry
+            return delaunay(sample), retry
         except DegenerateSample:
             continue
     raise DegenerateSample(
@@ -107,8 +105,8 @@ def chi_estimator(
     area = surface.area
 
     def one_trial(trial: int) -> tuple[int, int, int, int]:
-        sample, dc, retries = _run_trial(surface, intensity, seed, trial)
-        return trial, sample.count, dc.face_count, retries
+        dc, retries = _run_trial(surface, intensity, seed, trial)
+        return trial, dc.vertex_count, dc.face_count, retries
 
     records = []
     resampled = 0
@@ -117,15 +115,7 @@ def chi_estimator(
         est = area * intensity - faces / 2.0
         records.append(TrialRecord(trial, n, faces, est))
     mean, se = _mean_and_se(np.array([r.estimator for r in records]))
-    return ChiEstimate(
-        mean=mean,
-        std_error=se,
-        records=records,
-        resampled=resampled,
-        surface=surface,
-        intensity=intensity,
-        seed=seed,
-    )
+    return ChiEstimate(mean=mean, std_error=se, records=records, resampled=resampled)
 
 
 # -- local curvature defect ------------------------------------------------------
@@ -169,8 +159,6 @@ class DefectEstimate:
     estimate: float
     std_error: float
     counts: np.ndarray
-    region_area: float
-    trials: int
 
 
 def face_defect_in_region(
@@ -190,17 +178,13 @@ def face_defect_in_region(
     _check_trials(trials)
 
     def one_trial(trial: int) -> int:
-        _, dc, _ = _run_trial(surface, intensity, seed, trial)
+        dc, _ = _run_trial(surface, intensity, seed, trial)
         return int(region.contains(dc.centers).sum())
 
     counts = np.array(_map_trials(one_trial, range(trials), jobs), dtype=float)
     mean, se = _mean_and_se(counts)
     return DefectEstimate(
-        estimate=float(2.0 * intensity * region.area - mean),
-        std_error=se,
-        counts=counts,
-        region_area=float(region.area),
-        trials=trials,
+        estimate=float(2.0 * intensity * region.area - mean), std_error=se, counts=counts
     )
 
 

@@ -58,17 +58,12 @@ class SurfaceModel:
         return min(self.width, self.height) / 2.0
 
     @property
-    def convexity_radius(self) -> float:
-        # strong convexity: half the injectivity radius on the sphere would be
-        # pi/2; on the flat torus geodesic balls are convex below min(a,b)/4
-        if self.kind == "sphere":
-            return np.pi / 2.0
-        return min(self.width, self.height) / 4.0
-
-    @property
     def delta_max(self) -> float:
-        """Largest admissible decision radius, min(i/6, convexity radius)."""
-        return min(self.injectivity_radius / 6.0, self.convexity_radius)
+        """Largest admissible decision radius, i/6 for the injectivity radius i.
+
+        Strong convexity never binds: it holds below pi/2 on the sphere and
+        below min(a, b)/4 on the flat torus, both above i/6."""
+        return self.injectivity_radius / 6.0
 
 
 @dataclass(frozen=True)

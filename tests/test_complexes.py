@@ -262,6 +262,23 @@ def test_from_vertex_triples_rejects_repeated_vertex():
         from_vertex_triples([(0, 0, 1), (0, 1, 2)])
 
 
+def test_from_vertex_triples_of_nothing_is_the_empty_complex():
+    assert from_vertex_triples([]) == build_complex(0, [])
+
+
+def test_from_vertex_triples_rejects_the_projective_plane():
+    # the hemi-icosahedron: six vertices, ten faces, chi = 1
+    rp2 = ["124", "126", "135", "136", "145", "234", "235", "256", "346", "456"]
+    with pytest.raises(ValueError, match="not orientable"):
+        from_vertex_triples([tuple(int(v) - 1 for v in t) for t in rp2])
+
+
+def test_from_vertex_triples_rejects_two_tetrahedra():
+    tet = [(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)]
+    with pytest.raises(ValueError, match="not connected"):
+        from_vertex_triples(tet + [tuple(v + 4 for v in t) for t in tet])
+
+
 def test_subdivision_counts():
     for T, chi in ((tetrahedron(), 2), (genus2_octagon(), -2), (octagon_cone(), -2)):
         sub = subdivide(T)

@@ -71,6 +71,14 @@ def test_mesh_requires_triangle_inequality(genus2_sub):
         MeshMetric(T, lengths)
 
 
+def test_mesh_rejects_a_zero_length(genus2_sub):
+    T = genus2_sub.complex
+    lengths = np.ones(T.edge_count)
+    lengths[3] = 0.0
+    with pytest.raises(ValueError, match="edge lengths must be positive"):
+        MeshMetric(T, lengths)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_mesh_rejects_non_finite_lengths(genus2_sub, bad):
     T = genus2_sub.complex

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from diskflow.delaunay import (
     GENERIC_TOL,
+    _check_generic,
     _emptiness_flags,
     _tiled_delaunay,
     _torus_delaunay,
@@ -56,7 +58,7 @@ def test_surface_constants():
     assert TORUS.area == 1.0
     assert TORUS.gauss_curvature == 0.0
     assert TORUS.injectivity_radius == 0.5
-    assert np.isclose(TORUS.delta_max, 1 / 12)  # min(i/6, min(a,b)/4)
+    assert np.isclose(TORUS.delta_max, 1 / 12)  # i/6
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -478,6 +480,27 @@ def test_density_report_nonempty_cocircular_is_generic_at_any_size():
         pts = np.vstack([circle, pole, fill[: n - 5]])
         rep = is_generically_delta_dense(PointSample(SPHERE, pts, 1.0, 0), 0.5)
         assert rep.generic_ok and rep.detail == ""
+
+
+def test_equator_points_fail_the_hull_and_both_verdicts():
+    # eight coplanar points span no 3-dimensional hull, so qhull refuses them
+    angs = np.arange(8) * np.pi / 4
+    pts = np.column_stack([np.cos(angs), np.sin(angs), np.zeros(8)])
+    sample = PointSample(SPHERE, pts, 1.0, 0)
+    with pytest.raises(DegenerateSample, match="^convex hull failed: "):
+        delaunay(sample)
+    rep = is_generically_delta_dense(sample, 0.5)
+    assert not rep.covering_ok and not rep.generic_ok
+    assert rep.detail.startswith("convex hull failed: ")
+
+
+@pytest.mark.parametrize("surface, intensity", [(SPHERE, 40.0), (TORUS, 60.0)],
+                         ids=["sphere", "torus"])
+def test_check_refuses_a_point_inside_a_widened_circumdisk(surface, intensity):
+    # half as wide again, every disk swallows the vertices across its sides
+    dc = delaunay(sample_poisson(surface, intensity, seed=1))
+    with pytest.raises(DegenerateSample, match="a sample point lies inside a circumdisk"):
+        _check_generic(dataclasses.replace(dc, radii=1.5 * dc.radii))
 
 
 def test_density_report_three_points():

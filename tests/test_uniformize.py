@@ -14,7 +14,7 @@ from diskflow.angles import (
     is_negatively_curved,
 )
 from diskflow.complexes import build_complex, genus2_octagon, subdivide
-from diskflow.errors import Infeasible, LengthMismatch
+from diskflow.errors import ComplexMismatch, Infeasible, LengthMismatch
 from diskflow.hyperbolic import edge_lengths
 from diskflow.uniformize import assemble_structure, pattern_report, uniformize
 
@@ -128,6 +128,12 @@ def test_uniformize_rejects_start_outside_class(genus2, symmetric_g2_system):
     shifted = AngleSystem(genus2, symmetric_g2_system.psi + 0.01)
     with pytest.raises(ValueError):
         uniformize(spec, start=shifted)
+
+
+def test_uniformize_rejects_start_on_another_complex(symmetric_g2_system, canonical24_system):
+    spec = conformal_class_of(symmetric_g2_system)
+    with pytest.raises(ComplexMismatch, match="different complex"):
+        uniformize(spec, start=canonical24_system)
 
 
 def test_assemble_structure_symmetric(genus2, symmetric_g2_system):
