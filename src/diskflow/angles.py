@@ -11,14 +11,14 @@ The admissible classes are the paper's: every psi_e lies in (0, pi), so the
 disks meet at angles pi - psi_e, and the psi_e around each vertex add up to
 2 pi, which is then every member's angle sum there.  ``find_negative_delaunay``
 refuses any other class (``refuse_inadmissible``).  On an admissible one it
-returns a member with the largest interior margin (the least corner angle or
-face defect).  The defects of every member add up to the same total, so their
-mean U bounds that margin; the member whose faces all have the same area,
-found by one sparse solve on the dual graph, reaches the bound whenever its
-corners are at least U, and is then returned as is.  Otherwise, and for every
+returns a member whose interior margin (the least corner angle or face
+defect) is at least ``MARGIN_FLOOR``: the member whose faces all have the
+same area, found by one sparse solve on the dual graph, whenever it is
+interior, as the uniformizer's objective is concave on the class and every
+interior start leads to the same maximizer.  Otherwise, and for every
 infeasibility verdict, the margin-maximizing linear program over those
-lower-flag partials decides.  Both points are built from them, so each is a
-member with no repair step.
+lower-flag partials decides.  Both points are built from them, so each is
+a member with no repair step.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .reports import Report
 CHECK_TOL = 1e-9     # absolute tolerance for linear constraint checks
 MARGIN_FLOOR = 1e-6  # minimum interior margin accepted as feasible
 IPM_TOL = 1e-10      # HiGHS interior-point optimality tolerance of the margin LP
-START_TOL = 1e-12    # how far the equal-area start's margin may fall below its bound
 
 
 @dataclass(frozen=True)
@@ -230,8 +229,8 @@ def is_teleportable_bruteforce(x, max_faces: int = 20) -> TeleportReport:
 
 
 def equal_area_start(spec: ConformalClassSpec) -> AngleSystem | None:
-    """The member of the class whose faces all have the same area, when it
-    certifies itself as a margin-maximizing point; None otherwise.
+    """The member of the class whose faces all have the same area, when its
+    interior margin is at least ``MARGIN_FLOOR``; None otherwise.
 
     Every member's face defects pi - (angle sum) add up to the class
     invariant pi F - 2 sum(psi_e), so no member has a margin above their mean
@@ -240,19 +239,17 @@ def equal_area_start(spec: ConformalClassSpec) -> AngleSystem | None:
     d = B^T y that sets every face's partial sum to (pi - U) / 2, where B is
     the (F, E) signed face-edge incidence, the complex's ``signed_incidence``
     summed over the three flags of each face: B B^T y = r is the dual graph's
-    Laplacian, solved by ``grounded_solve``.  Its defects are then U, and if
-    every corner angle is at least U as well, its margin is U up to
-    ``START_TOL`` and it is optimal for the margin LP.  None when the complex
-    has no face, when U is below ``MARGIN_FLOOR``, when the solve declines,
-    or when a corner falls short of U.
+    Laplacian, solved by ``grounded_solve``.  Its defects are then U, so its
+    margin is the lesser of U and its least corner angle; when every corner
+    reaches U it is also optimal for the margin LP.  None when the complex
+    has no face, when the solve declines, or when the margin is below the
+    floor.
     """
     T = spec.complex
     F = T.face_count
     if F == 0:
         return None
     U = (np.pi * F - 2.0 * float(spec.psi_edge.sum())) / F
-    if U < MARGIN_FLOOR:
-        return None
     # imported here: scipy.sparse is slow to load and only the uniformizer needs it
     from scipy import sparse
 
@@ -267,7 +264,7 @@ def equal_area_start(spec: ConformalClassSpec) -> AngleSystem | None:
     x = _member(spec, half + B.T @ y)
     A = all_corner_angles(x)
     margin = min(A.min(), (np.pi - A.sum(axis=1)).min())
-    return x if margin >= U - START_TOL else None
+    return x if margin >= MARGIN_FLOOR else None
 
 
 def refuse_inadmissible(spec: ConformalClassSpec) -> None:
@@ -296,7 +293,7 @@ def refuse_inadmissible(spec: ConformalClassSpec) -> None:
 def find_negative_delaunay(spec: ConformalClassSpec) -> AngleSystem:
     """Produce a strictly interior negatively curved Delaunay representative.
 
-    The representative maximizes the margin eps of the linear program over
+    Its margin eps is at least ``MARGIN_FLOOR`` in the linear program over
     the lower-flag partials x of ``_member``, one per edge:
 
         max eps  s.t.  corner angles >= eps,
@@ -306,16 +303,16 @@ def find_negative_delaunay(spec: ConformalClassSpec) -> AngleSystem:
     ``refuse_inadmissible`` refuses a class outside the paper's domain before
     either start, with margin None.  The face defects of every member sum to
     pi F - 2 sum(psi_e), so eps is at most their mean U.  The
-    ``equal_area_start``, one sparse solve, is tried first: when its margin
-    reaches U it is optimal, and it is returned.  Otherwise the LP is solved
-    by HiGHS's interior-point method (``"highs-ipm"``) at optimality
-    tolerance ``IPM_TOL`` and without crossover, so the returned point is the
-    method's interior solution, centred in the optimal face rather than at
-    one of its vertices.  The LP has no equality rows, so its solution is a
-    member of the class whatever the solver's primal tolerance.  Either point
-    is the Newton start of the uniformizer.  Raises ``Infeasible`` with the
-    LP's certificate margin when the maximum is below ``MARGIN_FLOOR``; for
-    an admissible class that verdict always comes from the LP.
+    ``equal_area_start``, one sparse solve, is tried first and returned when
+    it is interior.  Otherwise the LP is solved for its largest eps by
+    HiGHS's interior-point method (``"highs-ipm"``) at optimality tolerance
+    ``IPM_TOL`` and without crossover, so the returned point is the method's
+    interior solution, centred in the optimal face rather than at one of its
+    vertices.  The LP has no equality rows, so its solution is a member of
+    the class whatever the solver's primal tolerance.  Either point is the
+    Newton start of the uniformizer.  Raises ``Infeasible`` with the LP's
+    certificate margin when the maximum is below ``MARGIN_FLOOR``; for an
+    admissible class that verdict always comes from the LP.
     """
     refuse_inadmissible(spec)
     start = equal_area_start(spec)

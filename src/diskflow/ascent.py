@@ -62,7 +62,7 @@ def sparse_solve(A, b: np.ndarray, *, symmetric: bool = False) -> np.ndarray:
     Laplacian faster (4.4 against 6.9 ms for the latter at F=1536), but the
     stiffness matrix of a V=3070 mesh about 7 times slower (108 against
     18 ms) although both couple only neighbours; that one, and the flow's
-    second variation, keep the default COLAMD with partial pivoting.
+    Newton system, keep the default COLAMD with partial pivoting.
     """
     # imported here: scipy.sparse.linalg is slow to load and Monte Carlo never solves
     from scipy.sparse.linalg import splu

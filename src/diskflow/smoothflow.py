@@ -25,9 +25,9 @@ ascends it with the shared damped Newton driver of ``ascent``, taking the
 Newton direction at every iterate: the second variation is negative definite
 on mean-zero directions throughout the domain, so that direction always
 ascends, and damped Newton converges from any start and then quadratically
-(Springborn-Schroeder-Pinkall 2008).  S and the second variation are sparse;
-``teleport`` and the Newton step solve them by ``ascent.grounded_solve``,
-which grounds one vertex, as their kernel is the constants.
+(Springborn-Schroeder-Pinkall 2008).  ``teleport`` solves S by
+``ascent.grounded_solve``, as its kernel is the constants; the Newton step
+solves a system with S's own 1-ring pattern (``_newton``).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ascent import TraceRecord, ascend, grounded_solve
+from .ascent import TraceRecord, ascend, grounded_solve, sparse_solve
 from .complexes import TopologicalTriangulation
 from .errors import (
     NoConvergence,
@@ -185,15 +185,6 @@ def gradient_Ig(mesh: MeshMetric, phi: np.ndarray) -> np.ndarray:
     return mesh.stiffness @ log_kh
 
 
-def hessian_matrix(mesh: MeshMetric, phi: np.ndarray) -> sparse.csr_array:
-    """Sparse second variation -(2 S + S diag(1/(m u)) S), singular on constants."""
-    from scipy import sparse  # imported here, as in MeshMetric
-
-    u = _domain_u(mesh, np.asarray(phi, dtype=float))
-    S = mesh.stiffness
-    return -(2.0 * S + S @ sparse.diags_array(1.0 / (mesh.masses * u)) @ S)
-
-
 def _weighted_curvature(
     mesh: MeshMetric, phi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -229,8 +220,19 @@ class FlowReport:
     final_objective: float
 
 
-def _newton(mesh: MeshMetric, phi: np.ndarray, G: np.ndarray) -> np.ndarray:
-    return mean_zero(mesh, grounded_solve(hessian_matrix(mesh, phi), -G))
+def newton_matrix(mesh: MeshMetric, w: np.ndarray) -> sparse.csr_array:
+    """S + 2 diag(w): symmetric positive definite for w > 0, with S's pattern."""
+    from scipy import sparse  # imported here, as in MeshMetric
+
+    return mesh.stiffness + sparse.diags_array(2.0 * w)
+
+
+def _newton(mesh: MeshMetric, phi: np.ndarray) -> np.ndarray:
+    """Mean-zero Newton direction: with gradient S l, l = log|k_h|, and W =
+    diag(m u), (2S + S W^-1 S) d = S l is (S + 2W) d = W l up to constants."""
+    u = _domain_u(mesh, phi)
+    w = mesh.masses * u
+    return mean_zero(mesh, sparse_solve(newton_matrix(mesh, w), w * (np.log(u) - 2.0 * phi)))
 
 
 def log_ricci_flow(
@@ -244,7 +246,7 @@ def log_ricci_flow(
 
     Every step is a damped Newton step; the mean-zero projection of
     -Lap log|k_h| (the mass-preconditioned gradient) is taken only when the
-    Newton solve fails or its direction does not ascend.  Steps are halved
+    Newton solve (``_newton``) fails or does not ascend.  Steps are halved
     until they keep Lap phi - k > U_FLOOR and the objective nondecreasing.
     Starts from the teleported factor by default.  The only start condition
     is Lap phi0 - k > U_FLOOR (k_h(phi0) < 0), which teleport meets on any
@@ -266,7 +268,7 @@ def log_ricci_flow(
             gradient=lambda p: gradient_Ig(mesh, p),
             residual=lambda p: curvature_spread(mesh, p),
             converged=lambda grad_inf, spread: spread < tol and grad_inf < tol,
-            newton_dir=lambda p, G: _newton(mesh, p, G),
+            newton_dir=lambda p, _: _newton(mesh, p),
             fallback_dir=lambda p, G: mean_zero(mesh, G / mesh.masses),
             move=lambda p, step, d: p + step * d,
             max_iter=max_iter,

@@ -85,19 +85,19 @@ def uniformize(
 ) -> tuple[AngleSystem, HyperbolicStructure, list[TraceRecord]]:
     """Find the uniform angle system in the class of ``spec``.
 
-    The start point defaults to the margin-maximizing representative of
-    ``find_negative_delaunay``: the equal-area member when it certifies
-    itself, the LP's interior point otherwise (raising ``Infeasible`` when
-    the class has no negatively curved Delaunay member).  Whether or not a
-    start is given, a class outside the paper's domain (the empty complex,
-    a psi_e not inside (0, pi), a vertex sum of psi_e off 2 pi) is refused
-    with ``Infeasible`` by ``refuse_inadmissible``.  Returns the maximizer,
-    its assembled structure, and the per-iteration trace, whose residual is
-    the worst two-sided length mismatch.  ``tol`` is the target for the sup
-    norm of the gradient, and ``max_iter`` caps the accepted steps; the last
-    iterate is tested too.  ``NoConvergence`` carries the best iterate and
-    trace when the line search stalls or ``max_iter`` steps do not reach
-    ``tol``.
+    The start point defaults to the interior member of
+    ``find_negative_delaunay``, the equal-area one when interior (raising
+    ``Infeasible`` when the class has no negatively curved Delaunay member);
+    the objective is concave, so every interior start reaches the same
+    maximizer.  Whether or not a start is given, a class outside the paper's
+    domain (the empty complex, a psi_e not inside (0, pi), a vertex sum of
+    psi_e off 2 pi) is refused with ``Infeasible`` by ``refuse_inadmissible``.
+    Returns the maximizer, its assembled structure, and the per-iteration
+    trace, whose residual is the worst two-sided length mismatch.  ``tol`` is
+    the target for the sup norm of the gradient, and ``max_iter`` caps the
+    accepted steps; the last iterate is tested too.  ``NoConvergence`` carries
+    the best iterate and trace when the line search stalls or ``max_iter``
+    steps do not reach ``tol``.
     """
     T = spec.complex
     if start is None:

@@ -72,6 +72,19 @@ def random_class_spec(T, rng, scale=0.5, tries=400) -> ConformalClassSpec:
     raise RuntimeError("could not sample a valid class spec")
 
 
+def criterion5_classes(count: int) -> list[ConformalClassSpec]:
+    """The first ``count`` classes of acceptance criterion 5's stream: rng
+    105, a random complex of 4 to 12 faces, then a random class on it."""
+    rng, specs = np.random.default_rng(105), []
+    while len(specs) < count:
+        T = random_complex(rng, int(rng.choice([4, 6, 8, 10, 12])))
+        try:
+            specs.append(random_class_spec(T, rng))
+        except RuntimeError:
+            continue
+    return specs
+
+
 def perturbed_canonical_spec(T, rng, amplitude=0.02) -> ConformalClassSpec:
     """The class of equal corner angles 2 pi / deg at each vertex, moved by
     noise in the kernel of the vertex-edge incidence, so every vertex sum

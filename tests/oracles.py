@@ -19,10 +19,12 @@ The dense oracles rebuild the solvers' sparse operators and solves the
 direct way (the dense class basis and its products, a finite-difference
 class Hessian, a dense Newton solve of the class Hessian, least-squares
 solves of the singular systems), so the index-array assembly and the sparse
-LU are checked against their definitions.  ``margin_lp_simplex`` writes the
-margin LP out row by row over all 3F partials, with one equality row per
-edge, and solves it with HiGHS's default method, the reference for the
-interior-point margin over the lower-flag partials.
+LU are checked against their definitions.  ``hessian_matrix`` assembles the
+flow's second variation, whose least-squares solve is the reference for the
+flow's Newton direction from its 1-ring system.  ``margin_lp_simplex``
+writes the margin LP out row by row over all 3F partials, with one equality
+row per edge, and solves it with HiGHS's default method, the reference for
+the interior-point margin over the lower-flag partials.
 ``derive_union_find`` derives a complex's edges and vertex orbits with a
 flag-by-flag union-find, the reference for the index-array derivation,
 ``gluing_mate_loop`` validates a side pairing pair by pair, and
@@ -45,6 +47,7 @@ them.
 import json
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import dblquad, quad
 from scipy.linalg import block_diag
 from scipy.optimize import linprog
@@ -74,7 +77,7 @@ from diskflow.hyperbolic import (
     lobachevsky,
     log_half_cosh_minus_one,
 )
-from diskflow.smoothflow import MeshMetric, hessian_matrix, mean_zero
+from diskflow.smoothflow import MeshMetric, _domain_u, mean_zero
 from diskflow.surfaces import (
     PointSample,
     SurfaceModel,
@@ -331,6 +334,13 @@ def teleport_lstsq(mesh: MeshMetric) -> np.ndarray:
     rhs = mesh.masses * (c - mesh.curvature)
     phi, *_ = np.linalg.lstsq(mesh.stiffness.toarray(), rhs, rcond=None)
     return mean_zero(mesh, phi)
+
+
+def hessian_matrix(mesh: MeshMetric, phi: np.ndarray) -> sparse.csr_array:
+    """Sparse second variation -(2 S + S diag(1/(m u)) S), singular on constants."""
+    u = _domain_u(mesh, np.asarray(phi, dtype=float))
+    S = mesh.stiffness
+    return -(2.0 * S + S @ sparse.diags_array(1.0 / (mesh.masses * u)) @ S)
 
 
 def newton_direction_lstsq(mesh: MeshMetric, phi: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -319,10 +319,10 @@ def test_lp_matches_bruteforce_on_random_specs():
 
 
 def _lp_margin(spec) -> tuple[bool, float]:
-    """(feasible, margin) of the interior-point LP: the margin of the start it
+    """(feasible, margin) of the interior-point LP: the margin of the point it
     returns, or the certificate margin it raises with."""
     try:
-        y = find_negative_delaunay(spec)
+        y = _margin_lp(spec)
     except Infeasible as exc:
         return False, exc.margin
     A = all_corner_angles(y)
@@ -403,7 +403,9 @@ def _margin_bound(spec) -> float:
 
 
 def test_equal_area_start_is_a_class_member_at_the_margin_bound():
-    certified = 0
+    # every face of the returned member has area U; its margin is at least
+    # the floor, and where its corners reach U too it is the LP's optimum
+    at_bound = 0
     for spec in _margin_oracle_specs():
         x = equal_area_start(spec)
         if x is None:
@@ -412,15 +414,18 @@ def test_equal_area_start_is_a_class_member_at_the_margin_bound():
         A = all_corner_angles(x)
         defects, U = np.pi - A.sum(axis=1), _margin_bound(spec)
         assert np.max(np.abs(defects - U)) <= 1e-12  # every face has area U
-        assert abs(min(A.min(), defects.min()) - U) <= 1e-12
+        margin = min(A.min(), defects.min())
+        assert margin >= MARGIN_FLOOR
+        if abs(margin - U) > 1e-12:
+            continue
         # the bound is the LP's optimum: its own point reaches the same margin
         A_lp = all_corner_angles(_margin_lp(spec))
         assert abs(min(A_lp.min(), (np.pi - A_lp.sum(axis=1)).min()) - U) <= 1e-9
-        certified += 1
-    assert certified > 0
+        at_bound += 1
+    assert at_bound > 0
 
 
-def test_the_lp_runs_exactly_when_the_equal_area_start_is_not_certified(monkeypatch):
+def test_the_lp_runs_exactly_when_the_equal_area_start_is_not_interior(monkeypatch):
     import scipy.optimize
 
     linprog, calls = scipy.optimize.linprog, []
@@ -433,13 +438,13 @@ def test_the_lp_runs_exactly_when_the_equal_area_start_is_not_certified(monkeypa
     routes = {"start": 0, "lp": 0}
     for spec in _margin_oracle_specs():
         before = len(calls)
-        certified = equal_area_start(spec) is not None
+        interior = equal_area_start(spec) is not None
         try:
             find_negative_delaunay(spec)
         except Infeasible:
-            assert not certified  # every infeasibility verdict comes from the LP
-        assert len(calls) - before == (0 if certified else 1)
-        routes["start" if certified else "lp"] += 1
+            assert not interior  # every infeasibility verdict comes from the LP
+        assert len(calls) - before == (0 if interior else 1)
+        routes["start" if interior else "lp"] += 1
     assert routes["start"] > 0 and routes["lp"] > 0
 
 
@@ -477,16 +482,19 @@ def test_margin_lp_runs_over_lower_flags_without_equality_rows(noise, monkeypatc
 
 
 def test_equal_area_start_declines_on_the_empty_complex():
-    # no face has a margin to certify; find_negative_delaunay refuses F = 0
-    # before it tries either start
+    # no face has a margin; find_negative_delaunay refuses F = 0 before it
+    # tries either start
     assert equal_area_start(ConformalClassSpec(build_complex(0, []), [])) is None
 
 
-def test_equal_area_start_declines_below_the_bound_and_the_floor():
-    # the symmetric genus-2 class has corners 2 pi / 18 below U = 2 pi / 3,
-    # and the all-right-angle octahedron has U = -pi / 2 below the floor
+def test_equal_area_start_declines_only_below_the_floor():
+    # the symmetric genus-2 class has corners pi / 9 below U = 2 pi / 3, but
+    # above the floor, so it is returned with margin pi / 9; the
+    # all-right-angle octahedron has U = -pi / 2 below the floor
     T = genus2_octagon()
-    assert equal_area_start(conformal_class_of(AngleSystem(T, np.full(18, np.pi / 18)))) is None
+    x = equal_area_start(conformal_class_of(AngleSystem(T, np.full(18, np.pi / 18))))
+    A = all_corner_angles(x)
+    assert abs(min(A.min(), (np.pi - A.sum(axis=1)).min()) - np.pi / 9) <= 1e-12
     assert equal_area_start(ConformalClassSpec(octahedron(), np.full(12, np.pi / 2))) is None
 
 

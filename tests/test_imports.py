@@ -133,8 +133,9 @@ def test_run_loads_no_solver_or_quadrature_scipy(argv, head, tmp_path):
 
 @pytest.fixture
 def certified_class(tmp_path):
-    """The canonical F=96 genus-2 class as a file: its equal-area start is
-    certified, so the margin LP, and scipy.optimize with it, never runs."""
+    """The canonical F=96 genus-2 class as a file: its equal-area member is
+    interior, at its margin bound, so the margin LP, and scipy.optimize with
+    it, never runs."""
     from diskflow.angles import conformal_class_of, equal_area_start, partials_from_angles
     from diskflow.complexes import genus2_octagon, subdivide
     from diskflow.serialization import class_spec_to_dict, write_json
@@ -155,6 +156,26 @@ def test_uniformize_of_a_certified_class_loads_no_lp_solver(certified_class):
         f"{LOADED}"
     )
     assert loaded == ["scipy.sparse.linalg"]
+
+
+def test_uniformize_loads_the_lp_solver_only_outside_the_domain(
+    cli_inputs, canonical24_spec, tmp_path
+):
+    # the F=24 class's equal-area member is interior but short of its margin
+    # bound, so no LP runs; the octahedron's class has no interior member,
+    # and the LP gives its verdict
+    from diskflow.serialization import class_spec_to_dict, write_json
+
+    path = str(tmp_path / "class24.json")
+    write_json(path, class_spec_to_dict(canonical24_spec))
+    loaded = _fresh(
+        f"import json, sys\nfrom diskflow.cli import run\nheavy = {HEAVY!r}\n"
+        f"assert run(['uniformize', {path!r}]) == 0\n"
+        "interior = [m for m in heavy if m in sys.modules]\n"
+        f"assert run(['uniformize', {cli_inputs['infeasible']!r}]) == 2\n"
+        "print(json.dumps([interior, [m for m in heavy if m in sys.modules]]))"
+    )
+    assert loaded == [["scipy.sparse.linalg"], ["scipy.optimize", "scipy.sparse.linalg"]]
 
 
 @pytest.fixture
@@ -180,16 +201,6 @@ def cli_inputs(tmp_path, symmetric_g2_system, cone14_unit):
     for name, data in files.items():
         write_json(tmp_path / f"{name}.json", data)
     return {name: str(tmp_path / f"{name}.json") for name in files}
-
-
-def test_validate_and_pattern_load_no_lazy_scipy(cli_inputs):
-    loaded = _fresh(
-        "import json, sys\nfrom diskflow.cli import run\n"
-        f"assert run(['validate', {cli_inputs['complex']!r}]) == 0\n"
-        f"assert run(['pattern', {cli_inputs['structure']!r}]) == 0\n"
-        f"{LOADED}"
-    )
-    assert loaded == []
 
 
 def test_no_subcommand_loads_csgraph(cli_inputs, tmp_path):

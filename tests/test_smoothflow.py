@@ -13,13 +13,12 @@ from diskflow.smoothflow import (
     entropy,
     evaluate_Ig,
     gradient_Ig,
-    hessian_matrix,
     log_ricci_flow,
     mean_zero,
     teleport,
 )
 
-from oracles import hessian_Ig, newton_direction_lstsq, teleport_lstsq
+from oracles import hessian_Ig, hessian_matrix, newton_direction_lstsq, teleport_lstsq
 
 
 def random_mixed_sign_mesh(rng, tries=100, subdivisions=1):
@@ -318,14 +317,16 @@ def test_grounded_solves_match_dense_lstsq(cone14_unit):
         cone14_unit.lengths * (1 + 0.01 * rng.uniform(-1, 1, cone14_unit.complex.edge_count)),
     )
     assert np.ptp(jittered.curvature) > 1e-3 and jittered.curvature.max() < 0
+    # the Newton direction at phi, and at a phi near the maximum, whose
+    # gradient is as small as the flow's last steps see
     for mesh in (cone14_unit, jittered):
-        for _ in range(3):
-            phi = mean_zero(mesh, 0.03 * rng.normal(size=mesh.vertex_count))
-            G = gradient_Ig(mesh, phi)
-            G *= 1e-4 / np.max(np.abs(G))  # a gradient as small as near the maximum
-            ref = newton_direction_lstsq(mesh, phi, G)
-            d = _newton(mesh, phi, G)
-            assert np.max(np.abs(d - ref)) <= 1e-10 * max(1.0, np.abs(ref).max())
+        top, _ = log_ricci_flow(mesh)
+        for scale, centre in ((0.03, 0.0), (1e-4, top)):
+            for _ in range(3):
+                phi = centre + mean_zero(mesh, scale * rng.normal(size=mesh.vertex_count))
+                ref = newton_direction_lstsq(mesh, phi, gradient_Ig(mesh, phi))
+                d = _newton(mesh, phi)
+                assert np.max(np.abs(d - ref)) <= 1e-10 * max(1.0, np.abs(ref).max())
 
 
 # -- flow -------------------------------------------------------------------------------
@@ -380,11 +381,11 @@ def test_flow_falls_back_to_the_gradient_when_newton_fails(cone14_mesh, monkeypa
 
     newton, calls = sf._newton, []
 
-    def failing_once(mesh, phi, G):
+    def failing_once(mesh, phi):
         calls.append(phi)
         if len(calls) == 1:
             raise np.linalg.LinAlgError("singular")
-        return newton(mesh, phi, G)
+        return newton(mesh, phi)
 
     monkeypatch.setattr(sf, "_newton", failing_once)
     mesh = random_negative_mesh(cone14_mesh, np.random.default_rng(9))
@@ -403,15 +404,15 @@ def test_flow_falls_back_cleanly_on_a_singular_hessian(cone14_mesh, monkeypatch)
 
     import diskflow.smoothflow as sf
 
-    hessian, calls = sf.hessian_matrix, []
+    newton_matrix, calls = sf.newton_matrix, []
 
-    def singular_once(mesh, phi):
-        calls.append(phi)
+    def singular_once(mesh, w):
+        calls.append(w)
         if len(calls) == 1:
             return sparse.csr_array((mesh.vertex_count, mesh.vertex_count))
-        return hessian(mesh, phi)
+        return newton_matrix(mesh, w)
 
-    monkeypatch.setattr(sf, "hessian_matrix", singular_once)
+    monkeypatch.setattr(sf, "newton_matrix", singular_once)
     mesh = random_negative_mesh(cone14_mesh, np.random.default_rng(9))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

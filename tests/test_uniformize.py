@@ -6,9 +6,11 @@ import pytest
 from diskflow.angles import (
     AngleSystem,
     ConformalClassSpec,
+    _margin_lp,
     _member,
     conformal_class_of,
     edge_psi,
+    equal_area_start,
     find_negative_delaunay,
     is_delaunay,
     is_negatively_curved,
@@ -19,6 +21,7 @@ from diskflow.hyperbolic import edge_lengths
 from diskflow.uniformize import assemble_structure, pattern_report, uniformize
 
 from helpers import (
+    criterion5_classes,
     lognormal_class_spec,
     octahedron,
     one_vertex_off_spec,
@@ -370,14 +373,41 @@ def test_centred_lp_start_takes_full_newton_steps(subdivisions, monkeypatch):
 
 @pytest.mark.parametrize("subdivisions", [1, 2, 3])
 def test_equal_area_start_takes_full_newton_steps(subdivisions):
-    # the default start: the equal-area member where it certifies (F=96 and
-    # F=384 here), the LP's interior point otherwise (F=24)
+    # the default start, the equal-area member, which is interior for every
+    # class here: at its margin bound at F=96 and F=384, short of it at F=24
     _takes_full_newton_steps(subdivisions)
+
+
+def test_an_interior_equal_area_member_starts_newton_without_the_lp(canonical24_spec, monkeypatch):
+    # the F=24 class, whose equal-area member is interior but short of the
+    # margin bound, and every class of criterion 5's first 100 whose member
+    # is interior: the LP is never called, and the objective, concave on the
+    # class, reaches the maximizer of the LP's start
+    import scipy.optimize
+
+    linprog, calls = scipy.optimize.linprog, []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    assert equal_area_start(canonical24_spec) is not None
+    specs = [canonical24_spec]
+    specs += [s for s in criterion5_classes(100) if equal_area_start(s) is not None]
+    assert len(specs) > 10
+    for spec in specs:
+        _, st, _ = uniformize(spec)
+        assert calls == []
+        _, st_lp, _ = uniformize(spec, start=_margin_lp(spec))
+        calls.clear()
+        assert np.max(np.abs(st.circumradii - st_lp.circumradii)) <= 1e-10
 
 
 def test_equal_area_and_lp_starts_reach_the_same_structure(monkeypatch):
     # the three perturbed F=96 classes of the margin oracle, where the
-    # equal-area start is certified; the LP start is forced by declining it
+    # equal-area member reaches its margin bound; the LP start is forced by
+    # declining it
     import diskflow.angles
 
     rng = np.random.default_rng(12)
