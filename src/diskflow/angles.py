@@ -30,7 +30,7 @@ import numpy as np
 
 from .ascent import grounded_solve
 from .complexes import TopologicalTriangulation
-from .errors import Infeasible, TooLarge, finite_vector
+from .errors import Infeasible, finite_vector
 from .reports import Report
 
 CHECK_TOL = 1e-9     # absolute tolerance for linear constraint checks
@@ -116,6 +116,14 @@ def is_angle_system(x: AngleSystem, tol: float = CHECK_TOL) -> AngleSystemReport
     return AngleSystemReport(not corners and not verts, corners, verts)
 
 
+def _psi_edge_of(obj) -> tuple[TopologicalTriangulation, np.ndarray]:
+    if isinstance(obj, AngleSystem):
+        return obj.complex, edge_psi(obj)
+    if isinstance(obj, ConformalClassSpec):
+        return obj.complex, obj.psi_edge
+    raise TypeError(f"expected AngleSystem or ConformalClassSpec, got {type(obj)}")
+
+
 @dataclass(frozen=True)
 class DelaunayReport(Report):
     violations: list[tuple[int, float]]  # (edge, value)
@@ -166,66 +174,6 @@ def _member(spec: ConformalClassSpec, lower: np.ndarray) -> AngleSystem:
 
 
 # -- teleportability ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TeleportReport(Report):
-    violating_set: tuple[int, ...] | None
-    lhs: float
-    rhs: float
-    min_slack: float  # min over face sets of (slack sum - pi |S|); 0 is a tie
-
-
-def _psi_edge_of(obj) -> tuple[TopologicalTriangulation, np.ndarray]:
-    if isinstance(obj, AngleSystem):
-        return obj.complex, edge_psi(obj)
-    if isinstance(obj, ConformalClassSpec):
-        return obj.complex, obj.psi_edge
-    raise TypeError(f"expected AngleSystem or ConformalClassSpec, got {type(obj)}")
-
-
-def is_teleportable_bruteforce(x, max_faces: int = 20) -> TeleportReport:
-    """Check the subset inequalities by full enumeration of face sets.
-
-    For every nonempty set S of faces the slack sum over the edges incident
-    to S (each counted once) must exceed pi |S|.  Returns the tightest set
-    and the minimal slack; a minimal slack within rounding of zero marks a
-    boundary tie (on a complex with zero Euler characteristic the full set
-    ties exactly), where strict comparison is not meaningful.  Enumeration
-    is 2^F, capped at ``max_faces``.
-    """
-    T, pe = _psi_edge_of(x)
-    F = T.face_count
-    if F > max_faces:
-        raise TooLarge(f"brute force enumeration limited to F <= {max_faces}, got {F}")
-    face_mask = np.zeros(F, dtype=np.int64)
-    for t in range(F):
-        m = 0
-        for s in range(3):
-            m |= 1 << int(T.edge_of_flag[3 * t + s])
-        face_mask[t] = m
-    slack = np.pi - pe  # per edge
-
-    subset_mask = np.zeros(1 << F, dtype=np.int64)
-    edge_bits = [1 << e for e in range(T.edge_count)]
-    slack_of_mask: dict[int, float] = {}
-    worst = (np.inf, None, 0.0, 0.0)  # (min slack, set, lhs, rhs)
-    for sub in range(1, 1 << F):
-        low = (sub & -sub).bit_length() - 1
-        m = int(subset_mask[sub ^ (1 << low)] | face_mask[low])
-        subset_mask[sub] = m
-        total = slack_of_mask.get(m)
-        if total is None:
-            total = float(sum(slack[e] for e in range(T.edge_count) if m & edge_bits[e]))
-            slack_of_mask[m] = total
-        rhs = np.pi * bin(sub).count("1")
-        if total - rhs < worst[0]:
-            faces = tuple(t for t in range(F) if sub & (1 << t))
-            worst = (total - rhs, faces, total, rhs)
-    ok = worst[0] > 0.0
-    return TeleportReport(
-        ok, None if ok else worst[1], worst[2], worst[3], worst[0]
-    )
 
 
 def equal_area_start(spec: ConformalClassSpec) -> AngleSystem | None:

@@ -285,7 +285,6 @@ class DensityReport(Report):
     covering_ok: bool
     generic_ok: bool
     max_circumradius: float
-    delta: float
     detail: str = ""
 
 
@@ -302,11 +301,11 @@ def is_generically_delta_dense(sample: PointSample, delta: float) -> DensityRepo
     """
     if sample.count < 4:
         return DensityReport(
-            False, False, True, np.inf, delta,
+            False, False, True, np.inf,
             "too few points to triangulate, so some delta ball is empty",
         )
     try:
         rmax = float(delaunay(sample).radii.max())
     except DegenerateSample as exc:
-        return DensityReport(False, False, False, np.inf, delta, str(exc))
-    return DensityReport(rmax < delta, rmax < delta, True, rmax, delta)
+        return DensityReport(False, False, False, np.inf, str(exc))
+    return DensityReport(rmax < delta, rmax < delta, True, rmax)

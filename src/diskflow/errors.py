@@ -29,10 +29,6 @@ class ComplexMismatch(DiskflowError):
 
 # -- angle systems ------------------------------------------------------------
 
-class TooLarge(DiskflowError):
-    """Instance beyond the brute-force enumeration limit, or a sample beyond memory."""
-
-
 class Infeasible(DiskflowError):
     """No negatively curved Delaunay representative exists.
 
@@ -92,6 +88,10 @@ class NoConvergence(DiskflowError):
 
 
 # -- stochastic geometry ------------------------------------------------------
+
+class TooLarge(DiskflowError):
+    """A point sample does not fit in memory; the message names its size."""
+
 
 class DegenerateSample(DiskflowError):
     """Sample contains a (near-)cocircular quadruple or coincident points."""

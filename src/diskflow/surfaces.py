@@ -72,7 +72,6 @@ class PointSample:
 
     surface: SurfaceModel
     points: np.ndarray      # (n, 3) unit vectors or (n, 2) fundamental-domain coords
-    intensity: float
     seed: object
 
     @property
@@ -114,7 +113,7 @@ def sample_poisson(surface: SurfaceModel, intensity: float, seed) -> PointSample
         points = _draw_points(surface, rng, n)
     except MemoryError as exc:
         raise TooLarge(f"the {n} points of the sample do not fit in memory") from exc
-    return PointSample(surface, points, float(intensity), seed)
+    return PointSample(surface, points, seed)
 
 
 def geodesic_distance(surface: SurfaceModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -25,6 +25,8 @@ flow's Newton direction from its 1-ring system.  ``margin_lp_simplex``
 writes the margin LP out row by row over all 3F partials, with one equality
 row per edge, and solves it with HiGHS's default method, the reference for
 the interior-point margin over the lower-flag partials.
+``is_teleportable_bruteforce`` enumerates all 2^F face sets for the subset
+criterion, the combinatorial reference for the LP's feasibility verdict.
 ``derive_union_find`` derives a complex's edges and vertex orbits with a
 flag-by-flag union-find, the reference for the index-array derivation,
 ``gluing_mate_loop`` validates a side pairing pair by pair, and
@@ -45,6 +47,7 @@ them.
 """
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -57,6 +60,7 @@ from scipy.special import zeta
 from diskflow.angles import (
     AngleSystem,
     ConformalClassSpec,
+    _psi_edge_of,
     all_corner_angles,
     edge_psi,
     face_curvatures,
@@ -68,6 +72,7 @@ from diskflow.errors import (
     DiskflowError,
     DuplicateSide,
     SelfGluedSide,
+    TooLarge,
     UnmatchedSide,
 )
 from diskflow.hyperbolic import (
@@ -77,6 +82,7 @@ from diskflow.hyperbolic import (
     lobachevsky,
     log_half_cosh_minus_one,
 )
+from diskflow.reports import Report
 from diskflow.smoothflow import MeshMetric, _domain_u, mean_zero
 from diskflow.surfaces import (
     PointSample,
@@ -326,6 +332,58 @@ def margin_lp_simplex(spec: ConformalClassSpec) -> float:
     )
     assert res.success, res.message
     return float(res.x[n])
+
+
+@dataclass(frozen=True)
+class TeleportReport(Report):
+    violating_set: tuple[int, ...] | None
+    lhs: float
+    rhs: float
+    min_slack: float  # min over face sets of (slack sum - pi |S|); 0 is a tie
+
+
+def is_teleportable_bruteforce(x, max_faces: int = 20) -> TeleportReport:
+    """Check the subset inequalities by full enumeration of face sets.
+
+    For every nonempty set S of faces the slack sum over the edges incident
+    to S (each counted once) must exceed pi |S|.  Returns the tightest set
+    and the minimal slack; a minimal slack within rounding of zero marks a
+    boundary tie (on a complex with zero Euler characteristic the full set
+    ties exactly), where strict comparison is not meaningful.  Enumeration
+    is 2^F, capped at ``max_faces``.
+    """
+    T, pe = _psi_edge_of(x)
+    F = T.face_count
+    if F > max_faces:
+        raise TooLarge(f"brute force enumeration limited to F <= {max_faces}, got {F}")
+    face_mask = np.zeros(F, dtype=np.int64)
+    for t in range(F):
+        m = 0
+        for s in range(3):
+            m |= 1 << int(T.edge_of_flag[3 * t + s])
+        face_mask[t] = m
+    slack = np.pi - pe  # per edge
+
+    subset_mask = np.zeros(1 << F, dtype=np.int64)
+    edge_bits = [1 << e for e in range(T.edge_count)]
+    slack_of_mask: dict[int, float] = {}
+    worst = (np.inf, None, 0.0, 0.0)  # (min slack, set, lhs, rhs)
+    for sub in range(1, 1 << F):
+        low = (sub & -sub).bit_length() - 1
+        m = int(subset_mask[sub ^ (1 << low)] | face_mask[low])
+        subset_mask[sub] = m
+        total = slack_of_mask.get(m)
+        if total is None:
+            total = float(sum(slack[e] for e in range(T.edge_count) if m & edge_bits[e]))
+            slack_of_mask[m] = total
+        rhs = np.pi * bin(sub).count("1")
+        if total - rhs < worst[0]:
+            faces = tuple(t for t in range(F) if sub & (1 << t))
+            worst = (total - rhs, faces, total, rhs)
+    ok = worst[0] > 0.0
+    return TeleportReport(
+        ok, None if ok else worst[1], worst[2], worst[3], worst[0]
+    )
 
 
 def teleport_lstsq(mesh: MeshMetric) -> np.ndarray:
@@ -621,4 +679,4 @@ def sample_fixed_count(surface: SurfaceModel, n: int, seed) -> PointSample:
     """Exactly n i.i.d. area-uniform points, with the matching intensity n / area
     recorded, so the sample plugs into the Poisson sample's machinery."""
     pts = _draw_points(surface, _generator(seed), n)
-    return PointSample(surface, pts, n / surface.area, seed)
+    return PointSample(surface, pts, seed)

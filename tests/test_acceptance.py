@@ -19,7 +19,6 @@ from diskflow.angles import (
     find_negative_delaunay,
     is_delaunay,
     is_negatively_curved,
-    is_teleportable_bruteforce,
     partials_from_angles,
     vertex_angle_sums,
 )
@@ -48,7 +47,13 @@ from diskflow.surfaces import SurfaceModel
 from diskflow.uniformize import uniformize
 
 from helpers import octahedron, random_class_spec, random_complex, vertex_sum_matrix
-from oracles import class_basis, hessian_Ig, prism_volume_path, true_prism_volume
+from oracles import (
+    class_basis,
+    hessian_Ig,
+    is_teleportable_bruteforce,
+    prism_volume_path,
+    true_prism_volume,
+)
 from test_smoothflow import random_mixed_sign_mesh, random_negative_mesh
 
 

@@ -18,7 +18,6 @@ from diskflow.angles import (
     is_angle_system,
     is_delaunay,
     is_negatively_curved,
-    is_teleportable_bruteforce,
     partials_from_angles,
     vertex_angle_sums,
     _margin_lp,
@@ -51,6 +50,7 @@ from oracles import (
     delaunay_violations,
     face_curvature,
     informal_intersection_angle,
+    is_teleportable_bruteforce,
     margin_lp_simplex,
     same_class,
 )

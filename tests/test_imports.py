@@ -1,5 +1,7 @@
 """Import boundary of the command line: a fresh interpreter loads only the
-scipy subpackages the subcommand it runs uses."""
+scipy subpackages the subcommand it runs uses.  The package re-exports no
+name, so a submodule imports as itself and loads only what it uses, and the
+README's example imports each name from its module."""
 
 import importlib
 import json
@@ -18,15 +20,18 @@ HEAVY = ["scipy.optimize", "scipy.integrate", "scipy.sparse.linalg", "scipy.spar
 LAZY = ["scipy.sparse", "scipy.spatial", "scipy.special"]
 
 
-def _fresh(code: str) -> dict:
-    """Run ``code`` in a new interpreter that imports diskflow from this checkout;
-    it prints one JSON object on its last stdout line."""
+def _python(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports diskflow from this checkout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
-    return json.loads(out.splitlines()[-1])
+
+
+def _fresh(code: str) -> dict:
+    """``_python(code)``'s last stdout line, one JSON object."""
+    return json.loads(_python(code).splitlines()[-1])
 
 
 LOADED = f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
@@ -108,6 +113,33 @@ def test_cli_import_still_loads_every_submodule():
         f"print(json.dumps([n for n in {names!r} if 'diskflow.' + n in sys.modules]))"
     )
     assert loaded == names
+
+
+def test_submodule_import_binds_the_module():
+    # a package attribute of a submodule's name would shadow it here
+    names = _fresh(
+        "import json, types\nimport diskflow.uniformize as U\nimport diskflow.delaunay as D\n"
+        "print(json.dumps([isinstance(m, types.ModuleType) and m.__name__ for m in (U, D)]))"
+    )
+    assert names == ["diskflow.uniformize", "diskflow.delaunay"]
+
+
+def test_complexes_import_loads_its_own_modules_and_no_scipy():
+    loaded = _fresh(
+        "import json, sys\nimport diskflow.complexes\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'diskflow'),\n"
+        "    'scipy' in sys.modules]))"
+    )
+    assert loaded == [["diskflow", "diskflow.complexes", "diskflow.errors"], False]
+
+
+def test_readme_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    area, chi = _python(code).splitlines()
+    assert abs(float(area) - 4 * np.pi) < 1e-9
+    mean, std_error = map(float, chi.split())
+    assert abs(mean - 2) < 4 * std_error
 
 
 @pytest.mark.parametrize(

@@ -128,7 +128,7 @@ def test_geodesic_distance_torus_wraps():
 
 def test_tetrahedral_points():
     v = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
-    dc = delaunay(PointSample(SPHERE, v, 1.0, 0))
+    dc = delaunay(PointSample(SPHERE, v, 0))
     assert (dc.face_count, dc.edge_count, dc.vertex_count) == (4, 6, 4)
     assert dc.chi == 2
     assert verify_empty_disks(dc)
@@ -174,7 +174,7 @@ def test_circumdisk_centers_are_radius_away_from_their_corners():
 
 
 def test_too_few_points():
-    s = PointSample(SPHERE, np.array([[0.0, 0, 1], [0, 1, 0]]), 1.0, 0)
+    s = PointSample(SPHERE, np.array([[0.0, 0, 1], [0, 1, 0]]), 0)
     with pytest.raises(DegenerateSample):
         delaunay(s)
 
@@ -188,7 +188,7 @@ def test_cocircular_quadruple_rejected():
     fill = np.array([[0, 0, -1.0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
     pts = np.vstack([circle, fill])
     with pytest.raises(DegenerateSample):
-        delaunay(PointSample(SPHERE, pts, 1.0, 0))
+        delaunay(PointSample(SPHERE, pts, 0))
 
 
 def _seam_circle_sample():
@@ -200,7 +200,7 @@ def _seam_circle_sample():
     circle = np.mod(center + 0.1 * np.column_stack([np.cos(angles), np.sin(angles)]), 1.0)
     fill = rng.uniform(0.0, 1.0, size=(200, 2))
     fill = fill[geodesic_distance(TORUS, fill, center) > 0.12]
-    return PointSample(TORUS, np.vstack([circle, fill]), 1.0, 0)
+    return PointSample(TORUS, np.vstack([circle, fill]), 0)
 
 
 def _assert_local_matches_dense(sample):
@@ -308,7 +308,7 @@ def test_window_declines_a_circumdisk_wider_than_its_margin():
     assert _assert_window_matches_full_tiling(sample) == "window"
     for rho, kind in ((0.08, "window"), (0.15, "fallback")):
         hole = geodesic_distance(TORUS, sample.points, np.array([0.5, 0.5])) > rho
-        holed = PointSample(TORUS, sample.points[hole], 1.0, 0)
+        holed = PointSample(TORUS, sample.points[hole], 0)
         r = _window_radius(holed)
         assert 1.25 * r < rho and 12.0 * r >= TORUS.injectivity_radius
         with pytest.raises(DegenerateSample, match="outside the window"):
@@ -353,7 +353,7 @@ def test_five_cocircular_sphere_points_rejected():
          for a in [0.1, 1.3, 2.9, 4.0, 5.0]]
     )
     fill = np.array([[0, 0, -1.0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
-    sample = PointSample(SPHERE, np.vstack([circle, fill]), 1.0, 0)
+    sample = PointSample(SPHERE, np.vstack([circle, fill]), 0)
     assert _assert_local_matches_dense(sample) == "cocircular"
     # the pentagon is cut into three faces; one of them has two other
     # cocircular points but only one of them across a side
@@ -457,7 +457,7 @@ def test_density_report_constructed_cocircular():
         [[np.sin(r) * np.cos(a), np.sin(r) * np.sin(a), np.cos(r)] for a in angs]
     )
     fill = np.array([[0, 0, -1.0], [1, 0, 0], [0, 1, 0]])
-    s = PointSample(SPHERE, np.vstack([circle, fill]), 1.0, 0)
+    s = PointSample(SPHERE, np.vstack([circle, fill]), 0)
     rep = is_generically_delta_dense(s, 0.5)
     assert not rep.ok and not rep.generic_ok
 
@@ -478,7 +478,7 @@ def test_density_report_nonempty_cocircular_is_generic_at_any_size():
     fill = fill[np.abs(geodesic_distance(SPHERE, fill, pole) - r) > 0.1]
     for n in (45, 85):
         pts = np.vstack([circle, pole, fill[: n - 5]])
-        rep = is_generically_delta_dense(PointSample(SPHERE, pts, 1.0, 0), 0.5)
+        rep = is_generically_delta_dense(PointSample(SPHERE, pts, 0), 0.5)
         assert rep.generic_ok and rep.detail == ""
 
 
@@ -486,7 +486,7 @@ def test_equator_points_fail_the_hull_and_both_verdicts():
     # eight coplanar points span no 3-dimensional hull, so qhull refuses them
     angs = np.arange(8) * np.pi / 4
     pts = np.column_stack([np.cos(angs), np.sin(angs), np.zeros(8)])
-    sample = PointSample(SPHERE, pts, 1.0, 0)
+    sample = PointSample(SPHERE, pts, 0)
     with pytest.raises(DegenerateSample, match="^convex hull failed: "):
         delaunay(sample)
     rep = is_generically_delta_dense(sample, 0.5)
@@ -505,7 +505,7 @@ def test_check_refuses_a_point_inside_a_widened_circumdisk(surface, intensity):
 
 def test_density_report_three_points():
     pts = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]])
-    rep = is_generically_delta_dense(PointSample(SPHERE, pts, 1.0, 0), 0.2)
+    rep = is_generically_delta_dense(PointSample(SPHERE, pts, 0), 0.2)
     assert not rep.ok and not rep.covering_ok and rep.generic_ok
 
 
@@ -686,7 +686,7 @@ def test_sphere_point_off_the_hull_is_degenerate(extra):
         "near-duplicate": pts[0] + np.array([1e-15, 0.0, 0.0]),
     }[extra]
     n = pts.shape[0] + 1
-    sample = PointSample(SPHERE, np.vstack([pts, added]), 1.0, 0)
+    sample = PointSample(SPHERE, np.vstack([pts, added]), 0)
     with pytest.raises(DegenerateSample, match=f"hull has {2 * n - 6} facets, expected {2 * n - 4}"):
         delaunay(sample)
 
