@@ -97,6 +97,12 @@ def vertex_angle_sums(x: AngleSystem) -> np.ndarray:
     )
 
 
+def interior_margin(x: AngleSystem) -> float:
+    """The least corner angle or face defect pi - (angle sum) of ``x``."""
+    A = all_corner_angles(x)
+    return float(min(A.min(), (np.pi - A.sum(axis=1)).min()))
+
+
 # -- predicates -------------------------------------------------------------------
 
 
@@ -210,9 +216,7 @@ def equal_area_start(spec: ConformalClassSpec) -> AngleSystem | None:
     except np.linalg.LinAlgError:
         return None
     x = _member(spec, half + B.T @ y)
-    A = all_corner_angles(x)
-    margin = min(A.min(), (np.pi - A.sum(axis=1)).min())
-    return x if margin >= MARGIN_FLOOR else None
+    return x if interior_margin(x) >= MARGIN_FLOOR else None
 
 
 def refuse_inadmissible(spec: ConformalClassSpec) -> None:

@@ -58,11 +58,13 @@ def sparse_solve(A, b: np.ndarray, *, symmetric: bool = False) -> np.ndarray:
     the columns are then ordered by minimum degree on A + A^T and the
     diagonal pivots are kept.  Which ordering is faster depends on the
     matrix, not on its sparsity pattern alone, so it is chosen per caller by
-    timing: minimum degree factors the class Hessian and the dual graph's
-    Laplacian faster (4.4 against 6.9 ms for the latter at F=1536), but the
-    stiffness matrix of a V=3070 mesh about 7 times slower (108 against
-    18 ms) although both couple only neighbours; that one, and the flow's
-    Newton system, keep the default COLAMD with partial pivoting.
+    timing: minimum degree factors the class Hessian, the dual graph's
+    Laplacian (4.4 against 6.9 ms at F=1536) and the uniformizer's
+    circle-pattern Jacobian (3.3 against 4.9 ms at F=1536, 11 against 24 ms
+    at F=6144) faster, but the stiffness matrix of a V=3070 mesh about 7
+    times slower (108 against 18 ms) although both couple only neighbours;
+    that one, and the flow's Newton system, keep the default COLAMD with
+    partial pivoting.
     """
     # imported here: scipy.sparse.linalg is slow to load and Monte Carlo never solves
     from scipy.sparse.linalg import splu

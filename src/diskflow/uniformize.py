@@ -14,26 +14,40 @@ itself checks; memory is linear in the face count.  At the maximizer the two
 faces meeting along each edge assign it the same hyperbolic length, so the
 triangles assemble into an actual hyperbolic surface whose circumscribing
 disks form the empty pattern.
+
+Those disks meet at the angles pi - psi_e and are fixed by one circumradius
+per face, so the maximizer is also the root of F circle-pattern equations
+(``_Pattern``).  Without a given start, ``uniformize`` solves them by Newton
+in those F unknowns (``_dual_member``), whose sparse system has two thirds
+of the class Hessian's E = 3F/2 rows and fewer nonzeros per row, and then
+runs the class ascent from the member at the root as the certificate: its
+class gradient there is normally already below ``tol``, so that ascent
+tests it and takes no step.  The start and every ``Infeasible`` verdict
+still come from ``find_negative_delaunay``, which the dual is seeded from
+and which the class ascent starts from when the dual declines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .angles import (
     CHECK_TOL,
+    MARGIN_FLOOR,
     AngleSystem,
     ConformalClassSpec,
     all_corner_angles,
     edge_psi,
     find_negative_delaunay,
+    interior_margin,
     refuse_inadmissible,
 )
 from .ascent import TraceRecord, ascend, sparse_solve
 from .complexes import TopologicalTriangulation
-from .errors import ComplexMismatch, LengthMismatch
+from .errors import ComplexMismatch, LengthMismatch, NoConvergence, OutOfDomain
 from .hyperbolic import (
     class_grad,
     class_hessian_sparse,
@@ -43,6 +57,15 @@ from .hyperbolic import (
 from .reports import Report
 
 AREA_TOL = 1e-9  # how far the pattern's area may fall from -2 pi chi
+# The circle-pattern Newton stops once every face's residual is within
+# DUAL_TOL of its rounding bound (``_Pattern.G_ulps``).  Over 194 classes
+# (criterion 5's feasible ones, F=1536 and F=6144) the residual settled at
+# 1.6 bounds or less, and no iterate short of that floor came below 69.
+DUAL_TOL = 8.0
+# Its step cap: those classes took 4 to 15 steps, F=1536 takes 5, the
+# uncertified F=6144 classes 8 and 9, and canonical F=24,576 takes 5.
+DUAL_MAX_ITER = 30
+RHO_FLOOR = -300.0  # the dual's domain ends there: R_f < 1e-130 and cosh(rho)^2 nears overflow
 
 
 @dataclass(frozen=True)
@@ -76,6 +99,136 @@ def _newton(y: AngleSystem, g: np.ndarray) -> np.ndarray:
     return sparse_solve(class_hessian_sparse(y), -g, symmetric=True)
 
 
+class _Pattern:
+    """One iterate of the circle-pattern dual: rho_f = log tanh(R_f / 2) < 0 per face.
+
+    With c = cosh rho and s = -sinh rho, cosh R = c / s, sinh R = 1 / s and
+    coth R = c.  Flag k of face f, whose mate lies in face g, spans a kite
+    triangle (the centre of f, an end of its side, the centre of g) with
+    sides R_f and R_g at the angle psi_e of the class.  Its angle at f's
+    centre, half the angle that the side subtends there, is
+    alpha_k = atan2(y_k, x_k) with y_k = sin psi_e s_f and
+    x_k = c_g - cos psi_e c_f, and face f's equation is
+    G_f = sum of alpha_k over its sides - pi = 0.  ``kite`` is ``_kite(spec)``.
+    """
+
+    def __init__(self, kite: tuple, rho: np.ndarray):
+        self.kite, self.rho = kite, rho
+
+    @cached_property
+    def _sides(self) -> tuple[np.ndarray, ...]:
+        f, g, cos_e, sin_e = self.kite
+        c, s = np.cosh(self.rho), -np.sinh(self.rho)
+        return c, s, c[g] - cos_e * c[f], sin_e * s[f]
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        *_, x, y = self._sides
+        return np.arctan2(y, x).reshape(-1, 3).sum(axis=1) - np.pi
+
+    @cached_property
+    def G_ulps(self) -> float:
+        """max_f |G_f| / (eps kappa_f), eps the float spacing at 1.  A relative
+        error eps in c, x_k and y_k moves alpha_k by at most eps times
+        (|y_k| (c_g + |cos psi_e| c_f) + |x_k y_k|) / Q_k, Q_k = x_k^2 + y_k^2,
+        and kappa_f adds these over f's sides, plus pi for the sum itself."""
+        f, g, cos_e, _ = self.kite
+        c, _, x, y = self._sides
+        ay = np.abs(y)
+        moved = (ay * (c[g] + np.abs(cos_e) * c[f]) + np.abs(x) * ay) / (x * x + y * y)
+        kappa = moved.reshape(-1, 3).sum(axis=1) + np.pi
+        return float(np.max(np.abs(self.G) / kappa)) / np.finfo(float).eps
+
+    @cached_property
+    def J(self):
+        """dG/drho as CSC: per flag, -sin psi_e (c_f c_g - cos psi_e) / Q_k at
+        (f, f) and sin psi_e s_f s_g / Q_k at (f, g), Q_k = x_k^2 + y_k^2,
+        with duplicates summed (a side glued to its own face adds to both).
+        Symmetric, as Q_k = c_f^2 + c_g^2 - 2 cos psi_e c_f c_g - sin^2 psi_e
+        is the same for both flags of an edge, and negative definite: every
+        row is strictly diagonally dominant, by sin psi_e (cosh(rho_f - rho_g)
+        - cos psi_e) / Q_k per flag, with positive off-diagonal entries."""
+        # imported here: scipy.sparse is slow to load and only the uniformizer needs it
+        from scipy import sparse
+
+        f, g, cos_e, sin_e = self.kite
+        c, s, x, y = self._sides
+        q = sin_e / (x * x + y * y)
+        values = np.concatenate([-q * (c[f] * c[g] - cos_e), q * s[f] * s[g]])
+        F = len(self.rho)
+        return sparse.csc_array((values, (np.tile(f, 2), np.concatenate([f, g]))), shape=(F, F))
+
+    def member(self, T: TopologicalTriangulation) -> AngleSystem:
+        """The partial angles of the kites' base angles, psi_k = atan2(x_k, sin psi_e c_f).
+
+        The two flags of an edge split its psi_e, so this is a member of the
+        class at every iterate; at a root of G it is the uniform one.
+        """
+        f, _, _, sin_e = self.kite
+        c, _, x, _ = self._sides
+        return AngleSystem(T, np.arctan2(x, sin_e * c[f]))
+
+
+def _kite(spec: ConformalClassSpec) -> tuple[np.ndarray, ...]:
+    """``_Pattern``'s per-flag data: the face, the face across the side, and
+    cos and sin of the side's psi_e."""
+    T = spec.complex
+    pe = spec.psi_edge[T.edge_of_flag]
+    return np.arange(3 * T.face_count) // 3, T.mate // 3, np.cos(pe), np.sin(pe)
+
+
+def _seed_radii(x: AngleSystem) -> np.ndarray:
+    """rho_f of each face's circumdisk in the member ``x``, R_f = 1 where it has none."""
+    _, ratio = _circumdisk_ratios(x, flag_edge_lengths(x))
+    r = ratio.max(axis=1)  # tanh R_f, the same from each side
+    r = np.where(r < 1.0, r, np.tanh(1.0))
+    # tanh(R/2) = tanh R / (1 + sqrt(1 - tanh^2 R)), below 1 whenever tanh R is
+    return np.log(r / (1.0 + np.sqrt(1.0 - r * r)))
+
+
+def _dual_member(spec: ConformalClassSpec, x: AngleSystem) -> AngleSystem | None:
+    """The member of the class at the root of its circle-pattern equations.
+
+    The maximizer of the prism volume is a circle pattern, so it is also the
+    root of F equations in one circumradius per face (``_Pattern``; Bobenko
+    and Springborn, "Variational principles for circle patterns and Koebe's
+    theorem", Trans. AMS 356 (2004)).  ``ascend`` solves them by damped
+    Newton from the face radii of the member ``x``: the objective is
+    -|G|^2 / 2 on ``RHO_FLOOR`` < rho < 0, its gradient -J G, and the
+    Newton direction the solve of J d = -G in ``sparse_solve``'s symmetric
+    mode; it has converged when every G_f is within ``DUAL_TOL`` times its
+    rounding bound (``_Pattern.G_ulps``).  Returns None, declining, when J
+    is singular, the line search stalls, ``DUAL_MAX_ITER`` steps do not
+    converge, or the member's interior margin is below ``MARGIN_FLOOR``.
+    """
+    kite = _kite(spec)
+
+    def objective(p: _Pattern) -> float:
+        if not np.all((RHO_FLOOR < p.rho) & (p.rho < 0.0)):
+            raise OutOfDomain("a face radius left (0, inf)")
+        return -0.5 * float(p.G @ p.G)
+
+    def decline(p: _Pattern, g: np.ndarray) -> np.ndarray:
+        raise np.linalg.LinAlgError("no Newton direction for the circle-pattern equations")
+
+    try:
+        p, _ = ascend(
+            _Pattern(kite, _seed_radii(x)),
+            objective=objective,
+            gradient=lambda p: -(p.J @ p.G),
+            residual=lambda p: p.G_ulps,
+            converged=lambda _, r: r < DUAL_TOL,
+            newton_dir=lambda p, g: sparse_solve(p.J, -p.G, symmetric=True),
+            fallback_dir=decline,
+            move=lambda p, step, d: _Pattern(kite, p.rho + step * d),
+            max_iter=DUAL_MAX_ITER,
+        )
+    except (np.linalg.LinAlgError, NoConvergence):
+        return None
+    y = p.member(spec.complex)
+    return y if interior_margin(y) >= MARGIN_FLOOR else None
+
+
 def uniformize(
     spec: ConformalClassSpec,
     start: AngleSystem | None = None,
@@ -85,23 +238,29 @@ def uniformize(
 ) -> tuple[AngleSystem, HyperbolicStructure, list[TraceRecord]]:
     """Find the uniform angle system in the class of ``spec``.
 
-    The start point defaults to the interior member of
-    ``find_negative_delaunay``, the equal-area one when interior (raising
-    ``Infeasible`` when the class has no negatively curved Delaunay member);
-    the objective is concave, so every interior start reaches the same
-    maximizer.  Whether or not a start is given, a class outside the paper's
-    domain (the empty complex, a psi_e not inside (0, pi), a vertex sum of
-    psi_e off 2 pi) is refused with ``Infeasible`` by ``refuse_inadmissible``.
-    Returns the maximizer, its assembled structure, and the per-iteration
-    trace, whose residual is the worst two-sided length mismatch.  ``tol`` is
-    the target for the sup norm of the gradient, and ``max_iter`` caps the
-    accepted steps; the last iterate is tested too.  ``NoConvergence`` carries
-    the best iterate and trace when the line search stalls or ``max_iter``
-    steps do not reach ``tol``.
+    Without a ``start``, the interior member of ``find_negative_delaunay``,
+    the equal-area one when interior (raising ``Infeasible`` when the class
+    has no negatively curved Delaunay member), seeds the circle-pattern
+    dual; the class ascent, the certificate, starts from the dual's member,
+    or from that interior member when the dual declines.  A given ``start``
+    is where the class ascent starts, with no dual; the objective is
+    concave, so every interior start reaches the same maximizer.  Whether
+    or not a start is given, a class outside the paper's domain (the empty
+    complex, a psi_e not inside (0, pi), a vertex sum of psi_e off 2 pi) is
+    refused with ``Infeasible`` by ``refuse_inadmissible``.  Returns the
+    maximizer, its assembled structure, and the class ascent's
+    per-iteration trace, whose residual is the worst two-sided length
+    mismatch.  ``tol`` is that ascent's target for the sup norm of the class
+    gradient, and ``max_iter`` caps its accepted steps; the last iterate is
+    tested too.  ``NoConvergence`` carries the best iterate and trace when
+    the line search stalls or ``max_iter`` steps do not reach ``tol``.
     """
     T = spec.complex
     if start is None:
         x = find_negative_delaunay(spec)
+        dual = _dual_member(spec, x)
+        if dual is not None:
+            x = dual
     else:
         refuse_inadmissible(spec)
         if start.complex != T:
@@ -124,6 +283,16 @@ def uniformize(
     return y, assemble_structure(y, tol=10 * tol), trace
 
 
+def _circumdisk_ratios(y: AngleSystem, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (F, 3) corner angles, and per side tanh(l/2) / cos(psi), which is
+    tanh R of its face's circumdisk when the face has one (the ratio is then
+    below 1 on all three sides)."""
+    A = all_corner_angles(y)
+    s = A.sum(axis=1, keepdims=True) / 2.0
+    psi = s - A
+    return A, np.tanh(lengths.reshape(-1, 3) / 2.0) / np.cos(psi)
+
+
 def assemble_structure(y: AngleSystem, tol: float = 1e-7) -> HyperbolicStructure:
     """Fuse the per-face triangles of a (near-)uniform system into a surface.
 
@@ -144,11 +313,7 @@ def assemble_structure(y: AngleSystem, tol: float = 1e-7) -> HyperbolicStructure
     edge_lengths = 0.5 * lengths[T.edges].sum(axis=1)
 
     # circumradius per face; all three sides must give the same value
-    A = all_corner_angles(y)
-    s = A.sum(axis=1, keepdims=True) / 2.0
-    psi = s - A
-    half = np.tanh(lengths.reshape(-1, 3) / 2.0)
-    ratio = half / np.cos(psi)
+    A, ratio = _circumdisk_ratios(y, lengths)
     if np.any(ratio >= 1.0):
         t = int(np.argmax(np.any(ratio >= 1.0, axis=1)))
         raise LengthMismatch(

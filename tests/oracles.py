@@ -19,7 +19,10 @@ The dense oracles rebuild the solvers' sparse operators and solves the
 direct way (the dense class basis and its products, a finite-difference
 class Hessian, a dense Newton solve of the class Hessian, least-squares
 solves of the singular systems), so the index-array assembly and the sparse
-LU are checked against their definitions.  ``hessian_matrix`` assembles the
+LU are checked against their definitions.  ``circle_pattern_residual``
+evaluates the circle-pattern equations in the circumradii themselves, flag
+by flag, and ``circle_pattern_jacobian_fd`` differences it, the references
+for the uniformizer's dual residual and its Jacobian.  ``hessian_matrix`` assembles the
 flow's second variation, whose least-squares solve is the reference for the
 flow's Newton direction from its 1-ring system.  ``margin_lp_simplex``
 writes the margin LP out row by row over all 3F partials, with one equality
@@ -299,6 +302,39 @@ def class_hessian_dense(x: AngleSystem) -> np.ndarray:
 def class_newton_dense(x: AngleSystem, g: np.ndarray) -> np.ndarray:
     """Newton direction by a dense solve of the dense-oracle class Hessian."""
     return np.linalg.solve(class_hessian_dense(x), -g)
+
+
+def circle_pattern_residual(spec: ConformalClassSpec, rho: np.ndarray) -> np.ndarray:
+    """The circle-pattern equations G_f = sum of kite angles - pi, flag by flag.
+
+    R_f = 2 artanh(exp(rho_f)); the kite of flag k of face f, whose mate lies
+    in face g, has the angle atan2(sin psi_e, sinh R_f coth R_g
+    - cosh R_f cos psi_e) at f's centre.
+    """
+    T = spec.complex
+    R = 2.0 * np.arctanh(np.exp(rho))
+    G = np.full(T.face_count, -np.pi)
+    for flag in range(3 * T.face_count):
+        f, g = flag // 3, int(T.mate[flag]) // 3
+        pe = spec.psi_edge[T.edge_of_flag[flag]]
+        G[f] += np.arctan2(
+            np.sin(pe), np.sinh(R[f]) / np.tanh(R[g]) - np.cosh(R[f]) * np.cos(pe)
+        )
+    return G
+
+
+def circle_pattern_jacobian_fd(
+    spec: ConformalClassSpec, rho: np.ndarray, step: float = 1e-6
+) -> np.ndarray:
+    """Jacobian of ``circle_pattern_residual`` in rho by central differences."""
+    F = spec.complex.face_count
+    J = np.empty((F, F))
+    for f in range(F):
+        e = np.zeros(F)
+        e[f] = step
+        plus, minus = circle_pattern_residual(spec, rho + e), circle_pattern_residual(spec, rho - e)
+        J[:, f] = (plus - minus) / (2 * step)
+    return J
 
 
 def margin_lp_simplex(spec: ConformalClassSpec) -> float:

@@ -6,6 +6,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
+from diskflow.angles import find_negative_delaunay
 from diskflow.ascent import ascend, grounded_solve, sparse_solve
 from diskflow.errors import NoConvergence, OutOfDomain
 from diskflow.smoothflow import log_ricci_flow
@@ -124,11 +125,14 @@ def test_grounded_solve_pins_vertex_zero_and_solves_a_laplacian():
         assert np.max(np.abs(L @ x - b)) < 1e-12
 
 
-# each solver from a start it does not accept as converged
+# each solver from a start it does not accept as converged: uniformize from
+# find_negative_delaunay's member, not the circle-pattern dual's
 STEP_CAP_SOLVERS = {
     "ascend": lambda request, max_iter: _quadratic_ascent(max_iter=max_iter),
     "uniformize": lambda request, max_iter: uniformize(
-        request.getfixturevalue("canonical24_spec"), max_iter=max_iter
+        request.getfixturevalue("canonical24_spec"),
+        find_negative_delaunay(request.getfixturevalue("canonical24_spec")),
+        max_iter=max_iter,
     ),
     "log_ricci_flow": lambda request, max_iter: log_ricci_flow(
         request.getfixturevalue("cone14_unit"), 1e-3 * np.arange(14.0), max_iter=max_iter

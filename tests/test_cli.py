@@ -133,21 +133,25 @@ def test_uniformize_end_to_end(g2_spec_file, symmetric_g2_system, tmp_path, caps
 
 
 def test_uniformize_deterministic_bytes(tmp_path):
-    # the LP start, the sparse LU and the ascent are deterministic: two runs
-    # write the same structure and trace bytes
+    # the start, the dual and certificate Newton solves and the ascent are
+    # deterministic: two runs write the same structure and trace bytes
+    from diskflow.angles import find_negative_delaunay
     from diskflow.complexes import genus2_octagon, subdivide
+    from diskflow.uniformize import uniformize
     from helpers import perturbed_canonical_spec
 
     T = subdivide(subdivide(genus2_octagon()).complex).complex
-    spec = tmp_path / "class96.json"
-    write_json(spec, class_spec_to_dict(perturbed_canonical_spec(T, np.random.default_rng(5))))
+    spec = perturbed_canonical_spec(T, np.random.default_rng(5))
+    path = tmp_path / "class96.json"
+    write_json(path, class_spec_to_dict(spec))
     outputs = []
     for run_index in range(2):
         out, trace = tmp_path / f"structure{run_index}.json", tmp_path / f"trace{run_index}.csv"
-        assert run(["uniformize", str(spec), "--out", str(out), "--trace", str(trace)]) == 0
+        assert run(["uniformize", str(path), "--out", str(out), "--trace", str(trace)]) == 0
         outputs.append((out.read_bytes(), trace.read_bytes()))
     assert outputs[0] == outputs[1]
-    assert len(outputs[0][1].splitlines()) > 3  # several Newton iterations
+    # the primal Newton from find_negative_delaunay's member takes several steps
+    assert len(uniformize(spec, start=find_negative_delaunay(spec))[2]) > 2
 
 
 def test_uniformize_infeasible(tmp_path):
@@ -521,18 +525,22 @@ def test_full_torus_rect_and_sphere_cap_are_accepted(capsys):
 
 
 def test_repeated_calls_in_one_process_give_the_same_bytes(
-    cone14_file, g2_spec_file, tmp_path, capsys
+    cone14_file, g2_spec_file, canonical24_spec, tmp_path, capsys
 ):
     # one parser serves every call of a process: no call may leave state
     # behind that changes a later call's stdout, stderr or files
     start = tmp_path / "phi0.json"
     write_json(start, {"phi": 0.01 * np.sin(np.arange(14))})
+    # the circle-pattern dual meets the symmetric class's maximizer exactly,
+    # with class gradient 0, so the capped call takes the 24-face class
+    capped = tmp_path / "class24.json"
+    write_json(capped, class_spec_to_dict(canonical24_spec))
     out = tmp_path / "out.json"
     trace = tmp_path / "trace.csv"
     calls = [
         ["flow", cone14_file, "--phi0", str(start), "--out", str(out)],
         ["flow", cone14_file, "--out", str(out)],
-        ["uniformize", g2_spec_file, "--max-iter", "3", "--tol", "1e-300",
+        ["uniformize", str(capped), "--max-iter", "3", "--tol", "1e-300",
          "--trace", str(trace)],
         ["flow", cone14_file, "--max-iter", "many"],
         ["uniformize", g2_spec_file, "--out", str(out), "--trace", str(trace)],

@@ -3,7 +3,9 @@ import inspect
 import numpy as np
 import pytest
 
+import diskflow.uniformize as un
 from diskflow.angles import (
+    CHECK_TOL,
     AngleSystem,
     ConformalClassSpec,
     _margin_lp,
@@ -18,7 +20,12 @@ from diskflow.angles import (
 from diskflow.complexes import build_complex, genus2_octagon, subdivide
 from diskflow.errors import ComplexMismatch, Infeasible, LengthMismatch
 from diskflow.hyperbolic import edge_lengths
-from diskflow.uniformize import assemble_structure, pattern_report, uniformize
+from diskflow.uniformize import (
+    HyperbolicStructure,
+    assemble_structure,
+    pattern_report,
+    uniformize,
+)
 
 from helpers import (
     criterion5_classes,
@@ -27,7 +34,12 @@ from helpers import (
     one_vertex_off_spec,
     perturbed_canonical_spec,
 )
-from oracles import class_basis, class_newton_dense
+from oracles import (
+    circle_pattern_jacobian_fd,
+    circle_pattern_residual,
+    class_basis,
+    class_newton_dense,
+)
 
 DEFAULTS = inspect.signature(uniformize).parameters
 TOL, MAX_ITER = DEFAULTS["tol"].default, DEFAULTS["max_iter"].default
@@ -263,8 +275,9 @@ def test_heavy_edge_intersection_angle(genus2):
 def test_no_convergence_reports_best(canonical24_spec):
     from diskflow.errors import NoConvergence
 
+    start = find_negative_delaunay(canonical24_spec)  # the primal Newton, which takes steps
     with pytest.raises(NoConvergence) as exc:
-        uniformize(canonical24_spec, tol=1e-10, max_iter=2)
+        uniformize(canonical24_spec, start, tol=1e-10, max_iter=2)
     assert exc.value.best is not None
     assert exc.value.trace is not None and len(exc.value.trace) == 2
 
@@ -287,10 +300,11 @@ def test_line_search_stall_reports_best(canonical24_spec, monkeypatch):
     def refusing_objective(x):
         return objective(x) if len(iterations) < 2 else -np.inf
 
+    start = find_negative_delaunay(canonical24_spec)
     monkeypatch.setattr(un, "class_grad", counting_grad)
     monkeypatch.setattr(un, "objective_H", refusing_objective)
     with pytest.raises(NoConvergence, match="line search stalled at iteration 1") as exc:
-        uniformize(canonical24_spec)
+        uniformize(canonical24_spec, start)
     assert isinstance(exc.value.best, AngleSystem)
     trace = exc.value.trace
     assert isinstance(trace, list) and all(isinstance(r, TraceRecord) for r in trace)
@@ -337,10 +351,11 @@ def test_uniformize_falls_back_cleanly_on_a_singular_hessian(canonical24_spec, m
             return sparse.csc_array((E, E))
         return hessian(y)
 
+    start = find_negative_delaunay(canonical24_spec)
     monkeypatch.setattr(un, "class_hessian_sparse", singular_once)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, st, trace = uniformize(canonical24_spec)
+        _, st, trace = uniformize(canonical24_spec, start)
     *accepted, last = trace
     assert [r.newton for r in accepted] == [False] + [True] * (len(accepted) - 1)
     assert last.grad_inf < TOL
@@ -352,7 +367,8 @@ def _takes_full_newton_steps(subdivisions):
     for _ in range(subdivisions):
         T = subdivide(T).complex
     for seed in range(5):
-        _, _, trace = uniformize(perturbed_canonical_spec(T, np.random.default_rng(seed)))
+        spec = perturbed_canonical_spec(T, np.random.default_rng(seed))
+        _, _, trace = uniformize(spec, start=find_negative_delaunay(spec))
         *accepted, last = trace
         assert all(r.newton and r.step == 1.0 for r in accepted)
         assert sum(r.backtracks for r in trace) == 0
@@ -373,8 +389,9 @@ def test_centred_lp_start_takes_full_newton_steps(subdivisions, monkeypatch):
 
 @pytest.mark.parametrize("subdivisions", [1, 2, 3])
 def test_equal_area_start_takes_full_newton_steps(subdivisions):
-    # the default start, the equal-area member, which is interior for every
-    # class here: at its margin bound at F=96 and F=384, short of it at F=24
+    # find_negative_delaunay's member, the equal-area one, which is interior
+    # for every class here: at its margin bound at F=96 and F=384, short of it
+    # at F=24
     _takes_full_newton_steps(subdivisions)
 
 
@@ -422,3 +439,123 @@ def test_equal_area_and_lp_starts_reach_the_same_structure(monkeypatch):
         _, st_lp, trace_lp = uniformize(spec)
         assert len(trace) == len(trace_lp)
         assert np.max(np.abs(st.edge_lengths - st_lp.edge_lengths)) <= 1e-10
+
+
+# -- the circle-pattern dual ------------------------------------------------------
+
+
+def _first_feasible_criterion5_classes(count):
+    specs = []
+    for spec in criterion5_classes(2 * count):
+        try:
+            find_negative_delaunay(spec)
+        except Infeasible:
+            continue
+        specs.append(spec)
+        if len(specs) == count:
+            return specs
+    raise AssertionError(f"fewer than {count} feasible classes")
+
+
+@pytest.mark.parametrize("which", ["F=24", "criterion 5"])
+def test_dual_jacobian_matches_central_differences(canonical24_spec, which):
+    spec = canonical24_spec if which == "F=24" else _first_feasible_criterion5_classes(1)[0]
+    p = un._Pattern(un._kite(spec), un._seed_radii(find_negative_delaunay(spec)))
+    assert np.max(np.abs(p.G - circle_pattern_residual(spec, p.rho))) <= 1e-12
+    J = p.J.toarray()
+    assert np.max(np.abs(J - circle_pattern_jacobian_fd(spec, p.rho))) <= 1e-7 * np.abs(J).max()
+
+
+def test_dual_jacobian_is_symmetric_negative_definite(canonical24_spec):
+    x = find_negative_delaunay(canonical24_spec)
+    kite = un._kite(canonical24_spec)
+    seed = un._seed_radii(x)
+    root = un._seed_radii(un._dual_member(canonical24_spec, x))
+    for rho in (seed, root):
+        J = un._Pattern(kite, rho).J.toarray()
+        assert np.max(np.abs(J - J.T)) <= 1e-12 * np.abs(J).max()
+        assert np.linalg.eigvalsh(0.5 * (J + J.T)).max() < 0.0
+
+
+def test_every_dual_iterate_is_a_member_of_the_class(canonical24_spec, monkeypatch):
+    ascend, iterates = un.ascend, []
+
+    def recording_ascend(x, *, residual, **kwargs):
+        def recorded(p):
+            iterates.append(p)
+            return residual(p)
+
+        return ascend(x, residual=recorded, **kwargs)
+
+    monkeypatch.setattr(un, "ascend", recording_ascend)
+    T96 = subdivide(subdivide(genus2_octagon()).complex).complex
+    for spec in (canonical24_spec, perturbed_canonical_spec(T96, np.random.default_rng(4))):
+        iterates.clear()
+        assert un._dual_member(spec, find_negative_delaunay(spec)) is not None
+        assert len(iterates) > 3
+        for p in iterates:
+            assert np.max(np.abs(edge_psi(p.member(spec.complex)) - spec.psi_edge)) <= CHECK_TOL
+
+
+@pytest.mark.parametrize("subdivisions", [2, 3])
+def test_the_dual_reaches_the_primal_maximizer(subdivisions):
+    # the certificate ascent accepts the dual's member as it is, and the
+    # primal Newton from find_negative_delaunay's member, taken below the
+    # default tolerance, reaches the same lengths
+    T = genus2_octagon()
+    for _ in range(subdivisions):
+        T = subdivide(T).complex
+    for seed in range(3):
+        spec = perturbed_canonical_spec(T, np.random.default_rng(seed))
+        _, st, trace = uniformize(spec)
+        _, ref, _ = uniformize(spec, start=find_negative_delaunay(spec), tol=1e-12)
+        assert len(trace) == 1 and trace[0].grad_inf < TOL
+        assert np.max(np.abs(st.edge_lengths - ref.edge_lengths)) <= 1e-12
+
+
+def test_the_dual_agrees_with_the_primal_on_random_classes():
+    # criterion 5's first 100 feasible classes; the primal stops once its
+    # class gradient is below the default tol, at up to 7e-11 on these small
+    # classes, which leaves its lengths up to 2.3e-11 from the dual's
+    for spec in _first_feasible_criterion5_classes(100):
+        _, st, _ = uniformize(spec)
+        _, ref, _ = uniformize(spec, start=find_negative_delaunay(spec))
+        assert np.max(np.abs(st.edge_lengths - ref.edge_lengths)) <= 1e-10
+
+
+def test_a_declining_dual_falls_back_to_the_primal_with_the_same_verdicts(monkeypatch):
+    # every solve of the dual is singular, so it declines and the primal
+    # Newton runs from find_negative_delaunay's member, with no warning
+    import warnings
+
+    specs = criterion5_classes(40)
+    solve, declined, faces = un.sparse_solve, [], [0]
+
+    def singular_dual(A, b, **kwargs):
+        # only the dual solves an F x F system; the class Hessian is E x E, E = 3F/2
+        if A.shape[0] == faces[0]:
+            declined.append(faces[0])
+            raise np.linalg.LinAlgError("singular")
+        return solve(A, b, **kwargs)
+
+    def outcomes():
+        out = []
+        for spec in specs:
+            faces[0] = spec.complex.face_count
+            try:
+                out.append(uniformize(spec)[1])
+            except Infeasible as exc:
+                out.append(exc.margin)
+        return out
+
+    dual = outcomes()
+    monkeypatch.setattr(un, "sparse_solve", singular_dual)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        primal = outcomes()
+    assert declined and not all(isinstance(a, HyperbolicStructure) for a in dual)
+    for a, b in zip(dual, primal):
+        if isinstance(a, HyperbolicStructure):
+            assert np.max(np.abs(a.circumradii - b.circumradii)) <= 1e-9
+        else:
+            assert a == b
