@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,6 +56,9 @@ from .hyperbolic import (
     objective_H,
 )
 from .reports import Report
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 AREA_TOL = 1e-9  # how far the pattern's area may fall from -2 pi chi
 # The circle-pattern Newton stops once every face's residual is within
@@ -140,7 +144,7 @@ class _Pattern:
         return float(np.max(np.abs(self.G) / kappa)) / np.finfo(float).eps
 
     @cached_property
-    def J(self):
+    def J(self) -> sparse.csc_array:
         """dG/drho as CSC: per flag, -sin psi_e (c_f c_g - cos psi_e) / Q_k at
         (f, f) and sin psi_e s_f s_g / Q_k at (f, g), Q_k = x_k^2 + y_k^2,
         with duplicates summed (a side glued to its own face adds to both).
