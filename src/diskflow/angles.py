@@ -10,15 +10,11 @@ predicates here are report-style: they return the margins rather than raising.
 The admissible classes are the paper's: every psi_e lies in (0, pi), so the
 disks meet at angles pi - psi_e, and the psi_e around each vertex add up to
 2 pi, which is then every member's angle sum there.  ``find_negative_delaunay``
-refuses any other class (``refuse_inadmissible``).  On an admissible one it
-returns a member whose interior margin (the least corner angle or face
-defect) is at least ``MARGIN_FLOOR``: the member whose faces all have the
-same area, found by one sparse solve on the dual graph, whenever it is
-interior, as the uniformizer's objective is concave on the class and every
-interior start leads to the same maximizer.  Otherwise, and for every
-infeasibility verdict, the margin-maximizing linear program over those
-lower-flag partials decides.  Both points are built from them, so each is
-a member with no repair step.
+refuses any other class (``refuse_inadmissible``).  On an admissible one the
+margin-maximizing linear program over the lower-flag partials gives every
+feasibility verdict, and its point is a member whose interior margin (the
+least corner angle or face defect) is at least ``MARGIN_FLOOR``; it is built
+from those partials, so it is a member with no repair step.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascent import grounded_solve
 from .complexes import TopologicalTriangulation
 from .errors import Infeasible, finite_vector
 from .reports import Report
@@ -182,43 +177,6 @@ def _member(spec: ConformalClassSpec, lower: np.ndarray) -> AngleSystem:
 # -- teleportability ---------------------------------------------------------------
 
 
-def equal_area_start(spec: ConformalClassSpec) -> AngleSystem | None:
-    """The member of the class whose faces all have the same area, when its
-    interior margin is at least ``MARGIN_FLOOR``; None otherwise.
-
-    Every member's face defects pi - (angle sum) add up to the class
-    invariant pi F - 2 sum(psi_e), so no member has a margin above their mean
-    U = (pi F - 2 sum(psi_e)) / F.  The point starts from the even split
-    psi_e / 2 on both flags of each edge and adds the least-norm class move
-    d = B^T y that sets every face's partial sum to (pi - U) / 2, where B is
-    the (F, E) signed face-edge incidence, the complex's ``signed_incidence``
-    summed over the three flags of each face: B B^T y = r is the dual graph's
-    Laplacian, solved by ``grounded_solve``.  Its defects are then U, so its
-    margin is the lesser of U and its least corner angle; when every corner
-    reaches U it is also optimal for the margin LP.  None when the complex
-    has no face, when the solve declines, or when the margin is below the
-    floor.
-    """
-    T = spec.complex
-    F = T.face_count
-    if F == 0:
-        return None
-    U = (np.pi * F - 2.0 * float(spec.psi_edge.sum())) / F
-    # imported here: scipy.sparse is slow to load and only the uniformizer needs it
-    from scipy import sparse
-
-    # CSR, not kron's default BSR, which grounded_solve's A[1:, 1:] cannot slice
-    B = sparse.kron(sparse.eye_array(F), np.ones((1, 3)), format="csr") @ T.signed_incidence
-    half = spec.psi_edge / 2
-    r = 0.5 * (np.pi - U) - _member(spec, half).psi.reshape(-1, 3).sum(axis=1)
-    try:
-        y = grounded_solve(B @ B.T, r, symmetric=True)
-    except np.linalg.LinAlgError:
-        return None
-    x = _member(spec, half + B.T @ y)
-    return x if interior_margin(x) >= MARGIN_FLOOR else None
-
-
 def refuse_inadmissible(spec: ConformalClassSpec) -> None:
     """Raise ``Infeasible`` (margin None) on a class outside the paper's domain.
 
@@ -253,26 +211,18 @@ def find_negative_delaunay(spec: ConformalClassSpec) -> AngleSystem:
 
     Corner angles below pi are implied, and vertex sums of 2 pi checked:
     ``refuse_inadmissible`` refuses a class outside the paper's domain before
-    either start, with margin None.  The face defects of every member sum to
-    pi F - 2 sum(psi_e), so eps is at most their mean U.  The
-    ``equal_area_start``, one sparse solve, is tried first and returned when
-    it is interior.  Otherwise the LP is solved for its largest eps by
-    HiGHS's interior-point method (``"highs-ipm"``) at optimality tolerance
-    ``IPM_TOL`` and without crossover, so the returned point is the method's
-    interior solution, centred in the optimal face rather than at one of its
-    vertices.  The LP has no equality rows, so its solution is a member of
-    the class whatever the solver's primal tolerance.  Either point is the
-    Newton start of the uniformizer.  Raises ``Infeasible`` with the LP's
-    certificate margin when the maximum is below ``MARGIN_FLOOR``; for an
-    admissible class that verdict always comes from the LP.
+    the LP, with margin None.  The face defects of every member sum to
+    pi F - 2 sum(psi_e), so eps is at most their mean U.  The LP is solved
+    for its largest eps by HiGHS's interior-point method (``"highs-ipm"``)
+    at optimality tolerance ``IPM_TOL`` and without crossover, so the
+    returned point is the method's interior solution, centred in the optimal
+    face rather than at one of its vertices.  The LP has no equality rows,
+    so its solution is a member of the class whatever the solver's primal
+    tolerance.  The uniformizer's class ascent starts from it when the
+    circle-pattern dual declines.  Raises ``Infeasible`` with the LP's
+    certificate margin when the maximum is below ``MARGIN_FLOOR``.
     """
     refuse_inadmissible(spec)
-    start = equal_area_start(spec)
-    return start if start is not None else _margin_lp(spec)
-
-
-def _margin_lp(spec: ConformalClassSpec) -> AngleSystem:
-    """The interior-point solution of ``find_negative_delaunay``'s margin LP."""
     # imported here: scipy.optimize is slow to load and only the uniformizer needs it
     from scipy import sparse
     from scipy.optimize import OptimizeWarning, linprog

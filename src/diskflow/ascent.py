@@ -58,8 +58,7 @@ def sparse_solve(A, b: np.ndarray, *, symmetric: bool = False) -> np.ndarray:
     the columns are then ordered by minimum degree on A + A^T and the
     diagonal pivots are kept.  Which ordering is faster depends on the
     matrix, not on its sparsity pattern alone, so it is chosen per caller by
-    timing: minimum degree factors the class Hessian, the dual graph's
-    Laplacian (4.4 against 6.9 ms at F=1536) and the uniformizer's
+    timing: minimum degree factors the class Hessian and the uniformizer's
     circle-pattern Jacobian (3.3 against 4.9 ms at F=1536, 11 against 24 ms
     at F=6144) faster, but the stiffness matrix of a V=3070 mesh about 7
     times slower (108 against 18 ms) although both couple only neighbours;
@@ -84,16 +83,16 @@ def sparse_solve(A, b: np.ndarray, *, symmetric: bool = False) -> np.ndarray:
     return x
 
 
-def grounded_solve(A, b: np.ndarray, *, symmetric: bool = False) -> np.ndarray:
+def grounded_solve(A, b: np.ndarray) -> np.ndarray:
     """Solve A x = b, A sparse symmetric with the constants as kernel, at x_0 = 0.
 
     For a connected graph's Laplacian, dropping row and column 0 leaves a
     regular system; the dropped equation holds when b sums to zero.  Raises
     ``LinAlgError`` when the grounded system is singular or the solution is
-    not finite.  ``symmetric`` selects the ordering as in ``sparse_solve``.
+    not finite.
     """
     x = np.zeros(len(b))
-    x[1:] = sparse_solve(A[1:, 1:], b[1:], symmetric=symmetric)
+    x[1:] = sparse_solve(A[1:, 1:], b[1:])
     return x
 
 

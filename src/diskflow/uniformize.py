@@ -19,12 +19,13 @@ Those disks meet at the angles pi - psi_e and are fixed by one circumradius
 per face, so the maximizer is also the root of F circle-pattern equations
 (``_Pattern``).  Without a given start, ``uniformize`` solves them by Newton
 in those F unknowns (``_dual_member``), whose sparse system has two thirds
-of the class Hessian's E = 3F/2 rows and fewer nonzeros per row, and then
-runs the class ascent from the member at the root as the certificate: its
-class gradient there is normally already below ``tol``, so that ascent
-tests it and takes no step.  The start and every ``Infeasible`` verdict
-still come from ``find_negative_delaunay``, which the dual is seeded from
-and which the class ascent starts from when the dual declines.
+of the class Hessian's E = 3F/2 rows and fewer nonzeros per row, seeded
+from the class alone (``_seed_radii``), and then runs the class ascent from
+the member at the root as the certificate: its class gradient there is
+normally already below ``tol``, so that ascent tests it and takes no step.
+Only when the dual declines does ``find_negative_delaunay``'s margin LP run:
+it gives every ``Infeasible`` verdict of an admissible class, and the class
+ascent starts from its member.
 """
 
 from __future__ import annotations
@@ -62,12 +63,13 @@ if TYPE_CHECKING:
 
 AREA_TOL = 1e-9  # how far the pattern's area may fall from -2 pi chi
 # The circle-pattern Newton stops once every face's residual is within
-# DUAL_TOL of its rounding bound (``_Pattern.G_ulps``).  Over 194 classes
-# (criterion 5's feasible ones, F=1536 and F=6144) the residual settled at
-# 1.6 bounds or less, and no iterate short of that floor came below 69.
+# DUAL_TOL of its rounding bound (``_Pattern.G_ulps``).  From ``_seed_radii``,
+# over 202 classes (criterion 5's 189 feasible ones, F=1536 seeds 0-9, the
+# uncertified F=6144 classes and canonical F=24,576) the residual settled at
+# 5.2 bounds or less, and no earlier iterate came below 9.5.
 DUAL_TOL = 8.0
-# Its step cap: those classes took 4 to 15 steps, F=1536 takes 5, the
-# uncertified F=6144 classes 8 and 9, and canonical F=24,576 takes 5.
+# Its step cap: those classes take 4 to 11 steps; the ones at F=1536, F=6144
+# and F=24,576 take 5.
 DUAL_MAX_ITER = 30
 RHO_FLOOR = -300.0  # the dual's domain ends there: R_f < 1e-130 and cosh(rho)^2 nears overflow
 
@@ -181,30 +183,43 @@ def _kite(spec: ConformalClassSpec) -> tuple[np.ndarray, ...]:
     return np.arange(3 * T.face_count) // 3, T.mate // 3, np.cos(pe), np.sin(pe)
 
 
-def _seed_radii(x: AngleSystem) -> np.ndarray:
-    """rho_f of each face's circumdisk in the member ``x``, R_f = 1 where it has none."""
-    _, ratio = _circumdisk_ratios(x, flag_edge_lengths(x))
-    r = ratio.max(axis=1)  # tanh R_f, the same from each side
-    r = np.where(r < 1.0, r, np.tanh(1.0))
-    # tanh(R/2) = tanh R / (1 + sqrt(1 - tanh^2 R)), below 1 whenever tanh R is
-    return np.log(r / (1.0 + np.sqrt(1.0 - r * r)))
+def _seed_radii(spec: ConformalClassSpec) -> np.ndarray | None:
+    """One rho for every face, from the class alone; None below ``MARGIN_FLOOR``.
+
+    Every member's face defects add up to pi F - 2 sum(psi_e), so their mean
+    U bounds any member's interior margin.  Each face gets the circumradius
+    R of the equilateral triangle with defect U, whose corner angle is
+    A = (pi - U) / 3: the kite at its centre has the angle pi / 3 there and
+    A / 2 at the corner, so cosh R = C = cot(A / 2) / sqrt(3), and
+    rho = log tanh(R / 2) = log((C - 1) / (C + 1)) / 2.  A class with
+    U < ``MARGIN_FLOOR`` has no member that clears the floor.
+    """
+    F = spec.complex.face_count
+    U = (np.pi * F - 2.0 * float(spec.psi_edge.sum())) / F
+    if U < MARGIN_FLOOR:
+        return None
+    C = 1.0 / (np.sqrt(3.0) * np.tan((np.pi - U) / 6.0))
+    return np.full(F, 0.5 * np.log((C - 1.0) / (C + 1.0)))
 
 
-def _dual_member(spec: ConformalClassSpec, x: AngleSystem) -> AngleSystem | None:
+def _dual_member(spec: ConformalClassSpec) -> AngleSystem | None:
     """The member of the class at the root of its circle-pattern equations.
 
     The maximizer of the prism volume is a circle pattern, so it is also the
     root of F equations in one circumradius per face (``_Pattern``; Bobenko
     and Springborn, "Variational principles for circle patterns and Koebe's
     theorem", Trans. AMS 356 (2004)).  ``ascend`` solves them by damped
-    Newton from the face radii of the member ``x``: the objective is
-    -|G|^2 / 2 on ``RHO_FLOOR`` < rho < 0, its gradient -J G, and the
-    Newton direction the solve of J d = -G in ``sparse_solve``'s symmetric
-    mode; it has converged when every G_f is within ``DUAL_TOL`` times its
-    rounding bound (``_Pattern.G_ulps``).  Returns None, declining, when J
-    is singular, the line search stalls, ``DUAL_MAX_ITER`` steps do not
+    Newton from ``_seed_radii``: the objective is -|G|^2 / 2 on
+    ``RHO_FLOOR`` < rho < 0, its gradient -J G, and the Newton direction the
+    solve of J d = -G in ``sparse_solve``'s symmetric mode; it has converged
+    when every G_f is within ``DUAL_TOL`` times its rounding bound
+    (``_Pattern.G_ulps``).  Returns None, declining, when the seed is None,
+    J is singular, the line search stalls, ``DUAL_MAX_ITER`` steps do not
     converge, or the member's interior margin is below ``MARGIN_FLOOR``.
     """
+    rho = _seed_radii(spec)
+    if rho is None:
+        return None
     kite = _kite(spec)
 
     def objective(p: _Pattern) -> float:
@@ -217,7 +232,7 @@ def _dual_member(spec: ConformalClassSpec, x: AngleSystem) -> AngleSystem | None
 
     try:
         p, _ = ascend(
-            _Pattern(kite, _seed_radii(x)),
+            _Pattern(kite, rho),
             objective=objective,
             gradient=lambda p: -(p.J @ p.G),
             residual=lambda p: p.G_ulps,
@@ -242,35 +257,35 @@ def uniformize(
 ) -> tuple[AngleSystem, HyperbolicStructure, list[TraceRecord]]:
     """Find the uniform angle system in the class of ``spec``.
 
-    Without a ``start``, the interior member of ``find_negative_delaunay``,
-    the equal-area one when interior (raising ``Infeasible`` when the class
-    has no negatively curved Delaunay member), seeds the circle-pattern
-    dual; the class ascent, the certificate, starts from the dual's member,
-    or from that interior member when the dual declines.  A given ``start``
-    is where the class ascent starts, with no dual; the objective is
-    concave, so every interior start reaches the same maximizer.  Whether
-    or not a start is given, a class outside the paper's domain (the empty
-    complex, a psi_e not inside (0, pi), a vertex sum of psi_e off 2 pi) is
-    refused with ``Infeasible`` by ``refuse_inadmissible``.  Returns the
-    maximizer, its assembled structure, and the class ascent's
-    per-iteration trace, whose residual is the worst two-sided length
-    mismatch.  ``tol`` is that ascent's target for the sup norm of the class
-    gradient, and ``max_iter`` caps its accepted steps; the last iterate is
-    tested too.  ``NoConvergence`` carries the best iterate and trace when
-    the line search stalls or ``max_iter`` steps do not reach ``tol``.
+    Whether or not a start is given, a class outside the paper's domain (the
+    empty complex, a psi_e not inside (0, pi), a vertex sum of psi_e off
+    2 pi) is first refused with ``Infeasible`` by ``refuse_inadmissible``.
+    Without a ``start``, the circle-pattern dual runs from the class alone,
+    and the class ascent, the certificate, starts from the dual's member.
+    Only when the dual declines does ``find_negative_delaunay`` run: it
+    raises ``Infeasible`` when the class has no negatively curved Delaunay
+    member, and the class ascent starts from its interior member otherwise.
+    A given ``start`` is where the class ascent starts, with no dual; the
+    objective is concave, so every interior start reaches the same
+    maximizer.  Returns the maximizer, its assembled structure, and the
+    class ascent's per-iteration trace, whose residual is the worst
+    two-sided length mismatch.  ``tol`` is that ascent's target for the sup
+    norm of the class gradient, and ``max_iter`` caps its accepted steps;
+    the last iterate is tested too.  ``NoConvergence`` carries the best
+    iterate and trace when the line search stalls or ``max_iter`` steps do
+    not reach ``tol``.
     """
     T = spec.complex
+    refuse_inadmissible(spec)
     if start is None:
-        x = find_negative_delaunay(spec)
-        dual = _dual_member(spec, x)
-        if dual is not None:
-            x = dual
+        x = _dual_member(spec)
+        if x is None:
+            x = find_negative_delaunay(spec)
+    elif start.complex != T:
+        raise ComplexMismatch("start point lives on a different complex")
+    elif np.max(np.abs(edge_psi(start) - spec.psi_edge)) > CHECK_TOL:
+        raise ValueError("start point does not lie in the requested class")
     else:
-        refuse_inadmissible(spec)
-        if start.complex != T:
-            raise ComplexMismatch("start point lives on a different complex")
-        if np.max(np.abs(edge_psi(start) - spec.psi_edge)) > CHECK_TOL:
-            raise ValueError("start point does not lie in the requested class")
         x = start
 
     y, trace = ascend(
@@ -285,16 +300,6 @@ def uniformize(
         max_iter=max_iter,
     )
     return y, assemble_structure(y, tol=10 * tol), trace
-
-
-def _circumdisk_ratios(y: AngleSystem, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (F, 3) corner angles, and per side tanh(l/2) / cos(psi), which is
-    tanh R of its face's circumdisk when the face has one (the ratio is then
-    below 1 on all three sides)."""
-    A = all_corner_angles(y)
-    s = A.sum(axis=1, keepdims=True) / 2.0
-    psi = s - A
-    return A, np.tanh(lengths.reshape(-1, 3) / 2.0) / np.cos(psi)
 
 
 def assemble_structure(y: AngleSystem, tol: float = 1e-7) -> HyperbolicStructure:
@@ -317,7 +322,9 @@ def assemble_structure(y: AngleSystem, tol: float = 1e-7) -> HyperbolicStructure
     edge_lengths = 0.5 * lengths[T.edges].sum(axis=1)
 
     # circumradius per face; all three sides must give the same value
-    A, ratio = _circumdisk_ratios(y, lengths)
+    A = all_corner_angles(y)
+    psi = A.sum(axis=1, keepdims=True) / 2.0 - A
+    ratio = np.tanh(lengths.reshape(-1, 3) / 2.0) / np.cos(psi)
     if np.any(ratio >= 1.0):
         t = int(np.argmax(np.any(ratio >= 1.0, axis=1)))
         raise LengthMismatch(

@@ -28,6 +28,9 @@ flow's Newton direction from its 1-ring system.  ``margin_lp_simplex``
 writes the margin LP out row by row over all 3F partials, with one equality
 row per edge, and solves it with HiGHS's default method, the reference for
 the interior-point margin over the lower-flag partials.
+``equal_area_member`` is the member whose faces all have the same area, by
+a dense least-squares solve: where it is not interior, only the margin LP
+finds a start.
 ``is_teleportable_bruteforce`` enumerates all 2^F face sets for the subset
 criterion, the combinatorial reference for the LP's feasibility verdict.
 ``derive_union_find`` derives a complex's edges and vertex orbits with a
@@ -335,6 +338,19 @@ def circle_pattern_jacobian_fd(
         plus, minus = circle_pattern_residual(spec, rho + e), circle_pattern_residual(spec, rho - e)
         J[:, f] = (plus - minus) / (2 * step)
     return J
+
+
+def equal_area_member(spec: ConformalClassSpec) -> AngleSystem:
+    """The member of the class whose faces all have the mean defect U, the
+    least-norm class move (dense least squares) from the even split psi_e / 2."""
+    T = spec.complex
+    F = T.face_count
+    U = (np.pi * F - 2.0 * spec.psi_edge.sum()) / F
+    half = spec.psi_edge[T.edge_of_flag] / 2
+    face_moves = class_basis(T).T.reshape(F, 3, -1).sum(axis=1)
+    r = 0.5 * (np.pi - U) - half.reshape(-1, 3).sum(axis=1)
+    move = np.linalg.lstsq(face_moves, r, rcond=None)[0]
+    return AngleSystem(T, half + class_basis(T).T @ move)
 
 
 def margin_lp_simplex(spec: ConformalClassSpec) -> float:

@@ -12,7 +12,6 @@ from diskflow.angles import (
     all_corner_angles,
     conformal_class_of,
     edge_psi,
-    equal_area_start,
     face_curvatures,
     find_negative_delaunay,
     is_angle_system,
@@ -20,7 +19,6 @@ from diskflow.angles import (
     is_negatively_curved,
     partials_from_angles,
     vertex_angle_sums,
-    _margin_lp,
 )
 from diskflow.complexes import (
     build_complex,
@@ -322,7 +320,7 @@ def _lp_margin(spec) -> tuple[bool, float]:
     """(feasible, margin) of the interior-point LP: the margin of the point it
     returns, or the certificate margin it raises with."""
     try:
-        y = _margin_lp(spec)
+        y = find_negative_delaunay(spec)
     except Infeasible as exc:
         return False, exc.margin
     A = all_corner_angles(y)
@@ -385,67 +383,12 @@ def test_interior_point_start_lies_in_its_class(noise, monkeypatch):
 
 
 def test_margin_lp_raises_no_warning():
-    # the LP itself, which this class's equal-area start would skip, and the
-    # default route through find_negative_delaunay
     T96 = subdivide(subdivide(genus2_octagon()).complex).complex
     spec = perturbed_canonical_spec(T96, np.random.default_rng(3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        starts = [_margin_lp(spec), find_negative_delaunay(spec)]
-    for y in starts:
-        assert is_negatively_curved(y).ok and is_delaunay(y).ok
-
-
-def _margin_bound(spec) -> float:
-    """U: the mean face defect of every member of the class."""
-    F = spec.complex.face_count
-    return (np.pi * F - 2.0 * spec.psi_edge.sum()) / F
-
-
-def test_equal_area_start_is_a_class_member_at_the_margin_bound():
-    # every face of the returned member has area U; its margin is at least
-    # the floor, and where its corners reach U too it is the LP's optimum
-    at_bound = 0
-    for spec in _margin_oracle_specs():
-        x = equal_area_start(spec)
-        if x is None:
-            continue
-        assert np.max(np.abs(edge_psi(x) - spec.psi_edge)) <= CLASS_TOL
-        A = all_corner_angles(x)
-        defects, U = np.pi - A.sum(axis=1), _margin_bound(spec)
-        assert np.max(np.abs(defects - U)) <= 1e-12  # every face has area U
-        margin = min(A.min(), defects.min())
-        assert margin >= MARGIN_FLOOR
-        if abs(margin - U) > 1e-12:
-            continue
-        # the bound is the LP's optimum: its own point reaches the same margin
-        A_lp = all_corner_angles(_margin_lp(spec))
-        assert abs(min(A_lp.min(), (np.pi - A_lp.sum(axis=1)).min()) - U) <= 1e-9
-        at_bound += 1
-    assert at_bound > 0
-
-
-def test_the_lp_runs_exactly_when_the_equal_area_start_is_not_interior(monkeypatch):
-    import scipy.optimize
-
-    linprog, calls = scipy.optimize.linprog, []
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
-    routes = {"start": 0, "lp": 0}
-    for spec in _margin_oracle_specs():
-        before = len(calls)
-        interior = equal_area_start(spec) is not None
-        try:
-            find_negative_delaunay(spec)
-        except Infeasible:
-            assert not interior  # every infeasibility verdict comes from the LP
-        assert len(calls) - before == (0 if interior else 1)
-        routes["start" if interior else "lp"] += 1
-    assert routes["start"] > 0 and routes["lp"] > 0
+        y = find_negative_delaunay(spec)
+    assert is_negatively_curved(y).ok and is_delaunay(y).ok
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-9])
@@ -469,7 +412,7 @@ def test_margin_lp_runs_over_lower_flags_without_equality_rows(noise, monkeypatc
     for spec in _margin_oracle_specs():
         before = len(calls)
         try:
-            y = _margin_lp(spec)
+            y = find_negative_delaunay(spec)
         except Infeasible:
             y = None
         ((args, kwargs),) = calls[before:]
@@ -479,23 +422,6 @@ def test_margin_lp_runs_over_lower_flags_without_equality_rows(noise, monkeypatc
             assert np.max(np.abs(edge_psi(y) - spec.psi_edge)) <= 1e-15
             members += 1
     assert members > 0
-
-
-def test_equal_area_start_declines_on_the_empty_complex():
-    # no face has a margin; find_negative_delaunay refuses F = 0 before it
-    # tries either start
-    assert equal_area_start(ConformalClassSpec(build_complex(0, []), [])) is None
-
-
-def test_equal_area_start_declines_only_below_the_floor():
-    # the symmetric genus-2 class has corners pi / 9 below U = 2 pi / 3, but
-    # above the floor, so it is returned with margin pi / 9; the
-    # all-right-angle octahedron has U = -pi / 2 below the floor
-    T = genus2_octagon()
-    x = equal_area_start(conformal_class_of(AngleSystem(T, np.full(18, np.pi / 18))))
-    A = all_corner_angles(x)
-    assert abs(min(A.min(), (np.pi - A.sum(axis=1)).min()) - np.pi / 9) <= 1e-12
-    assert equal_area_start(ConformalClassSpec(octahedron(), np.full(12, np.pi / 2))) is None
 
 
 @pytest.mark.parametrize(

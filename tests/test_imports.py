@@ -165,17 +165,18 @@ def test_run_loads_no_solver_or_quadrature_scipy(argv, head, tmp_path):
 
 @pytest.fixture
 def certified_class(tmp_path):
-    """The canonical F=96 genus-2 class as a file: its equal-area member is
-    interior, at its margin bound, so the margin LP, and scipy.optimize with
-    it, never runs."""
-    from diskflow.angles import conformal_class_of, equal_area_start, partials_from_angles
+    """The canonical F=96 genus-2 class as a file: the circle-pattern dual
+    converges on it, so the margin LP, and scipy.optimize with it, never
+    runs."""
+    from diskflow.angles import conformal_class_of, partials_from_angles
     from diskflow.complexes import genus2_octagon, subdivide
     from diskflow.serialization import class_spec_to_dict, write_json
+    from diskflow.uniformize import _dual_member
 
     T = subdivide(subdivide(genus2_octagon()).complex).complex
     deg = np.array([len(c) for c in T.corners_of_vertex])
     spec = conformal_class_of(partials_from_angles(T, 2 * np.pi / deg[T.vertex_of_corner]))
-    assert equal_area_start(spec) is not None
+    assert _dual_member(spec) is not None
     path = tmp_path / "class.json"
     write_json(path, class_spec_to_dict(spec))
     return str(path)
@@ -190,12 +191,38 @@ def test_uniformize_of_a_certified_class_loads_no_lp_solver(certified_class):
     assert loaded == ["scipy.sparse.linalg"]
 
 
+def test_uniformize_of_a_class_with_no_interior_equal_area_member_loads_no_lp_solver(tmp_path):
+    # the first feasible class of criterion 5's stream whose equal-area
+    # member has a corner or a defect below the margin floor: the dual,
+    # seeded from the class alone, converges, so the LP that would otherwise
+    # find the start never runs
+    from diskflow.angles import MARGIN_FLOOR, find_negative_delaunay, interior_margin
+    from diskflow.errors import Infeasible
+    from diskflow.serialization import class_spec_to_dict, write_json
+
+    from helpers import criterion5_classes
+    from oracles import equal_area_member
+
+    for spec in criterion5_classes(20):
+        try:
+            find_negative_delaunay(spec)
+        except Infeasible:
+            continue
+        if interior_margin(equal_area_member(spec)) < MARGIN_FLOOR:
+            break
+    else:
+        raise AssertionError("no feasible class with an exterior equal-area member")
+    path = str(tmp_path / "class.json")
+    write_json(path, class_spec_to_dict(spec))
+    assert _run_loads(["uniformize", path], LOADED) == ["scipy.sparse.linalg"]
+
+
 def test_uniformize_loads_the_lp_solver_only_outside_the_domain(
     cli_inputs, canonical24_spec, tmp_path
 ):
-    # the F=24 class's equal-area member is interior but short of its margin
-    # bound, so no LP runs; the octahedron's class has no interior member,
-    # and the LP gives its verdict
+    # the circle-pattern dual converges on the F=24 class, so no LP runs;
+    # the octahedron's class has no interior member, the dual declines, and
+    # the LP gives its verdict
     from diskflow.serialization import class_spec_to_dict, write_json
 
     path = str(tmp_path / "class24.json")

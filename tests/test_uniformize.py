@@ -8,11 +8,9 @@ from diskflow.angles import (
     CHECK_TOL,
     AngleSystem,
     ConformalClassSpec,
-    _margin_lp,
     _member,
     conformal_class_of,
     edge_psi,
-    equal_area_start,
     find_negative_delaunay,
     is_delaunay,
     is_negatively_curved,
@@ -57,7 +55,7 @@ def test_uniformize_symmetric_class_from_lp_start(genus2, symmetric_g2_system):
     # the LP start differs from the symmetric point, but the maximizer is the
     # symmetric structure: all edge lengths must come out equal
     spec = conformal_class_of(symmetric_g2_system)
-    y, st, trace = uniformize(spec)
+    y, st, trace = uniformize(spec, start=find_negative_delaunay(spec))
     assert np.ptp(st.edge_lengths) < 1e-9
     assert np.max(np.abs(edge_psi(y) - spec.psi_edge)) < 1e-12
 
@@ -95,7 +93,7 @@ def test_uniformize_infeasible_class():
 
 
 def test_uniformize_refuses_the_empty_complex():
-    # its hyperbolic area -2 pi chi is 0; the equal-area start would divide by F = 0
+    # its hyperbolic area -2 pi chi is 0; the seed of the dual would divide by F = 0
     spec = ConformalClassSpec(build_complex(0, []), [])
     for solve in (find_negative_delaunay, uniformize):
         with pytest.raises(Infeasible, match="the empty complex has area 0") as info:
@@ -376,68 +374,23 @@ def _takes_full_newton_steps(subdivisions):
 
 
 @pytest.mark.parametrize("subdivisions", [1, 2, 3])
-def test_centred_lp_start_takes_full_newton_steps(subdivisions, monkeypatch):
+def test_centred_lp_start_takes_full_newton_steps(subdivisions):
     # the interior point of the margin LP is centred in its optimal face, so
     # Newton converges from it without a single halving; a vertex of that
-    # face, ε from many constraints at once, needs damped steps at F=384.
-    # The equal-area start is declined so that every class reaches the LP.
-    import diskflow.angles
-
-    monkeypatch.setattr(diskflow.angles, "equal_area_start", lambda spec: None)
+    # face, ε from many constraints at once, needs damped steps at F=384
     _takes_full_newton_steps(subdivisions)
 
 
-@pytest.mark.parametrize("subdivisions", [1, 2, 3])
-def test_equal_area_start_takes_full_newton_steps(subdivisions):
-    # find_negative_delaunay's member, the equal-area one, which is interior
-    # for every class here: at its margin bound at F=96 and F=384, short of it
-    # at F=24
-    _takes_full_newton_steps(subdivisions)
-
-
-def test_an_interior_equal_area_member_starts_newton_without_the_lp(canonical24_spec, monkeypatch):
-    # the F=24 class, whose equal-area member is interior but short of the
-    # margin bound, and every class of criterion 5's first 100 whose member
-    # is interior: the LP is never called, and the objective, concave on the
-    # class, reaches the maximizer of the LP's start
-    import scipy.optimize
-
-    linprog, calls = scipy.optimize.linprog, []
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
-    assert equal_area_start(canonical24_spec) is not None
-    specs = [canonical24_spec]
-    specs += [s for s in criterion5_classes(100) if equal_area_start(s) is not None]
-    assert len(specs) > 10
-    for spec in specs:
-        _, st, _ = uniformize(spec)
-        assert calls == []
-        _, st_lp, _ = uniformize(spec, start=_margin_lp(spec))
-        calls.clear()
-        assert np.max(np.abs(st.circumradii - st_lp.circumradii)) <= 1e-10
-
-
-def test_equal_area_and_lp_starts_reach_the_same_structure(monkeypatch):
-    # the three perturbed F=96 classes of the margin oracle, where the
-    # equal-area member reaches its margin bound; the LP start is forced by
-    # declining it
-    import diskflow.angles
-
+def test_dual_and_lp_starts_reach_the_same_structure():
+    # the three perturbed F=96 classes of the margin oracle: the dual's
+    # member, which the certificate accepts as it is, and the class ascent
+    # from the margin LP's member reach the same lengths
     rng = np.random.default_rng(12)
     T96 = subdivide(subdivide(genus2_octagon()).complex).complex
-    specs = [perturbed_canonical_spec(T96, rng) for _ in range(3)]
-    runs = []
-    for spec in specs:
-        assert diskflow.angles.equal_area_start(spec) is not None
-        runs.append(uniformize(spec))
-    monkeypatch.setattr(diskflow.angles, "equal_area_start", lambda spec: None)
-    for spec, (_, st, trace) in zip(specs, runs):
-        _, st_lp, trace_lp = uniformize(spec)
-        assert len(trace) == len(trace_lp)
+    for spec in [perturbed_canonical_spec(T96, rng) for _ in range(3)]:
+        _, st, trace = uniformize(spec)
+        _, st_lp, trace_lp = uniformize(spec, start=find_negative_delaunay(spec))
+        assert len(trace) == 1 and len(trace_lp) > 1
         assert np.max(np.abs(st.edge_lengths - st_lp.edge_lengths)) <= 1e-10
 
 
@@ -457,20 +410,29 @@ def _first_feasible_criterion5_classes(count):
     raise AssertionError(f"fewer than {count} feasible classes")
 
 
+def _root_radii(spec) -> np.ndarray:
+    """rho = log tanh(R / 2) of the circumradii R of the dual's member."""
+    return np.log(np.tanh(assemble_structure(un._dual_member(spec)).circumradii / 2))
+
+
 @pytest.mark.parametrize("which", ["F=24", "criterion 5"])
 def test_dual_jacobian_matches_central_differences(canonical24_spec, which):
+    # at the seed moved by up to half of itself on every face, as the seed
+    # gives all faces one radius, which would hide a swap of a side's two faces
     spec = canonical24_spec if which == "F=24" else _first_feasible_criterion5_classes(1)[0]
-    p = un._Pattern(un._kite(spec), un._seed_radii(find_negative_delaunay(spec)))
+    rho = un._seed_radii(spec)
+    rho = rho * np.random.default_rng(6).uniform(0.5, 1.5, rho.size)
+    p = un._Pattern(un._kite(spec), rho)
+    assert np.ptp(p.rho) > 0.1 * np.abs(p.rho).max()
     assert np.max(np.abs(p.G - circle_pattern_residual(spec, p.rho))) <= 1e-12
     J = p.J.toarray()
     assert np.max(np.abs(J - circle_pattern_jacobian_fd(spec, p.rho))) <= 1e-7 * np.abs(J).max()
 
 
 def test_dual_jacobian_is_symmetric_negative_definite(canonical24_spec):
-    x = find_negative_delaunay(canonical24_spec)
     kite = un._kite(canonical24_spec)
-    seed = un._seed_radii(x)
-    root = un._seed_radii(un._dual_member(canonical24_spec, x))
+    seed, root = un._seed_radii(canonical24_spec), _root_radii(canonical24_spec)
+    assert np.ptp(root) > 0.0
     for rho in (seed, root):
         J = un._Pattern(kite, rho).J.toarray()
         assert np.max(np.abs(J - J.T)) <= 1e-12 * np.abs(J).max()
@@ -491,10 +453,50 @@ def test_every_dual_iterate_is_a_member_of_the_class(canonical24_spec, monkeypat
     T96 = subdivide(subdivide(genus2_octagon()).complex).complex
     for spec in (canonical24_spec, perturbed_canonical_spec(T96, np.random.default_rng(4))):
         iterates.clear()
-        assert un._dual_member(spec, find_negative_delaunay(spec)) is not None
+        assert un._dual_member(spec) is not None
         assert len(iterates) > 3
         for p in iterates:
             assert np.max(np.abs(edge_psi(p.member(spec.complex)) - spec.psi_edge)) <= CHECK_TOL
+
+
+def test_the_seed_is_the_root_on_the_symmetric_class(symmetric_g2_system, monkeypatch):
+    # every corner is pi / 9 and the six faces are congruent equilateral
+    # triangles, so the equilateral seed is already the root: the dual tests
+    # it and takes no step
+    spec = conformal_class_of(symmetric_g2_system)
+    rho = un._seed_radii(spec)
+    assert un._Pattern(un._kite(spec), rho).G_ulps < un.DUAL_TOL
+    ascend, traces = un.ascend, []
+
+    def recording_ascend(x, **kwargs):
+        out = ascend(x, **kwargs)
+        traces.append(out[1])
+        return out
+
+    monkeypatch.setattr(un, "ascend", recording_ascend)
+    y = un._dual_member(spec)
+    assert [len(t) for t in traces] == [1]
+    assert np.max(np.abs(y.psi - symmetric_g2_system.psi)) <= 1e-15
+    assert np.max(np.abs(_root_radii(spec) - rho)) <= 1e-14
+
+
+def test_the_dual_converges_exactly_on_the_lp_feasible_classes():
+    # criterion 5's stream: the dual, seeded from the class alone, finds a
+    # member on every class the margin LP accepts and on no other; the seed
+    # itself declines every class whose mean defect U is below the floor
+    feasible = converged = no_seed = 0
+    for spec in criterion5_classes(300):
+        try:
+            find_negative_delaunay(spec)
+            ok = True
+        except Infeasible:
+            ok = False
+        dual = un._dual_member(spec) is not None
+        assert dual == ok
+        feasible += ok
+        converged += dual
+        no_seed += un._seed_radii(spec) is None
+    assert (feasible, converged, no_seed) == (189, 189, 109)
 
 
 @pytest.mark.parametrize("subdivisions", [2, 3])
