@@ -84,14 +84,6 @@ def edge_psi(x: AngleSystem) -> np.ndarray:
     return x.psi[lo] + x.psi[hi]
 
 
-def vertex_angle_sums(x: AngleSystem) -> np.ndarray:
-    """Sum of corner angles around each vertex."""
-    T = x.complex
-    return np.bincount(
-        T.vertex_of_corner, all_corner_angles(x).reshape(-1), minlength=T.vertex_count
-    )
-
-
 def interior_margin(x: AngleSystem) -> float:
     """The least corner angle or face defect pi - (angle sum) of ``x``."""
     A = all_corner_angles(x)
@@ -99,22 +91,6 @@ def interior_margin(x: AngleSystem) -> float:
 
 
 # -- predicates -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AngleSystemReport(Report):
-    corner_violations: list[tuple[int, int, float]]  # (face, corner, angle)
-    vertex_violations: list[tuple[int, float]]       # (vertex, sum - 2pi)
-
-
-def is_angle_system(x: AngleSystem, tol: float = CHECK_TOL) -> AngleSystemReport:
-    """Check corner angles in (0, pi) and vertex sums equal to 2 pi."""
-    A = all_corner_angles(x)
-    bad = np.argwhere(~((tol < A) & (A < np.pi - tol))).tolist()
-    corners = [(t, c, float(A[t, c])) for t, c in bad]
-    gap = vertex_angle_sums(x) - 2 * np.pi
-    verts = [(v, float(gap[v])) for v in np.flatnonzero(np.abs(gap) > tol).tolist()]
-    return AngleSystemReport(not corners and not verts, corners, verts)
 
 
 def _psi_edge_of(obj) -> tuple[TopologicalTriangulation, np.ndarray]:
@@ -138,23 +114,6 @@ def is_delaunay(x: AngleSystem | ConformalClassSpec) -> DelaunayReport:
     bad = [(e, float(pe[e])) for e in np.flatnonzero(~inside).tolist()]
     margin = float(np.min(np.minimum(pe, np.pi - pe))) if pe.size else np.inf
     return DelaunayReport(not bad, bad, margin)
-
-
-def face_curvatures(x: AngleSystem) -> np.ndarray:
-    return all_corner_angles(x).sum(axis=1) - np.pi
-
-
-@dataclass(frozen=True)
-class CurvatureReport(Report):
-    violations: list[tuple[int, float]]  # (face, curvature)
-    max_curvature: float
-
-
-def is_negatively_curved(x: AngleSystem) -> CurvatureReport:
-    """Check every face curvature is below -``CHECK_TOL``."""
-    k = face_curvatures(x)
-    bad = [(t, float(k[t])) for t in np.flatnonzero(k > -CHECK_TOL).tolist()]
-    return CurvatureReport(not bad, bad, float(k.max()) if k.size else -np.inf)
 
 
 # -- conformal classes -------------------------------------------------------------

@@ -3,10 +3,10 @@
 The uniformizer (prism volume over a conformal class) and the log-Ricci flow
 (the averaged curvature functional) both maximize a concave objective over
 an open convex domain, which each objective checks itself, with the same
-step policy and the same trace.  Both take their Newton directions from
-``sparse_solve``, which declines a singular system the way ``ascend`` expects;
-``grounded_solve`` is its form for a symmetric system whose kernel is the
-constants.
+step policy and the same trace.  Every Newton system of both is symmetric
+definite, and ``sparse_solve`` factors each the same way, declining a
+singular system the way ``ascend`` expects; ``grounded_solve`` is its
+form for a symmetric system whose kernel is the constants.
 """
 
 from __future__ import annotations
@@ -47,37 +47,32 @@ class TraceRecord:
     elapsed: float = field(compare=False)
 
 
-def sparse_solve(A, b: np.ndarray, *, symmetric: bool = False) -> np.ndarray:
-    """Solve the sparse system A x = b by a SuperLU factorization.
+# Every system the solvers build is symmetric definite, so one SuperLU setup
+# serves them all: minimum degree on A^T + A with the diagonal pivots kept.
+# With SuperLU's default supernode relaxation and panel size that ordering
+# factors a V=12,286 stiffness matrix in 1.4 s; relax=1 and panel_size=4 take
+# 40 ms at the same fill (scipy 1.17, 2 cores), and are faster on the
+# uniformizer's systems too.
+_LU_OPTIONS = {
+    "permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "relax": 1, "panel_size": 4,
+    "options": {"SymmetricMode": True},
+}
+
+
+def sparse_solve(A, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b, A sparse symmetric definite (of either sign), by a SuperLU factorization.
 
     Raises ``LinAlgError``, the way a Newton direction declines, when A is
-    exactly singular or x is not finite.  The transpose is factored and
-    solved transposed: that is ``spsolve``'s own arithmetic on a CSR matrix,
-    whose storage is the CSC storage of its transpose.  ``symmetric=True``
-    is for a symmetric definite A (of either sign), which needs no pivoting:
-    the columns are then ordered by minimum degree on A + A^T and the
-    diagonal pivots are kept.  Which ordering is faster depends on the
-    matrix, not on its sparsity pattern alone, so it is chosen per caller by
-    timing: minimum degree factors the class Hessian and the uniformizer's
-    circle-pattern Jacobian (3.3 against 4.9 ms at F=1536, 11 against 24 ms
-    at F=6144) faster, but the stiffness matrix of a V=3070 mesh about 7
-    times slower (108 against 18 ms) although both couple only neighbours;
-    that one, and the flow's Newton system, keep the default COLAMD with
-    partial pivoting.
+    exactly singular or x is not finite.
     """
     # imported here: scipy.sparse.linalg is slow to load and Monte Carlo never solves
     from scipy.sparse.linalg import splu
 
-    ordering = (
-        {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-         "options": {"SymmetricMode": True}}
-        if symmetric else {}
-    )
     try:
-        lu = splu(A.T.tocsc(), **ordering)
+        lu = splu(A.tocsc(), **_LU_OPTIONS)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise np.linalg.LinAlgError(str(exc)) from exc
-    x = lu.solve(b, trans="T")
+    x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise np.linalg.LinAlgError("sparse solve produced a non-finite result")
     return x

@@ -260,18 +260,6 @@ def _emptiness_flags(dc: DelaunayComplex) -> tuple[np.ndarray, np.ndarray]:
     return inside & other, on_circle & other
 
 
-def verify_empty_disks(dc: DelaunayComplex) -> bool:
-    """True when no sample point lies inside any face circumdisk by more
-    than ``GENERIC_TOL``.
-
-    Checked locally: no vertex across a side of a face lies that far inside
-    that face's circumdisk, which by the Delaunay lemma leaves every
-    circumdisk empty.
-    """
-    inside, _ = _emptiness_flags(dc)
-    return not bool(inside.any())
-
-
 def _check_generic(dc: DelaunayComplex) -> None:
     inside, on_circle = _emptiness_flags(dc)
     if inside.any():

@@ -112,28 +112,6 @@ def _valid_angles(angles) -> np.ndarray:
     return A
 
 
-def edge_lengths(A: float, B: float, C: float) -> tuple[float, float, float]:
-    """Side lengths (a, b, c) opposite (A, B, C) by the dual law of cosines."""
-    angs = _valid_angles([A, B, C])
-    cos, sin = np.cos(angs), np.sin(angs)
-    out = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        out.append(float(np.arccosh((cos[i] + cos[j] * cos[k]) / (sin[j] * sin[k]))))
-    return tuple(out)
-
-
-def angles_from_lengths(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """Angles opposite (a, b, c) by the hyperbolic law of cosines."""
-    ls = np.array([a, b, c])
-    ch, sh = np.cosh(ls), np.sinh(ls)
-    out = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        out.append(float(np.arccos((ch[j] * ch[k] - ch[i]) / (sh[j] * sh[k]))))
-    return tuple(out)
-
-
 def log_half_cosh_minus_one(angles: np.ndarray) -> np.ndarray:
     """log((cosh l_i - 1)/2) per side, from the stable product identity.
 
@@ -171,16 +149,6 @@ def _prism_volumes(A: np.ndarray) -> np.ndarray:
         + lobachevsky(A).sum(axis=1)
         - _ANCHOR
     )
-
-
-def prism_volume(A: float, B: float, C: float) -> float:
-    """Volume of the triangle's ideal perpendicular prism, anchored at pi/6."""
-    return float(_prism_volumes(_valid_angles([[A, B, C]]))[0])
-
-
-def prism_gradient(A: float, B: float, C: float) -> np.ndarray:
-    """Derivative of the prism volume in the three partial angles."""
-    return log_half_cosh_minus_one(_valid_angles([A, B, C]))
 
 
 # -- the objective over an angle system ---------------------------------------------

@@ -115,11 +115,6 @@ def angle_system_to_dict(x: AngleSystem) -> dict:
     return {"complex": x.complex.to_dict(), "psi": x.psi}
 
 
-def angle_system_from_dict(data: dict) -> AngleSystem:
-    T = TopologicalTriangulation.from_dict(data["complex"])
-    return AngleSystem(T, data["psi"])
-
-
 def class_spec_to_dict(spec: ConformalClassSpec) -> dict:
     return {
         "complex": spec.complex.to_dict(),
@@ -131,10 +126,6 @@ def class_spec_from_dict(data: dict) -> ConformalClassSpec:
     T = TopologicalTriangulation.from_dict(data["complex"])
     raw = data["psi_edge"]
     return ConformalClassSpec(T, [raw[str(e)] for e in range(T.edge_count)])
-
-
-def mesh_to_dict(mesh: MeshMetric) -> dict:
-    return {"complex": mesh.complex.to_dict(), "lengths": mesh.lengths}
 
 
 def mesh_from_dict(data: dict) -> MeshMetric:

@@ -7,13 +7,14 @@ The optimization variable is the per-edge class coordinate: a step d moves the
 partials by D d, D the complex's ``signed_incidence`` (D^T of the per-flag
 lengths is the two-sided length mismatch), so every per-edge partial-angle
 sum and every vertex sum is preserved to floating accumulation.  The ascent
-is the shared damped Newton driver of ``ascent`` (a sparse LU solve of the
-CSC class Hessian, gradient fallback when it is singular), with the domain
-being the open polytope of valid hyperbolic faces, which the objective
-itself checks; memory is linear in the face count.  At the maximizer the two
-faces meeting along each edge assign it the same hyperbolic length, so the
-triangles assemble into an actual hyperbolic surface whose circumscribing
-disks form the empty pattern.
+is the shared damped Newton driver of ``ascent`` (``sparse_solve`` of the
+CSC class Hessian, negative definite on the class space, with the gradient
+as fallback when it is singular), with the domain being the open polytope
+of valid hyperbolic faces, which the objective itself checks; memory is
+linear in the face count.  At the maximizer the two faces meeting along
+each edge assign it the same hyperbolic length, so the triangles assemble
+into an actual hyperbolic surface whose circumscribing disks form the empty
+pattern.
 
 Those disks meet at the angles pi - psi_e and are fixed by one circumradius
 per face, so the maximizer is also the root of F circle-pattern equations
@@ -94,15 +95,6 @@ def _two_sided_lengths(y: AngleSystem) -> tuple[np.ndarray, np.ndarray]:
     """Each side's length per flag, and per edge the gap between its two faces' lengths."""
     lengths = flag_edge_lengths(y)
     return lengths, np.abs(y.complex.signed_incidence.T @ lengths)
-
-
-def _newton(y: AngleSystem, g: np.ndarray) -> np.ndarray:
-    """Newton direction: the sparse LU solve of the class Hessian against -g.
-
-    The Hessian is negative definite on the class space, so it is factored
-    in ``sparse_solve``'s symmetric mode, without pivoting.
-    """
-    return sparse_solve(class_hessian_sparse(y), -g, symmetric=True)
 
 
 class _Pattern:
@@ -211,11 +203,11 @@ def _dual_member(spec: ConformalClassSpec) -> AngleSystem | None:
     theorem", Trans. AMS 356 (2004)).  ``ascend`` solves them by damped
     Newton from ``_seed_radii``: the objective is -|G|^2 / 2 on
     ``RHO_FLOOR`` < rho < 0, its gradient -J G, and the Newton direction the
-    solve of J d = -G in ``sparse_solve``'s symmetric mode; it has converged
-    when every G_f is within ``DUAL_TOL`` times its rounding bound
-    (``_Pattern.G_ulps``).  Returns None, declining, when the seed is None,
-    J is singular, the line search stalls, ``DUAL_MAX_ITER`` steps do not
-    converge, or the member's interior margin is below ``MARGIN_FLOOR``.
+    ``sparse_solve`` of J d = -G; it has converged when every G_f is within
+    ``DUAL_TOL`` times its rounding bound (``_Pattern.G_ulps``).  Returns
+    None, declining, when the seed is None, J is singular, the line search
+    stalls, ``DUAL_MAX_ITER`` steps do not converge, or the member's
+    interior margin is below ``MARGIN_FLOOR``.
     """
     rho = _seed_radii(spec)
     if rho is None:
@@ -237,7 +229,7 @@ def _dual_member(spec: ConformalClassSpec) -> AngleSystem | None:
             gradient=lambda p: -(p.J @ p.G),
             residual=lambda p: p.G_ulps,
             converged=lambda _, r: r < DUAL_TOL,
-            newton_dir=lambda p, g: sparse_solve(p.J, -p.G, symmetric=True),
+            newton_dir=lambda p, g: sparse_solve(p.J, -p.G),
             fallback_dir=decline,
             move=lambda p, step, d: _Pattern(kite, p.rho + step * d),
             max_iter=DUAL_MAX_ITER,
@@ -294,7 +286,7 @@ def uniformize(
         gradient=class_grad,
         residual=lambda y: float(np.max(_two_sided_lengths(y)[1])),
         converged=lambda ginf, _: ginf < tol,
-        newton_dir=_newton,
+        newton_dir=lambda y, g: sparse_solve(class_hessian_sparse(y), -g),
         fallback_dir=lambda _, g: g,
         move=lambda y, step, d: AngleSystem(T, y.psi + step * (T.signed_incidence @ d)),
         max_iter=max_iter,

@@ -3,8 +3,9 @@
 import numpy as np
 from scipy.linalg import null_space
 
-from diskflow.angles import AngleSystem, ConformalClassSpec, is_angle_system
+from diskflow.angles import AngleSystem, ConformalClassSpec
 from diskflow.complexes import TopologicalTriangulation, build_complex
+from oracles import is_angle_system
 
 
 def random_complex(rng: np.random.Generator, faces: int, min_corners: int = 3):

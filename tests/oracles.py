@@ -17,8 +17,7 @@ straight segments, the reference for its closed form.
 
 The dense oracles rebuild the solvers' sparse operators and solves the
 direct way (the dense class basis and its products, a finite-difference
-class Hessian, a dense Newton solve of the class Hessian, least-squares
-solves of the singular systems), so the index-array assembly and the sparse
+class Hessian, least-squares solves of the singular systems), so the index-array assembly and the sparse
 LU are checked against their definitions.  ``circle_pattern_residual``
 evaluates the circle-pattern equations in the circumradii themselves, flag
 by flag, and ``circle_pattern_jacobian_fd`` differences it, the references
@@ -42,6 +41,14 @@ the reference for the local Delaunay check.
 ``dumps_canonical_recursive`` renders canonical JSON one element at a time,
 the reference for the serializer's float-list and int-list fast paths.
 
+The library forms that no program path calls sit in one section: the
+angle-system and curvature reports (``is_angle_system``,
+``is_negatively_curved``), the global emptiness verdict
+``verify_empty_disks``, the one-triangle forms of the hyperbolic solver
+(``edge_lengths``, ``angles_from_lengths``, ``prism_volume``,
+``prism_gradient``), and the payloads the command line never reads or
+writes (``angle_system_from_dict``, ``mesh_to_dict``).
+
 The per-element helpers at the end read one face, edge or vertex at a time
 (``corner_angles``, ``face_curvature``, ``informal_intersection_angle``,
 ``vertex_edge_incidence``, ``angle_system_violations``,
@@ -64,15 +71,15 @@ from scipy.spatial import ConvexHull
 from scipy.special import zeta
 
 from diskflow.angles import (
+    CHECK_TOL,
     AngleSystem,
     ConformalClassSpec,
     _psi_edge_of,
     all_corner_angles,
     edge_psi,
-    face_curvatures,
-    vertex_angle_sums,
 )
 from diskflow.complexes import SubdividedComplex, TopologicalTriangulation, build_complex
+from diskflow.delaunay import DelaunayComplex, _emptiness_flags
 from diskflow.errors import (
     ComplexMismatch,
     DiskflowError,
@@ -82,6 +89,7 @@ from diskflow.errors import (
     UnmatchedSide,
 )
 from diskflow.hyperbolic import (
+    _prism_volumes,
     _valid_angles,
     class_grad,
     face_hessian,
@@ -300,11 +308,6 @@ def class_hessian_dense(x: AngleSystem) -> np.ndarray:
     block-diagonal (3F, 3F) Hessian of the faces."""
     B = class_basis(x.complex)
     return B @ block_diag(*face_hessian(all_corner_angles(x))) @ B.T
-
-
-def class_newton_dense(x: AngleSystem, g: np.ndarray) -> np.ndarray:
-    """Newton direction by a dense solve of the dense-oracle class Hessian."""
-    return np.linalg.solve(class_hessian_dense(x), -g)
 
 
 def circle_pattern_residual(spec: ConformalClassSpec, rho: np.ndarray) -> np.ndarray:
@@ -621,6 +624,103 @@ def dumps_canonical_recursive(obj) -> str:
         raise TypeError(f"cannot serialize {type(o)}")
 
     return render(obj)
+
+
+# -- library forms no program path calls -------------------------------------------
+
+
+def vertex_angle_sums(x: AngleSystem) -> np.ndarray:
+    """Sum of corner angles around each vertex."""
+    T = x.complex
+    return np.bincount(
+        T.vertex_of_corner, all_corner_angles(x).reshape(-1), minlength=T.vertex_count
+    )
+
+
+@dataclass(frozen=True)
+class AngleSystemReport(Report):
+    corner_violations: list[tuple[int, int, float]]  # (face, corner, angle)
+    vertex_violations: list[tuple[int, float]]       # (vertex, sum - 2pi)
+
+
+def is_angle_system(x: AngleSystem, tol: float = CHECK_TOL) -> AngleSystemReport:
+    """Check corner angles in (0, pi) and vertex sums equal to 2 pi."""
+    A = all_corner_angles(x)
+    bad = np.argwhere(~((tol < A) & (A < np.pi - tol))).tolist()
+    corners = [(t, c, float(A[t, c])) for t, c in bad]
+    gap = vertex_angle_sums(x) - 2 * np.pi
+    verts = [(v, float(gap[v])) for v in np.flatnonzero(np.abs(gap) > tol).tolist()]
+    return AngleSystemReport(not corners and not verts, corners, verts)
+
+
+def face_curvatures(x: AngleSystem) -> np.ndarray:
+    return all_corner_angles(x).sum(axis=1) - np.pi
+
+
+@dataclass(frozen=True)
+class CurvatureReport(Report):
+    violations: list[tuple[int, float]]  # (face, curvature)
+    max_curvature: float
+
+
+def is_negatively_curved(x: AngleSystem) -> CurvatureReport:
+    """Check every face curvature is below -``CHECK_TOL``."""
+    k = face_curvatures(x)
+    bad = [(t, float(k[t])) for t in np.flatnonzero(k > -CHECK_TOL).tolist()]
+    return CurvatureReport(not bad, bad, float(k.max()) if k.size else -np.inf)
+
+
+def verify_empty_disks(dc: DelaunayComplex) -> bool:
+    """True when no sample point lies inside any face circumdisk by more
+    than ``GENERIC_TOL``.
+
+    Checked locally: no vertex across a side of a face lies that far inside
+    that face's circumdisk, which by the Delaunay lemma leaves every
+    circumdisk empty.
+    """
+    inside, _ = _emptiness_flags(dc)
+    return not bool(inside.any())
+
+
+def edge_lengths(A: float, B: float, C: float) -> tuple[float, float, float]:
+    """Side lengths (a, b, c) opposite (A, B, C) by the dual law of cosines."""
+    angs = _valid_angles([A, B, C])
+    cos, sin = np.cos(angs), np.sin(angs)
+    out = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        out.append(float(np.arccosh((cos[i] + cos[j] * cos[k]) / (sin[j] * sin[k]))))
+    return tuple(out)
+
+
+def angles_from_lengths(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """Angles opposite (a, b, c) by the hyperbolic law of cosines."""
+    ls = np.array([a, b, c])
+    ch, sh = np.cosh(ls), np.sinh(ls)
+    out = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        out.append(float(np.arccos((ch[j] * ch[k] - ch[i]) / (sh[j] * sh[k]))))
+    return tuple(out)
+
+
+def prism_volume(A: float, B: float, C: float) -> float:
+    """Volume of the triangle's ideal perpendicular prism, anchored at pi/6."""
+    return float(_prism_volumes(_valid_angles([[A, B, C]]))[0])
+
+
+def prism_gradient(A: float, B: float, C: float) -> np.ndarray:
+    """Derivative of the prism volume in the three partial angles."""
+    return log_half_cosh_minus_one(_valid_angles([A, B, C]))
+
+
+def angle_system_from_dict(data: dict) -> AngleSystem:
+    T = TopologicalTriangulation.from_dict(data["complex"])
+    return AngleSystem(T, data["psi"])
+
+
+def mesh_to_dict(mesh: MeshMetric) -> dict:
+    return {"complex": mesh.complex.to_dict(), "lengths": mesh.lengths}
 
 
 # -- per-element forms and definitions --------------------------------------------

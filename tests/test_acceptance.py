@@ -18,9 +18,7 @@ from diskflow.angles import (
     edge_psi,
     find_negative_delaunay,
     is_delaunay,
-    is_negatively_curved,
     partials_from_angles,
-    vertex_angle_sums,
 )
 from diskflow.cli import run as cli_run
 from diskflow.errors import Infeasible
@@ -33,7 +31,6 @@ from diskflow.estimators import (
 from diskflow.hyperbolic import (
     class_hessian,
     log_half_cosh_minus_one,
-    prism_gradient,
 )
 from diskflow.smoothflow import (
     curvature_h,
@@ -50,9 +47,12 @@ from helpers import octahedron, random_class_spec, random_complex, vertex_sum_ma
 from oracles import (
     class_basis,
     hessian_Ig,
+    is_negatively_curved,
     is_teleportable_bruteforce,
+    prism_gradient,
     prism_volume_path,
     true_prism_volume,
+    vertex_angle_sums,
 )
 from test_smoothflow import random_mixed_sign_mesh, random_negative_mesh
 

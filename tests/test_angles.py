@@ -12,13 +12,9 @@ from diskflow.angles import (
     all_corner_angles,
     conformal_class_of,
     edge_psi,
-    face_curvatures,
     find_negative_delaunay,
-    is_angle_system,
     is_delaunay,
-    is_negatively_curved,
     partials_from_angles,
-    vertex_angle_sums,
 )
 from diskflow.complexes import (
     build_complex,
@@ -47,10 +43,14 @@ from oracles import (
     curvature_violations,
     delaunay_violations,
     face_curvature,
+    face_curvatures,
     informal_intersection_angle,
+    is_angle_system,
+    is_negatively_curved,
     is_teleportable_bruteforce,
     margin_lp_simplex,
     same_class,
+    vertex_angle_sums,
 )
 
 

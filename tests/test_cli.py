@@ -10,10 +10,8 @@ from diskflow.angles import conformal_class_of, edge_psi
 from diskflow.cli import build_parser, run
 from diskflow.complexes import subdivide, tetrahedron
 from diskflow.serialization import (
-    angle_system_from_dict,
     class_spec_to_dict,
     dumps_canonical,
-    mesh_to_dict,
     read_json,
     structure_from_dict,
     structure_to_dict,
@@ -21,6 +19,7 @@ from diskflow.serialization import (
 )
 from diskflow.smoothflow import log_ricci_flow
 from diskflow.uniformize import assemble_structure, pattern_report, uniformize
+from oracles import angle_system_from_dict, mesh_to_dict
 
 
 @pytest.fixture

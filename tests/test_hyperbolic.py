@@ -7,28 +7,28 @@ from diskflow.angles import AngleSystem, partials_from_angles
 from diskflow.errors import DegenerateAngle, NotHyperbolic, NotInDomain, OutOfDomain
 from diskflow.hyperbolic import (
     _SERIES_COEF,
-    angles_from_lengths,
     class_grad,
     class_hessian,
     class_hessian_sparse,
-    edge_lengths,
     face_hessian,
     flag_edge_lengths,
     flag_log_terms as grad_H,
     lobachevsky,
     log_half_cosh_minus_one,
     objective_H,
-    prism_gradient,
-    prism_volume,
 )
 
 from oracles import (
     PRISM_ANCHOR_TRUE_VOLUME,
+    angles_from_lengths,
     class_basis,
     class_hessian_dense,
     class_hessian_fd,
+    edge_lengths,
     lobachevsky_quad,
     lobachevsky_series60,
+    prism_gradient,
+    prism_volume,
     prism_volume_path,
     true_prism_volume,
 )

@@ -244,10 +244,9 @@ def cli_inputs(tmp_path, symmetric_g2_system, cone14_unit):
     from helpers import octahedron
     from diskflow.angles import ConformalClassSpec, conformal_class_of
     from diskflow.complexes import tetrahedron
-    from diskflow.serialization import (
-        class_spec_to_dict, mesh_to_dict, structure_to_dict, write_json,
-    )
+    from diskflow.serialization import class_spec_to_dict, structure_to_dict, write_json
     from diskflow.uniformize import assemble_structure
+    from oracles import mesh_to_dict
 
     T = octahedron()
     files = {

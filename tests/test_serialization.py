@@ -9,19 +9,17 @@ from hypothesis.extra import numpy as hnp
 from diskflow.angles import conformal_class_of
 from diskflow.errors import finite_vector
 from diskflow.serialization import (
-    angle_system_from_dict,
     angle_system_to_dict,
     class_spec_from_dict,
     class_spec_to_dict,
     dumps_canonical,
     mesh_from_dict,
-    mesh_to_dict,
     structure_from_dict,
     structure_to_dict,
     trials_csv,
 )
 from diskflow.uniformize import assemble_structure
-from oracles import dumps_canonical_recursive
+from oracles import angle_system_from_dict, dumps_canonical_recursive, mesh_to_dict
 
 
 def test_canonical_json_is_valid_json_and_sorted():

@@ -15,7 +15,6 @@ from diskflow.delaunay import (
     _triangulate,
     delaunay,
     is_generically_delta_dense,
-    verify_empty_disks,
 )
 from diskflow.errors import BadDelta, DegenerateSample
 from diskflow.estimators import (
@@ -41,6 +40,7 @@ from oracles import (
     inscribed_triangle_mean_area,
     triangle_angle_integral,
     triangle_angle_integral_dblquad,
+    verify_empty_disks,
 )
 
 SPHERE = SurfaceModel.sphere()

@@ -13,11 +13,9 @@ from diskflow.angles import (
     edge_psi,
     find_negative_delaunay,
     is_delaunay,
-    is_negatively_curved,
 )
 from diskflow.complexes import build_complex, genus2_octagon, subdivide
 from diskflow.errors import ComplexMismatch, Infeasible, LengthMismatch
-from diskflow.hyperbolic import edge_lengths
 from diskflow.uniformize import (
     HyperbolicStructure,
     assemble_structure,
@@ -36,7 +34,9 @@ from oracles import (
     circle_pattern_jacobian_fd,
     circle_pattern_residual,
     class_basis,
-    class_newton_dense,
+    class_hessian_dense,
+    edge_lengths,
+    is_negatively_curved,
 )
 
 DEFAULTS = inspect.signature(uniformize).parameters
@@ -312,7 +312,8 @@ def test_line_search_stall_reports_best(canonical24_spec, monkeypatch):
 @pytest.mark.parametrize("subdivisions", [1, 2, 3])
 def test_sparse_newton_matches_the_dense_oracle(subdivisions, monkeypatch):
     # the same class and LP start, ascended with the sparse LU and with a
-    # dense solve of the dense-oracle Hessian: the maximizers agree
+    # dense solve of the dense-oracle Hessian: the maximizers agree; with a
+    # start no dual runs, so every solve is the class Newton's
     import importlib
 
     from diskflow.complexes import genus2_octagon, subdivide
@@ -324,7 +325,8 @@ def test_sparse_newton_matches_the_dense_oracle(subdivisions, monkeypatch):
     start = find_negative_delaunay(spec)
     _, st, trace = uniformize(spec, start=start)
     un = importlib.import_module("diskflow.uniformize")
-    monkeypatch.setattr(un, "_newton", class_newton_dense)
+    monkeypatch.setattr(un, "class_hessian_sparse", class_hessian_dense)
+    monkeypatch.setattr(un, "sparse_solve", np.linalg.solve)
     _, ref, ref_trace = uniformize(spec, start=start)
     assert T.face_count == 6 * 4**subdivisions
     assert all(r.newton for r in trace[:-1]) and all(r.newton for r in ref_trace[:-1])
@@ -533,12 +535,12 @@ def test_a_declining_dual_falls_back_to_the_primal_with_the_same_verdicts(monkey
     specs = criterion5_classes(40)
     solve, declined, faces = un.sparse_solve, [], [0]
 
-    def singular_dual(A, b, **kwargs):
+    def singular_dual(A, b):
         # only the dual solves an F x F system; the class Hessian is E x E, E = 3F/2
         if A.shape[0] == faces[0]:
             declined.append(faces[0])
             raise np.linalg.LinAlgError("singular")
-        return solve(A, b, **kwargs)
+        return solve(A, b)
 
     def outcomes():
         out = []
