@@ -4,9 +4,11 @@ The uniformizer (prism volume over a conformal class) and the log-Ricci flow
 (the averaged curvature functional) both maximize a concave objective over
 an open convex domain, which each objective checks itself, with the same
 step policy and the same trace.  Every Newton system of both is symmetric
-definite, and ``sparse_solve`` factors each the same way, declining a
-singular system the way ``ascend`` expects; ``grounded_solve`` is its
-form for a symmetric system whose kernel is the constants.
+definite, and ``factorized`` factors each the same way, declining a
+singular system the way ``ascend`` expects, and returns the factor's solve:
+``sparse_solve`` applies it once, and the uniformizer's circle-pattern dual
+keeps it to precondition later steps.  ``grounded_solve`` is
+``sparse_solve``'s form for a symmetric system whose kernel is the constants.
 """
 
 from __future__ import annotations
@@ -59,11 +61,11 @@ _LU_OPTIONS = {
 }
 
 
-def sparse_solve(A, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b, A sparse symmetric definite (of either sign), by a SuperLU factorization.
+def factorized(A):
+    """Factor A, sparse symmetric definite (of either sign), by SuperLU; return its solve.
 
     Raises ``LinAlgError``, the way a Newton direction declines, when A is
-    exactly singular or x is not finite.
+    exactly singular; the returned solve raises it when x is not finite.
     """
     # imported here: scipy.sparse.linalg is slow to load and Monte Carlo never solves
     from scipy.sparse.linalg import splu
@@ -72,10 +74,19 @@ def sparse_solve(A, b: np.ndarray) -> np.ndarray:
         lu = splu(A.tocsc(), **_LU_OPTIONS)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise np.linalg.LinAlgError(str(exc)) from exc
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
-        raise np.linalg.LinAlgError("sparse solve produced a non-finite result")
-    return x
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = lu.solve(b)
+        if not np.all(np.isfinite(x)):
+            raise np.linalg.LinAlgError("sparse solve produced a non-finite result")
+        return x
+
+    return solve
+
+
+def sparse_solve(A, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b, A sparse symmetric definite, by its ``factorized`` solve."""
+    return factorized(A)(b)
 
 
 def grounded_solve(A, b: np.ndarray) -> np.ndarray:

@@ -21,12 +21,14 @@ per face, so the maximizer is also the root of F circle-pattern equations
 (``_Pattern``).  Without a given start, ``uniformize`` solves them by Newton
 in those F unknowns (``_dual_member``), whose sparse system has two thirds
 of the class Hessian's E = 3F/2 rows and fewer nonzeros per row, seeded
-from the class alone (``_seed_radii``), and then runs the class ascent from
-the member at the root as the certificate: its class gradient there is
-normally already below ``tol``, so that ascent tests it and takes no step.
-Only when the dual declines does ``find_negative_delaunay``'s margin LP run:
-it gives every ``Infeasible`` verdict of an admissible class, and the class
-ascent starts from its member.
+from the class alone (``_seed_radii``).  The dual factors that system once,
+at its first step, and takes each later direction by CG preconditioned
+with the factor (inexact Newton).  ``uniformize`` then runs the class
+ascent from the member at the root as the certificate: its class gradient
+there is normally already below ``tol``, so that ascent tests it and takes
+no step.  Only when the dual declines does ``find_negative_delaunay``'s
+margin LP run: it gives every ``Infeasible`` verdict of an admissible
+class, and the class ascent starts from its member.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .angles import (
     interior_margin,
     refuse_inadmissible,
 )
-from .ascent import TraceRecord, ascend, sparse_solve
+from .ascent import TraceRecord, ascend, factorized, sparse_solve
 from .complexes import TopologicalTriangulation
 from .errors import ComplexMismatch, LengthMismatch, NoConvergence, OutOfDomain
 from .hyperbolic import (
@@ -67,12 +69,30 @@ AREA_TOL = 1e-9  # how far the pattern's area may fall from -2 pi chi
 # DUAL_TOL of its rounding bound (``_Pattern.G_ulps``).  From ``_seed_radii``,
 # over 202 classes (criterion 5's 189 feasible ones, F=1536 seeds 0-9, the
 # uncertified F=6144 classes and canonical F=24,576) the residual settled at
-# 5.2 bounds or less, and no earlier iterate came below 9.5.
+# 6.6 bounds or less, and stayed there over four more steps, and no earlier
+# iterate came below 8.6.
 DUAL_TOL = 8.0
 # Its step cap: those classes take 4 to 11 steps; the ones at F=1536, F=6144
 # and F=24,576 take 5.
 DUAL_MAX_ITER = 30
 RHO_FLOOR = -300.0  # the dual's domain ends there: R_f < 1e-130 and cosh(rho)^2 nears overflow
+# After its first step the dual's Newton directions are inexact (Dembo,
+# Eisenstat and Steihaug, SIAM J. Numer. Anal. 19 (1982)): CG on -J d = G,
+# preconditioned by the factor of J from the first step, to the relative
+# residual eta = min(FORCING_MAX, |G|_inf), at least FORCING_FLOOR (Eisenstat
+# and Walker, SIAM J. Sci. Comput. 17 (1996)).  On F=1536 seed 0, uncertified
+# F=6144 seed 0 and canonical F=24,576 this takes the same 5 steps as exact
+# directions, with 22, 22 and 18 CG iterations in all; a fixed eta of 1e-10
+# takes 43, 50 and 32, and a FORCING_MAX of 0.5 or 0.01 takes 18 to 24.
+FORCING_MAX = 0.1
+# |G|_inf < 1e-10 only on the last step, whose residual is at rounding level
+# either way: a floor of 1e-12 or 1e-8 left those three classes at 5 steps.
+FORCING_FLOOR = 1e-10
+# One CG iteration (a product with J and a solve with the factor) costs 1/22
+# to 1/28 of factoring J at F=1536 to 24,576, so past about 20 iterations a
+# new factor is cheaper: J is then refactored at the iterate.  No solve on
+# the 202 classes took more than 12 iterations, and none refactored.
+CG_MAX_ITER = 20
 
 
 @dataclass(frozen=True)
@@ -194,6 +214,26 @@ def _seed_radii(spec: ConformalClassSpec) -> np.ndarray | None:
     return np.full(F, 0.5 * np.log((C - 1.0) / (C + 1.0)))
 
 
+def _pcg(A, b: np.ndarray, precondition, rtol: float, max_iter: int) -> np.ndarray | None:
+    """x with |b - A x| <= rtol |b| by CG on A x = b, A symmetric positive
+    definite, with ``precondition(r)`` applying a symmetric positive definite
+    approximation of A^-1; None when ``max_iter`` iterations fall short."""
+    x, r = np.zeros_like(b), b
+    z = precondition(r)
+    p, rz = z, r @ z
+    target = rtol * np.linalg.norm(b)
+    for _ in range(max_iter):
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x, r = x + alpha * p, r - alpha * Ap
+        if np.linalg.norm(r) <= target:
+            return x
+        z = precondition(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return None
+
+
 def _dual_member(spec: ConformalClassSpec) -> AngleSystem | None:
     """The member of the class at the root of its circle-pattern equations.
 
@@ -202,12 +242,17 @@ def _dual_member(spec: ConformalClassSpec) -> AngleSystem | None:
     and Springborn, "Variational principles for circle patterns and Koebe's
     theorem", Trans. AMS 356 (2004)).  ``ascend`` solves them by damped
     Newton from ``_seed_radii``: the objective is -|G|^2 / 2 on
-    ``RHO_FLOOR`` < rho < 0, its gradient -J G, and the Newton direction the
-    ``sparse_solve`` of J d = -G; it has converged when every G_f is within
+    ``RHO_FLOOR`` < rho < 0, its gradient -J G, and the Newton direction
+    solves J d = -G.  J is factored once, and the factor solves it at the
+    first step; each later direction is ``_pcg`` on -J d = G, preconditioned
+    by that factor, to the forcing term of ``FORCING_MAX`` and
+    ``FORCING_FLOOR``.  When CG misses it within ``CG_MAX_ITER`` iterations,
+    J is refactored at the iterate, and the new factor solves it and
+    preconditions from then on.  It has converged when every G_f is within
     ``DUAL_TOL`` times its rounding bound (``_Pattern.G_ulps``).  Returns
-    None, declining, when the seed is None, J is singular, the line search
-    stalls, ``DUAL_MAX_ITER`` steps do not converge, or the member's
-    interior margin is below ``MARGIN_FLOOR``.
+    None, declining, when the seed is None, a factor of J is singular, the
+    line search stalls, ``DUAL_MAX_ITER`` steps do not converge, or the
+    member's interior margin is below ``MARGIN_FLOOR``.
     """
     rho = _seed_radii(spec)
     if rho is None:
@@ -219,6 +264,18 @@ def _dual_member(spec: ConformalClassSpec) -> AngleSystem | None:
             raise OutOfDomain("a face radius left (0, inf)")
         return -0.5 * float(p.G @ p.G)
 
+    solve = None  # of J as last factored
+
+    def newton_dir(p: _Pattern, g: np.ndarray) -> np.ndarray:
+        nonlocal solve
+        if solve is not None:
+            eta = max(FORCING_FLOOR, min(FORCING_MAX, float(np.max(np.abs(p.G)))))
+            d = _pcg(-p.J, p.G, lambda r: -solve(r), eta, CG_MAX_ITER)
+            if d is not None:
+                return d
+        solve = factorized(p.J)
+        return solve(-p.G)
+
     def decline(p: _Pattern, g: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError("no Newton direction for the circle-pattern equations")
 
@@ -229,7 +286,7 @@ def _dual_member(spec: ConformalClassSpec) -> AngleSystem | None:
             gradient=lambda p: -(p.J @ p.G),
             residual=lambda p: p.G_ulps,
             converged=lambda _, r: r < DUAL_TOL,
-            newton_dir=lambda p, g: sparse_solve(p.J, -p.G),
+            newton_dir=newton_dir,
             fallback_dir=decline,
             move=lambda p, step, d: _Pattern(kite, p.rho + step * d),
             max_iter=DUAL_MAX_ITER,

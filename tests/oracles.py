@@ -29,7 +29,9 @@ row per edge, and solves it with HiGHS's default method, the reference for
 the interior-point margin over the lower-flag partials.
 ``equal_area_member`` is the member whose faces all have the same area, by
 a dense least-squares solve: where it is not interior, only the margin LP
-finds a start.
+finds a start.  ``dual_member_lu_each_step`` runs the circle-pattern dual
+with a fresh LU at every Newton step, the reference for the dual's inexact
+directions on one frozen factor.
 ``is_teleportable_bruteforce`` enumerates all 2^F face sets for the subset
 criterion, the combinatorial reference for the LP's feasibility verdict.
 ``derive_union_find`` derives a complex's edges and vertex orbits with a
@@ -72,18 +74,23 @@ from scipy.special import zeta
 
 from diskflow.angles import (
     CHECK_TOL,
+    MARGIN_FLOOR,
     AngleSystem,
     ConformalClassSpec,
     _psi_edge_of,
     all_corner_angles,
     edge_psi,
+    interior_margin,
 )
+from diskflow.ascent import ascend, sparse_solve
 from diskflow.complexes import SubdividedComplex, TopologicalTriangulation, build_complex
 from diskflow.delaunay import DelaunayComplex, _emptiness_flags
 from diskflow.errors import (
     ComplexMismatch,
     DiskflowError,
     DuplicateSide,
+    NoConvergence,
+    OutOfDomain,
     SelfGluedSide,
     TooLarge,
     UnmatchedSide,
@@ -104,6 +111,14 @@ from diskflow.surfaces import (
     _draw_points,
     _generator,
     geodesic_distance,
+)
+from diskflow.uniformize import (
+    DUAL_MAX_ITER,
+    DUAL_TOL,
+    RHO_FLOOR,
+    _kite,
+    _Pattern,
+    _seed_radii,
 )
 
 
@@ -354,6 +369,41 @@ def equal_area_member(spec: ConformalClassSpec) -> AngleSystem:
     r = 0.5 * (np.pi - U) - half.reshape(-1, 3).sum(axis=1)
     move = np.linalg.lstsq(face_moves, r, rcond=None)[0]
     return AngleSystem(T, half + class_basis(T).T @ move)
+
+
+def dual_member_lu_each_step(spec: ConformalClassSpec) -> AngleSystem | None:
+    """The circle-pattern dual with one LU per Newton step: every direction
+    is the ``sparse_solve`` of J d = -G at its iterate, with the same seed,
+    objective, stop and declines as ``uniformize._dual_member``."""
+    rho = _seed_radii(spec)
+    if rho is None:
+        return None
+    kite = _kite(spec)
+
+    def objective(p):
+        if not np.all((RHO_FLOOR < p.rho) & (p.rho < 0.0)):
+            raise OutOfDomain("a face radius left (0, inf)")
+        return -0.5 * float(p.G @ p.G)
+
+    def decline(p, g):
+        raise np.linalg.LinAlgError("no Newton direction for the circle-pattern equations")
+
+    try:
+        p, _ = ascend(
+            _Pattern(kite, rho),
+            objective=objective,
+            gradient=lambda p: -(p.J @ p.G),
+            residual=lambda p: p.G_ulps,
+            converged=lambda _, r: r < DUAL_TOL,
+            newton_dir=lambda p, g: sparse_solve(p.J, -p.G),
+            fallback_dir=decline,
+            move=lambda p, step, d: _Pattern(kite, p.rho + step * d),
+            max_iter=DUAL_MAX_ITER,
+        )
+    except (np.linalg.LinAlgError, NoConvergence):
+        return None
+    y = p.member(spec.complex)
+    return y if interior_margin(y) >= MARGIN_FLOOR else None
 
 
 def margin_lp_simplex(spec: ConformalClassSpec) -> float:

@@ -13,6 +13,7 @@ from diskflow.angles import (
     edge_psi,
     find_negative_delaunay,
     is_delaunay,
+    partials_from_angles,
 )
 from diskflow.complexes import build_complex, genus2_octagon, subdivide
 from diskflow.errors import ComplexMismatch, Infeasible, LengthMismatch
@@ -35,6 +36,7 @@ from oracles import (
     circle_pattern_residual,
     class_basis,
     class_hessian_dense,
+    dual_member_lu_each_step,
     edge_lengths,
     is_negatively_curved,
 )
@@ -528,19 +530,19 @@ def test_the_dual_agrees_with_the_primal_on_random_classes():
 
 
 def test_a_declining_dual_falls_back_to_the_primal_with_the_same_verdicts(monkeypatch):
-    # every solve of the dual is singular, so it declines and the primal
-    # Newton runs from find_negative_delaunay's member, with no warning
+    # every factorization of the dual is singular, so it declines and the
+    # primal Newton runs from find_negative_delaunay's member, with no warning
     import warnings
 
     specs = criterion5_classes(40)
-    solve, declined, faces = un.sparse_solve, [], [0]
+    factor, declined, faces = un.factorized, [], [0]
 
-    def singular_dual(A, b):
-        # only the dual solves an F x F system; the class Hessian is E x E, E = 3F/2
+    def singular_dual(A):
+        # only the dual factors an F x F system; the class Hessian is E x E, E = 3F/2
         if A.shape[0] == faces[0]:
             declined.append(faces[0])
             raise np.linalg.LinAlgError("singular")
-        return solve(A, b)
+        return factor(A)
 
     def outcomes():
         out = []
@@ -553,7 +555,7 @@ def test_a_declining_dual_falls_back_to_the_primal_with_the_same_verdicts(monkey
         return out
 
     dual = outcomes()
-    monkeypatch.setattr(un, "sparse_solve", singular_dual)
+    monkeypatch.setattr(un, "factorized", singular_dual)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         primal = outcomes()
@@ -563,3 +565,61 @@ def test_a_declining_dual_falls_back_to_the_primal_with_the_same_verdicts(monkey
             assert np.max(np.abs(a.circumradii - b.circumradii)) <= 1e-9
         else:
             assert a == b
+
+
+def _counted_dual(spec, monkeypatch):
+    """The dual's member, its number of factorizations of J and of Newton steps."""
+    factor, ascend, counts = un.factorized, un.ascend, {"lu": 0}
+
+    def counting_factor(A):
+        counts["lu"] += 1
+        return factor(A)
+
+    def counting_ascend(x, **kwargs):
+        out = ascend(x, **kwargs)
+        counts["steps"] = len(out[1]) - 1
+        return out
+
+    monkeypatch.setattr(un, "factorized", counting_factor)
+    monkeypatch.setattr(un, "ascend", counting_ascend)
+    return un._dual_member(spec), counts["lu"], counts["steps"]
+
+
+def _canonical_f384_spec():
+    T = subdivide(subdivide(subdivide(genus2_octagon()).complex).complex).complex
+    deg = np.array([len(c) for c in T.corners_of_vertex])
+    corner = 2 * np.pi / deg[T.vertex_of_corner]
+    return conformal_class_of(partials_from_angles(T, corner.reshape(-1, 3)))
+
+
+def test_the_dual_factors_its_jacobian_once(monkeypatch):
+    # the first Newton step factors J; every later direction is CG
+    # preconditioned by that factor, within its cap
+    spec = _canonical_f384_spec()
+    y, lu, steps = _counted_dual(spec, monkeypatch)
+    assert spec.complex.face_count == 384 and y is not None
+    assert lu == 1 and steps >= 2
+
+
+def test_a_cg_cap_of_zero_refactors_every_step(monkeypatch):
+    # CG that may not iterate misses every target, so each step refactors J
+    # at its iterate and solves directly: the same steps reach the same member
+    spec = _canonical_f384_spec()
+    y, _, steps = _counted_dual(spec, monkeypatch)
+    monkeypatch.setattr(un, "CG_MAX_ITER", 0)
+    y0, lu0, steps0 = _counted_dual(spec, monkeypatch)
+    assert lu0 == steps0 == steps
+    assert np.max(np.abs(y0.psi - y.psi)) <= 1e-13
+
+
+def test_the_dual_matches_one_lu_per_step_on_random_classes():
+    # criterion 5's stream: the inexact directions and a fresh LU at every
+    # step give the same verdicts and the same members
+    converged = 0
+    for spec in criterion5_classes(300):
+        y, ref = un._dual_member(spec), dual_member_lu_each_step(spec)
+        assert (y is None) == (ref is None)
+        if y is not None:
+            converged += 1
+            assert np.max(np.abs(y.psi - ref.psi)) <= 1e-12
+    assert converged == 189
