@@ -8,17 +8,20 @@ central fundamental domain are kept, each periodic triangle having exactly
 one such representative while every circumradius stays below min(a, b)/2.
 
 Only the tiled points within a margin m of the domain are triangulated.
-The first margin is m = 3r, where r = sqrt((log n + c) / (pi n / area))
+The first margin is m = 2r, where r = sqrt((log n + c) / (pi n / area))
 with c = WINDOW_C is a radius the largest empty disk of n uniform points
 rarely reaches (a given disk of radius r is empty with probability
-e^-c / n).  The windowed result is exact whenever it certifies itself: a
-kept disk of radius below m/3 lies inside the window, so it is empty of
-every tiled point and is a true Delaunay face; 2n such faces are then all
-of them; and the face across each side is a translate of a kept one, so
-its third vertex lies within m of the domain and the vertex across the
-side is the true one.  When a kept radius reaches m/3, the count is not
-2n or a kept face lies on the window's hull, the margin doubles (6r, 12r,
-...) and the wider window is tried, so a sample with one large hole still
+e^-c / n).  The windowed result is exact whenever its disks certify it.
+When a disk lies strictly inside the window with ``GENERIC_TOL`` to spare,
+every tiled point within ``GENERIC_TOL`` of it is a window point; so such a
+disk of the windowed triangulation is empty of every tiled point, and its
+face is a true Delaunay face.  When that holds for every kept face, 2n
+such faces are all of them; when it also holds for the face across each
+kept side, that face is the true neighbour, and its third vertex the true
+vertex across the side.  When a kept disk or a disk across a kept side
+reaches outside the window, the count is not 2n or a kept face lies on
+the window's hull, the margin doubles (4r, 8r, ...) and the wider window
+is tried, so a sample with one large hole near the domain's edge still
 triangulates a few n points instead of 9n.  Once the margin reaches
 min(a, b)/2 the full nine-copy tiling is triangulated instead, with its
 own checks.  Only an exactly cocircular quadruple, which the emptiness
@@ -149,12 +152,12 @@ def _sphere_delaunay(sample: PointSample) -> DelaunayComplex:
 
 
 def _torus_delaunay(sample: PointSample) -> DelaunayComplex:
-    """Triangulate the tiled points near the domain, doubling the margin
-    while the window cannot certify its own result; fall back to all nine
-    copies once the margin reaches min(a, b)/2."""
+    """Triangulate the tiled points within 2r of the domain, doubling the
+    margin while the window's disks cannot certify its result; fall back to
+    all nine copies once the margin reaches min(a, b)/2."""
     surf = sample.surface
     n = sample.count
-    margin = 3.0 * np.sqrt((np.log(n) + WINDOW_C) * surf.area / (np.pi * n))
+    margin = 2.0 * np.sqrt((np.log(n) + WINDOW_C) * surf.area / (np.pi * n))
     while margin < surf.injectivity_radius:
         try:
             return _tiled_delaunay(sample, margin)
@@ -187,8 +190,10 @@ def _tiled_delaunay(sample: PointSample, margin: float) -> DelaunayComplex:
     within ``margin`` of [0,a) x [0,b) (all 9n when ``margin`` is inf).
 
     Keeps the faces whose circumcenter lies in the domain.  Raises when one
-    of them has radius at least margin/3 or min(a,b)/2, when they are not
-    2n, or when one has no neighbour across a side.
+    of them has radius at least min(a,b)/2 or no neighbour across a side,
+    when the circumdisk of a kept face or of a face across a kept side,
+    widened by ``GENERIC_TOL``, does not lie strictly inside the window, or
+    when the kept faces are not 2n.
     """
     surf = sample.surface
     pts = sample.points
@@ -217,19 +222,23 @@ def _tiled_delaunay(sample: PointSample, margin: float) -> DelaunayComplex:
         & (centers[:, 0] >= 0.0) & (centers[:, 0] < a)
         & (centers[:, 1] >= 0.0) & (centers[:, 1] < b)
     )
-    if np.any(radii[keep] >= margin / 3.0):
-        raise DegenerateSample("a circumdisk reaches outside the window")
     if np.any(radii[keep] >= min(a, b) / 2.0):
         raise DegenerateSample(
             "a circumradius reaches min(a,b)/2; the 3x3 tiling is not faithful"
         )
+    opposite = src[_opposite_vertices(tri.simplices, tri.neighbors, keep)]
+    disks = keep.copy()  # the kept faces and the faces across their sides
+    disks[tri.neighbors[keep]] = True
+    c, r = centers[disks], radii[disks, None] + GENERIC_TOL
+    if not np.all((c - r > -margin) & (c + r < np.array([a, b]) + margin)):
+        raise DegenerateSample("a circumdisk reaches outside the window")
     faces = src[tri.simplices[keep]]
     if faces.shape[0] != 2 * n:
         raise DegenerateSample(f"kept {faces.shape[0]} faces, expected {2 * n}")
     return DelaunayComplex(
         sample=sample,
         faces=faces,
-        opposite=src[_opposite_vertices(tri.simplices, tri.neighbors, keep)],
+        opposite=opposite,
         centers=centers[keep],
         radii=radii[keep],
     )

@@ -224,7 +224,7 @@ def test_cocircular_quadruple_on_torus_seam_rejected():
     assert _assert_local_matches_dense(sample) == "cocircular"
     # the window and the full tiling may cut the quadrilateral on the circle
     # along different diagonals; both reject it and agree on every other face
-    window = _tiled_delaunay(sample, 3.0 * _window_radius(sample))
+    window = _tiled_delaunay(sample, 2.0 * _window_radius(sample))
     full = _tiled_delaunay(sample, np.inf)
     for dc in (window, full):
         assert emptiness_decision(*_emptiness_flags(dc)) == "cocircular"
@@ -242,6 +242,14 @@ def _window_radius(sample):
     return np.sqrt((np.log(n) + c) * sample.surface.area / (np.pi * n))
 
 
+def _low_window_constant(sample):
+    """A ``WINDOW_C`` at which the first margin 2r is sqrt(log n / (pi n /
+    area)), a radius at which a given disk is empty with probability 1/n:
+    some Delaunay disk near the domain's edge nearly always reaches past it,
+    so most first windows decline and the doubled ones decide."""
+    return -0.75 * np.log(sample.count)
+
+
 def _canonical_rows(dc):
     """(face, opposite) rows with each face rotated to start at its smallest
     vertex, sorted; centers and radii in the same order."""
@@ -255,7 +263,7 @@ def _canonical_rows(dc):
 def _assert_window_matches_full_tiling(sample):
     """``_torus_delaunay`` gives the full 3x3 tiling's faces, opposite
     vertices, centers and radii, or raises its error.  The windows it tries
-    have margins 3r, 6r, 12r, ..., then possibly inf.  Returns "window" when
+    have margins 2r, 4r, 8r, ..., then possibly inf.  Returns "window" when
     a cropped triangulation was accepted, "fallback" when every window
     declined and "full" when the first window was too wide to try."""
     module = importlib.import_module("diskflow.delaunay")
@@ -283,7 +291,7 @@ def _assert_window_matches_full_tiling(sample):
         np.testing.assert_allclose(centers, full_centers, rtol=0, atol=1e-12)
         np.testing.assert_allclose(radii, full_radii, rtol=0, atol=1e-12)
     windows = [m for m in margins if np.isfinite(m)]
-    assert windows == [3.0 * _window_radius(sample) * 2.0**k for k in range(len(windows))]
+    assert windows == [2.0 * _window_radius(sample) * 2.0**k for k in range(len(windows))]
     assert all(m < sample.surface.injectivity_radius for m in windows)
     assert margins[len(windows):] in ([], [np.inf])
     if not windows:
@@ -300,47 +308,79 @@ def test_window_triangulation_matches_full_tiling(t, seed):
 
 
 def test_window_declines_a_circumdisk_wider_than_its_margin():
-    # a hole of radius rho leaves a Delaunay face of radius about rho: at
-    # rho = 1.5 r the 3r window declines and the 6r window certifies, at
-    # rho = 2.74 r both decline and 12r reaches min(a,b)/2, so the full
-    # tiling decides
+    # a hole of radius rho leaves Delaunay faces of radius about rho.  About
+    # the seam (0, 0.5) the kept disks reach rho past the domain's edge: at
+    # rho = 2.76 r the 2r window declines and the 4r window certifies, at
+    # rho = 5.29 r both decline and 8r reaches min(a,b)/2, so the full tiling
+    # decides.  About the centre disks wider than 5r lie inside the 2r
+    # window, which certifies them.
     sample = sample_poisson(TORUS, 2000.0, seed=24)
     assert _assert_window_matches_full_tiling(sample) == "window"
-    for rho, kind in ((0.08, "window"), (0.15, "fallback")):
-        hole = geodesic_distance(TORUS, sample.points, np.array([0.5, 0.5])) > rho
+    for center, rho, kind in (((0.0, 0.5), 0.15, "window"), ((0.0, 0.5), 0.35, "fallback")):
+        hole = geodesic_distance(TORUS, sample.points, np.array(center)) > rho
         holed = PointSample(TORUS, sample.points[hole], 0)
         r = _window_radius(holed)
-        assert 1.25 * r < rho and 12.0 * r >= TORUS.injectivity_radius
+        assert 2.0 * r < rho and (kind == "window" or 8.0 * r >= TORUS.injectivity_radius)
         with pytest.raises(DegenerateSample, match="outside the window"):
-            _tiled_delaunay(holed, 3.0 * r)
+            _tiled_delaunay(holed, 2.0 * r)
         assert _assert_window_matches_full_tiling(holed) == kind
         rmax = delaunay(holed).radii.max()
-        assert r < rmax and (rmax < 2.0 * r) == (kind == "window")
+        assert 2.0 * r < rmax and (rmax < 4.0 * r) == (kind == "window")
+    hole = geodesic_distance(TORUS, sample.points, np.array([0.5, 0.5])) > 0.35
+    holed = PointSample(TORUS, sample.points[hole], 0)
+    r = _window_radius(holed)
+    assert _tiled_delaunay(holed, 2.0 * r).radii.max() > 5.0 * r
+    assert _assert_window_matches_full_tiling(holed) == "window"
+
+
+def test_window_declines_a_disk_across_a_kept_side():
+    # a hole of radius 0.17 about (0.96, 0.5): every kept disk, the hole's
+    # copy about x = 0.96 among them, lies inside the 2r window, but the
+    # faces on the hole's right rim (about x = 0.13) are kept, and the faces
+    # across their sides are the hole's copy about x = -0.04, whose third
+    # vertices lie left of the window; the window has no such vertex to give
+    sample = sample_poisson(TORUS, 1000.0, seed=0)
+    hole = geodesic_distance(TORUS, sample.points, np.array([0.96, 0.5])) > 0.17
+    holed = PointSample(TORUS, sample.points[hole], 0)
+    m = 2.0 * _window_radius(holed)
+    full = _tiled_delaunay(holed, np.inf)
+    reach = full.radii[:, None] + GENERIC_TOL
+    assert np.all((full.centers - reach > -m) & (full.centers + reach < 1.0 + m))
+    # the copy of each vertex across a side nearest its face's center
+    offset = holed.points[full.opposite] - full.centers[:, None, :]
+    across = full.centers[:, None, :] + (offset + 0.5) % 1.0 - 0.5
+    assert np.any((across < -m) | (across >= 1.0 + m))
+    with pytest.raises(DegenerateSample, match="outside the window"):
+        _tiled_delaunay(holed, m)
+    assert _assert_window_matches_full_tiling(holed) == "window"
+    assert _assert_local_matches_dense(holed) == "accept"
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
 def test_doubled_windows_match_full_tiling(t, seed):
-    # at WINDOW_C = 0 a 3r window often declines, so the 6r, 12r, ... windows
-    # and the full tiling decide
+    # at the low window constant a 2r window often declines, so the 4r, 8r,
+    # ... windows and the full tiling decide
     sample = sample_poisson(TORUS, 4.0 * 1000.0 ** t, seed=seed)
     assume(sample.count >= 4)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(importlib.import_module("diskflow.delaunay"), "WINDOW_C", 0.0)
+        mp.setattr(importlib.import_module("diskflow.delaunay"), "WINDOW_C",
+                   _low_window_constant(sample))
         _assert_window_matches_full_tiling(sample)
 
 
 def test_low_window_constant_exercises_doubled_windows():
-    # the fuzz above is only as good as its declines: at n ~ 1000 most 3r
+    # the fuzz above is only as good as its declines: at n ~ 1000 most 2r
     # windows decline and a doubled one certifies
     kinds = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(importlib.import_module("diskflow.delaunay"), "WINDOW_C", 0.0)
         for i in range(10):
             sample = sample_poisson(TORUS, 1000.0, seed=[33, i])
+            mp.setattr(importlib.import_module("diskflow.delaunay"), "WINDOW_C",
+                       _low_window_constant(sample))
             r = _window_radius(sample)
             try:
-                _tiled_delaunay(sample, 3.0 * r)
+                _tiled_delaunay(sample, 2.0 * r)
             except DegenerateSample:
                 kinds.append(_assert_window_matches_full_tiling(sample))
     assert kinds.count("window") >= 5
