@@ -12,9 +12,11 @@ disks meet at angles pi - psi_e, and the psi_e around each vertex add up to
 2 pi, which is then every member's angle sum there.  ``find_negative_delaunay``
 refuses any other class (``refuse_inadmissible``).  On an admissible one the
 margin-maximizing linear program over the lower-flag partials gives every
-feasibility verdict, and its point is a member whose interior margin (the
-least corner angle or face defect) is at least ``MARGIN_FLOOR``; it is built
-from those partials, so it is a member with no repair step.
+feasibility verdict; the uniformizer asks for it only when its
+circle-pattern dual declines.  The LP's point is a member whose interior
+margin (the least corner angle or face defect) is at least
+``MARGIN_FLOOR``; it is built from those partials, so it is a member with
+no repair step.
 """
 
 from __future__ import annotations
@@ -177,8 +179,8 @@ def find_negative_delaunay(spec: ConformalClassSpec) -> AngleSystem:
     returned point is the method's interior solution, centred in the optimal
     face rather than at one of its vertices.  The LP has no equality rows,
     so its solution is a member of the class whatever the solver's primal
-    tolerance.  The uniformizer's class ascent starts from it when the
-    circle-pattern dual declines.  Raises ``Infeasible`` with the LP's
+    tolerance.  The uniformizer runs it only when its circle-pattern dual
+    declines, for the verdict.  Raises ``Infeasible`` with the LP's
     certificate margin when the maximum is below ``MARGIN_FLOOR``.
     """
     refuse_inadmissible(spec)

@@ -1,13 +1,13 @@
 """Damped Newton ascent with Armijo backtracking, shared by both solvers.
 
-The uniformizer (prism volume over a conformal class) and the log-Ricci flow
-(the averaged curvature functional) both maximize a concave objective over
-an open convex domain, which each objective checks itself, with the same
-step policy and the same trace.  Every Newton system of both is symmetric
-definite, and ``factorized`` factors each the same way, declining a
-singular system the way ``ascend`` expects, and returns the factor's solve:
-``sparse_solve`` applies it once, and the uniformizer's circle-pattern dual
-keeps it to precondition later steps.  ``grounded_solve`` is
+The uniformizer's circle-pattern dual (-|G|^2 / 2 in one radius per face)
+and the log-Ricci flow (the averaged curvature functional, concave) both
+maximize an objective over an open domain, which each objective checks
+itself, with the same step policy and the same trace.  Every Newton system
+of both is symmetric definite, and ``factorized`` factors each the same
+way, declining a singular system the way ``ascend`` expects, and returns
+the factor's solve: the flow's ``sparse_solve`` applies it once, and the
+dual keeps it to precondition later steps.  ``grounded_solve`` is
 ``sparse_solve``'s form for a symmetric system whose kernel is the constants.
 """
 
@@ -34,9 +34,9 @@ class TraceRecord:
     on, ``grad_inf`` at the iterate it starts from.  ``step`` is the accepted
     step length, reached after ``backtracks`` halvings of the unit step; the
     final record of a converged run has step 0 and stays on the iterate it
-    tested.  ``elapsed`` is the ``perf_counter`` time in seconds since
-    ``ascend`` began; it is diagnostic only, so records that differ in it
-    alone compare equal.
+    tested.  ``elapsed`` is the ``perf_counter`` time in seconds since the
+    solver began; it is diagnostic only, so records that differ in it alone
+    compare equal.
     """
 
     iteration: int

@@ -31,6 +31,13 @@ makes maximizing the total volume over a conformal class well posed.  With
 D the complex's ``signed_incidence``, the class Hessian is D^T H D for H the
 block diagonal of the 3x3 face Hessians, a ``scipy.sparse`` CSC array with
 at most five nonzeros per row, so it costs memory linear in the face count.
+
+No solver in the package uses that Hessian: the uniformizer solves the
+circle-pattern equations, and the class ascent by Newton on the Hessian is
+a test oracle (``class_ascent`` in ``tests/oracles.py``).  ``face_hessian``,
+``class_hessian_sparse`` and ``class_hessian`` stay here only because the
+benchmark's tracer (``bench/tracing.py``) looks ``class_hessian`` up by
+name; they can leave with that tracer's update (ROADMAP item 1a).
 """
 
 from __future__ import annotations

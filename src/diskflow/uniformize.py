@@ -1,38 +1,29 @@
-"""Concave maximization of the prism-volume objective over a conformal class.
+"""The uniform hyperbolic structure of a conformal class, by its circle-pattern equations.
 
 The class must be one of the paper's: every psi_e in (0, pi) and the psi_e
 around each vertex adding up to 2 pi (``angles.refuse_inadmissible``).
 
-The optimization variable is the per-edge class coordinate: a step d moves the
-partials by D d, D the complex's ``signed_incidence`` (D^T of the per-flag
-lengths is the two-sided length mismatch), so every per-edge partial-angle
-sum and every vertex sum is preserved to floating accumulation.  The ascent
-is the shared damped Newton driver of ``ascent`` (``sparse_solve`` of the
-CSC class Hessian, negative definite on the class space, with the gradient
-as fallback when it is singular), with the domain being the open polytope
-of valid hyperbolic faces, which the objective itself checks; memory is
-linear in the face count.  At the maximizer the two faces meeting along
-each edge assign it the same hyperbolic length, so the triangles assemble
-into an actual hyperbolic surface whose circumscribing disks form the empty
-pattern.
-
-Those disks meet at the angles pi - psi_e and are fixed by one circumradius
-per face, so the maximizer is also the root of F circle-pattern equations
-(``_Pattern``).  Without a given start, ``uniformize`` solves them by Newton
-in those F unknowns (``_dual_member``), whose sparse system has two thirds
-of the class Hessian's E = 3F/2 rows and fewer nonzeros per row, seeded
-from the class alone (``_seed_radii``).  The dual factors that system once,
-at its first step, and takes each later direction by CG preconditioned
-with the factor (inexact Newton).  ``uniformize`` then runs the class
-ascent from the member at the root as the certificate: its class gradient
-there is normally already below ``tol``, so that ascent tests it and takes
-no step.  Only when the dual declines does ``find_negative_delaunay``'s
-margin LP run: it gives every ``Infeasible`` verdict of an admissible
-class, and the class ascent starts from its member.
+The uniform member of the class is the one whose triangles fit: the two
+faces meeting along each edge assign it the same hyperbolic length, so the
+triangles assemble into an actual hyperbolic surface whose circumscribing
+disks form the empty pattern.  It maximizes the prism volume over the class
+(Rivin, Ann. of Math. 139 (1994)).  Those disks meet at the angles
+pi - psi_e and are fixed by one circumradius per face, so it is also the
+root of F circle-pattern equations (``_Pattern``), which ``uniformize``
+solves by Newton in those F unknowns (``_dual_member``), seeded from the
+class alone (``_seed_radii``), with the damped Newton driver of ``ascent``.
+The dual factors its sparse Jacobian once, at its first step, and takes
+each later direction by CG preconditioned with the factor (inexact Newton).
+Every iterate's kite angles are a member of the class, so the member at the
+root is certified as it stands: its worst two-sided length mismatch must be
+below ``tol``, and ``assemble_structure`` checks its lengths and
+circumradii.  Only when the dual declines does ``find_negative_delaunay``'s
+margin LP run: it gives every ``Infeasible`` verdict of an admissible class.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -40,7 +31,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .angles import (
-    CHECK_TOL,
     MARGIN_FLOOR,
     AngleSystem,
     ConformalClassSpec,
@@ -50,15 +40,10 @@ from .angles import (
     interior_margin,
     refuse_inadmissible,
 )
-from .ascent import TraceRecord, ascend, factorized, sparse_solve
+from .ascent import TraceRecord, ascend, factorized
 from .complexes import TopologicalTriangulation
-from .errors import ComplexMismatch, LengthMismatch, NoConvergence, OutOfDomain
-from .hyperbolic import (
-    class_grad,
-    class_hessian_sparse,
-    flag_edge_lengths,
-    objective_H,
-)
+from .errors import LengthMismatch, NoConvergence, OutOfDomain
+from .hyperbolic import class_grad, flag_edge_lengths, objective_H
 from .reports import Report
 
 if TYPE_CHECKING:
@@ -70,11 +55,9 @@ AREA_TOL = 1e-9  # how far the pattern's area may fall from -2 pi chi
 # over 202 classes (criterion 5's 189 feasible ones, F=1536 seeds 0-9, the
 # uncertified F=6144 classes and canonical F=24,576) the residual settled at
 # 6.6 bounds or less, and stayed there over four more steps, and no earlier
-# iterate came below 8.6.
+# iterate came below 8.6.  Those classes take 4 to 11 steps; the ones at
+# F=1536, F=6144 and F=24,576 take 5.
 DUAL_TOL = 8.0
-# Its step cap: those classes take 4 to 11 steps; the ones at F=1536, F=6144
-# and F=24,576 take 5.
-DUAL_MAX_ITER = 30
 RHO_FLOOR = -300.0  # the dual's domain ends there: R_f < 1e-130 and cosh(rho)^2 nears overflow
 # After its first step the dual's Newton directions are inexact (Dembo,
 # Eisenstat and Steihaug, SIAM J. Numer. Anal. 19 (1982)): CG on -J d = G,
@@ -234,7 +217,7 @@ def _pcg(A, b: np.ndarray, precondition, rtol: float, max_iter: int) -> np.ndarr
     return None
 
 
-def _dual_member(spec: ConformalClassSpec) -> AngleSystem | None:
+def _dual_member(spec: ConformalClassSpec, max_iter: int) -> AngleSystem:
     """The member of the class at the root of its circle-pattern equations.
 
     The maximizer of the prism volume is a circle pattern, so it is also the
@@ -249,14 +232,15 @@ def _dual_member(spec: ConformalClassSpec) -> AngleSystem | None:
     ``FORCING_FLOOR``.  When CG misses it within ``CG_MAX_ITER`` iterations,
     J is refactored at the iterate, and the new factor solves it and
     preconditions from then on.  It has converged when every G_f is within
-    ``DUAL_TOL`` times its rounding bound (``_Pattern.G_ulps``).  Returns
-    None, declining, when the seed is None, a factor of J is singular, the
-    line search stalls, ``DUAL_MAX_ITER`` steps do not converge, or the
-    member's interior margin is below ``MARGIN_FLOOR``.
+    ``DUAL_TOL`` times its rounding bound (``_Pattern.G_ulps``).  Raises
+    ``NoConvergence`` naming the reason when it declines: the seed is None,
+    a factor of J is singular, the line search stalls, ``max_iter`` steps
+    do not converge, or the member's interior margin is below
+    ``MARGIN_FLOOR``.
     """
     rho = _seed_radii(spec)
     if rho is None:
-        return None
+        raise NoConvergence(f"seed below the margin floor: mean defect under {MARGIN_FLOOR:.0e}")
     kite = _kite(spec)
 
     def objective(p: _Pattern) -> float:
@@ -277,77 +261,68 @@ def _dual_member(spec: ConformalClassSpec) -> AngleSystem | None:
         return solve(-p.G)
 
     def decline(p: _Pattern, g: np.ndarray) -> np.ndarray:
-        raise np.linalg.LinAlgError("no Newton direction for the circle-pattern equations")
+        # the slope of an exact or CG direction is positive, so only a
+        # factor or solve that raised LinAlgError lands here
+        raise NoConvergence("singular Jacobian: no Newton direction for the pattern equations")
 
-    try:
-        p, _ = ascend(
-            _Pattern(kite, rho),
-            objective=objective,
-            gradient=lambda p: -(p.J @ p.G),
-            residual=lambda p: p.G_ulps,
-            converged=lambda _, r: r < DUAL_TOL,
-            newton_dir=newton_dir,
-            fallback_dir=decline,
-            move=lambda p, step, d: _Pattern(kite, p.rho + step * d),
-            max_iter=DUAL_MAX_ITER,
-        )
-    except (np.linalg.LinAlgError, NoConvergence):
-        return None
+    p, _ = ascend(
+        _Pattern(kite, rho),
+        objective=objective,
+        gradient=lambda p: -(p.J @ p.G),
+        residual=lambda p: p.G_ulps,
+        converged=lambda _, r: r < DUAL_TOL,
+        newton_dir=newton_dir,
+        fallback_dir=decline,
+        move=lambda p, step, d: _Pattern(kite, p.rho + step * d),
+        max_iter=max_iter,
+    )
     y = p.member(spec.complex)
-    return y if interior_margin(y) >= MARGIN_FLOOR else None
+    margin = interior_margin(y)
+    if margin < MARGIN_FLOOR:
+        raise NoConvergence(
+            f"member below the margin floor: interior margin {margin:.3e} < {MARGIN_FLOOR:.0e}"
+        )
+    return y
 
 
 def uniformize(
-    spec: ConformalClassSpec,
-    start: AngleSystem | None = None,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    spec: ConformalClassSpec, *, tol: float = 1e-10, max_iter: int = 200
 ) -> tuple[AngleSystem, HyperbolicStructure, list[TraceRecord]]:
     """Find the uniform angle system in the class of ``spec``.
 
-    Whether or not a start is given, a class outside the paper's domain (the
-    empty complex, a psi_e not inside (0, pi), a vertex sum of psi_e off
-    2 pi) is first refused with ``Infeasible`` by ``refuse_inadmissible``.
-    Without a ``start``, the circle-pattern dual runs from the class alone,
-    and the class ascent, the certificate, starts from the dual's member.
-    Only when the dual declines does ``find_negative_delaunay`` run: it
-    raises ``Infeasible`` when the class has no negatively curved Delaunay
-    member, and the class ascent starts from its interior member otherwise.
-    A given ``start`` is where the class ascent starts, with no dual; the
-    objective is concave, so every interior start reaches the same
-    maximizer.  Returns the maximizer, its assembled structure, and the
-    class ascent's per-iteration trace, whose residual is the worst
-    two-sided length mismatch.  ``tol`` is that ascent's target for the sup
-    norm of the class gradient, and ``max_iter`` caps its accepted steps;
-    the last iterate is tested too.  ``NoConvergence`` carries the best
-    iterate and trace when the line search stalls or ``max_iter`` steps do
-    not reach ``tol``.
+    A class outside the paper's domain (the empty complex, a psi_e not
+    inside (0, pi), a vertex sum of psi_e off 2 pi) is first refused with
+    ``Infeasible`` by ``refuse_inadmissible``.  Then the circle-pattern
+    dual runs from the class alone, in at most ``max_iter`` Newton steps.
+    When it declines, ``find_negative_delaunay`` raises ``Infeasible`` if
+    the class has no negatively curved Delaunay member, and otherwise
+    ``uniformize`` raises ``NoConvergence`` naming the dual's reason, with
+    an empty trace.  The dual's member is accepted when its worst two-sided
+    length mismatch is below ``tol``, which is what "the triangles fit"
+    means; else ``NoConvergence`` carries the member and the trace.  Returns
+    the member, its assembled structure (lengths and circumradii checked at
+    10 ``tol``), and a one-row trace: the prism volume, the sup norm of the
+    class gradient, which is only reported, and the mismatch as the
+    residual.
     """
-    T = spec.complex
+    began = time.perf_counter()
     refuse_inadmissible(spec)
-    if start is None:
-        x = _dual_member(spec)
-        if x is None:
-            x = find_negative_delaunay(spec)
-    elif start.complex != T:
-        raise ComplexMismatch("start point lives on a different complex")
-    elif np.max(np.abs(edge_psi(start) - spec.psi_edge)) > CHECK_TOL:
-        raise ValueError("start point does not lie in the requested class")
-    else:
-        x = start
-
-    y, trace = ascend(
-        x,
-        objective=objective_H,
-        gradient=class_grad,
-        residual=lambda y: float(np.max(_two_sided_lengths(y)[1])),
-        converged=lambda ginf, _: ginf < tol,
-        newton_dir=lambda y, g: sparse_solve(class_hessian_sparse(y), -g),
-        fallback_dir=lambda _, g: g,
-        move=lambda y, step, d: AngleSystem(T, y.psi + step * (T.signed_incidence @ d)),
-        max_iter=max_iter,
-    )
+    try:
+        y = _dual_member(spec, max_iter)
+    except NoConvergence as exc:
+        find_negative_delaunay(spec)
+        raise NoConvergence(f"circle-pattern Newton declined: {exc}", trace=[]) from exc
+    mismatch = float(np.max(_two_sided_lengths(y)[1]))
+    trace = [TraceRecord(
+        0, objective_H(y), float(np.max(np.abs(class_grad(y)))), 0.0, False, mismatch, 0,
+        time.perf_counter() - began,
+    )]
+    if not mismatch < tol:
+        raise NoConvergence(
+            f"two-sided length mismatch {mismatch:.3e} not below tol {tol:.1e}",
+            best=y,
+            trace=trace,
+        )
     return y, assemble_structure(y, tol=10 * tol), trace
 
 

@@ -127,3 +127,48 @@ def one_vertex_off_spec(spec, t) -> ConformalClassSpec:
     pe = spec.psi_edge.copy()
     pe[spec.complex.edge_of_flag[:3]] += [-t, t, t]
     return ConformalClassSpec(spec.complex, pe)
+
+
+# the state of default_rng(1) before the 155th complex that random_complex(rng, 12)
+# draws from it: the first with chi < 0 on which random_class_spec draws both an
+# LP-feasible class and one of LP margin below -1e-3, the first and second
+_NEAR_BOUNDARY_STATE = {
+    "bit_generator": "PCG64",
+    "state": {
+        "state": 242389966123736821989404690690335362863,
+        "inc": 194290289479364712180083596243593368443,
+    },
+    "has_uint32": 0,
+    "uinteger": 1993975360,
+}
+
+
+def near_boundary_class(g: float) -> ConformalClassSpec:
+    """A feasible class near the LP's feasibility boundary, on an F=12 complex
+    with chi = -2 and V = 4.
+
+    The boundary point t* (about 0.05055) of the segment from the infeasible
+    class to the feasible one is found by 60 bisections on the LP verdict;
+    the class returned lies a fraction g of the way from t* to the feasible
+    end.
+    """
+    from diskflow.angles import find_negative_delaunay
+    from diskflow.errors import Infeasible
+
+    rng = np.random.default_rng()
+    rng.bit_generator.state = _NEAR_BOUNDARY_STATE
+    T = random_complex(rng, 12)
+    feasible, infeasible = random_class_spec(T, rng).psi_edge, random_class_spec(T, rng).psi_edge
+
+    def at(t):
+        return ConformalClassSpec(T, infeasible + t * (feasible - infeasible))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        try:
+            find_negative_delaunay(at(mid))
+            hi = mid
+        except Infeasible:
+            lo = mid
+    return at(hi + g * (1.0 - hi))

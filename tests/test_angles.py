@@ -26,7 +26,7 @@ from diskflow.complexes import (
     tetrahedron,
     two_triangle_torus,
 )
-from diskflow.errors import ComplexMismatch, Infeasible, TooLarge
+from diskflow.errors import Infeasible, TooLarge
 
 from helpers import (
     octahedron,
@@ -37,6 +37,7 @@ from helpers import (
 )
 from oracles import (
     CLASS_TOL,
+    ComplexMismatch,
     angle_system_violations,
     class_basis,
     corner_angles,

@@ -132,12 +132,12 @@ def test_uniformize_end_to_end(g2_spec_file, symmetric_g2_system, tmp_path, caps
 
 
 def test_uniformize_deterministic_bytes(tmp_path):
-    # the start, the dual and certificate Newton solves and the ascent are
-    # deterministic: two runs write the same structure and trace bytes
+    # the dual's Newton solves and the certificate are deterministic: two
+    # runs write the same structure and trace bytes
     from diskflow.angles import find_negative_delaunay
     from diskflow.complexes import genus2_octagon, subdivide
-    from diskflow.uniformize import uniformize
     from helpers import perturbed_canonical_spec
+    from oracles import class_ascent
 
     T = subdivide(subdivide(genus2_octagon()).complex).complex
     spec = perturbed_canonical_spec(T, np.random.default_rng(5))
@@ -150,7 +150,7 @@ def test_uniformize_deterministic_bytes(tmp_path):
         outputs.append((out.read_bytes(), trace.read_bytes()))
     assert outputs[0] == outputs[1]
     # the primal Newton from find_negative_delaunay's member takes several steps
-    assert len(uniformize(spec, start=find_negative_delaunay(spec))[2]) > 2
+    assert len(class_ascent(spec, find_negative_delaunay(spec))[2]) > 2
 
 
 def test_uniformize_infeasible(tmp_path):
