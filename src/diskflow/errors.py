@@ -72,9 +72,10 @@ class NoConvergence(DiskflowError):
     """Iteration hit its cap before reaching tolerance.
 
     ``best`` holds the last iterate.  ``trace`` holds the list of
-    per-iteration ``TraceRecord``s when raised by ``ascend`` (so by
-    ``uniformize``), and the whole ``FlowReport``, whose ``steps`` are those
-    records, when raised by ``log_ricci_flow``.
+    per-iteration ``TraceRecord``s when raised by ``ascend``, an empty list
+    or its own one-row list when raised by ``uniformize``, and the whole
+    ``FlowReport``, whose ``steps`` are those records, when raised by
+    ``log_ricci_flow``.
     """
 
     def __init__(self, message: str, best=None, trace=None):

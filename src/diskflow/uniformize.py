@@ -13,7 +13,8 @@ root of F circle-pattern equations (``_Pattern``), which ``uniformize``
 solves by Newton in those F unknowns (``_dual_member``), seeded from the
 class alone (``_seed_radii``), with the damped Newton driver of ``ascent``.
 The dual factors its sparse Jacobian once, at its first step, and takes
-each later direction by CG preconditioned with the factor (inexact Newton).
+each later direction by SciPy's ``cg`` preconditioned with the factor, to a
+relative residual that ``cg`` tests before each iteration (inexact Newton).
 Every iterate's kite angles are a member of the class, so the member at the
 root is certified as it stands: its worst two-sided length mismatch must be
 below ``tol``, and ``assemble_structure`` checks its lengths and
@@ -73,8 +74,9 @@ FORCING_MAX = 0.1
 FORCING_FLOOR = 1e-10
 # One CG iteration (a product with J and a solve with the factor) costs 1/22
 # to 1/28 of factoring J at F=1536 to 24,576, so past about 20 iterations a
-# new factor is cheaper: J is then refactored at the iterate.  No solve on
-# the 202 classes took more than 12 iterations, and none refactored.
+# new factor is cheaper: J is then refactored at the iterate, as it is when
+# cg would meet its target only at its last iteration, which it never tests.
+# No solve on the 202 classes took more than 12 iterations, and none refactored.
 CG_MAX_ITER = 20
 
 
@@ -178,8 +180,8 @@ def _kite(spec: ConformalClassSpec) -> tuple[np.ndarray, ...]:
     return np.arange(3 * T.face_count) // 3, T.mate // 3, np.cos(pe), np.sin(pe)
 
 
-def _seed_radii(spec: ConformalClassSpec) -> np.ndarray | None:
-    """One rho for every face, from the class alone; None below ``MARGIN_FLOOR``.
+def _seed_radii(spec: ConformalClassSpec) -> np.ndarray:
+    """One rho for every face, from the class alone.
 
     Every member's face defects add up to pi F - 2 sum(psi_e), so their mean
     U bounds any member's interior margin.  Each face gets the circumradius
@@ -187,34 +189,14 @@ def _seed_radii(spec: ConformalClassSpec) -> np.ndarray | None:
     A = (pi - U) / 3: the kite at its centre has the angle pi / 3 there and
     A / 2 at the corner, so cosh R = C = cot(A / 2) / sqrt(3), and
     rho = log tanh(R / 2) = log((C - 1) / (C + 1)) / 2.  A class with
-    U < ``MARGIN_FLOOR`` has no member that clears the floor.
+    U < ``MARGIN_FLOOR`` has no member that clears the floor: ``NoConvergence``.
     """
     F = spec.complex.face_count
     U = (np.pi * F - 2.0 * float(spec.psi_edge.sum())) / F
     if U < MARGIN_FLOOR:
-        return None
+        raise NoConvergence(f"seed below the margin floor: mean defect under {MARGIN_FLOOR:.0e}")
     C = 1.0 / (np.sqrt(3.0) * np.tan((np.pi - U) / 6.0))
     return np.full(F, 0.5 * np.log((C - 1.0) / (C + 1.0)))
-
-
-def _pcg(A, b: np.ndarray, precondition, rtol: float, max_iter: int) -> np.ndarray | None:
-    """x with |b - A x| <= rtol |b| by CG on A x = b, A symmetric positive
-    definite, with ``precondition(r)`` applying a symmetric positive definite
-    approximation of A^-1; None when ``max_iter`` iterations fall short."""
-    x, r = np.zeros_like(b), b
-    z = precondition(r)
-    p, rz = z, r @ z
-    target = rtol * np.linalg.norm(b)
-    for _ in range(max_iter):
-        Ap = A @ p
-        alpha = rz / (p @ Ap)
-        x, r = x + alpha * p, r - alpha * Ap
-        if np.linalg.norm(r) <= target:
-            return x
-        z = precondition(r)
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    return None
 
 
 def _dual_member(spec: ConformalClassSpec, max_iter: int) -> AngleSystem:
@@ -227,20 +209,23 @@ def _dual_member(spec: ConformalClassSpec, max_iter: int) -> AngleSystem:
     Newton from ``_seed_radii``: the objective is -|G|^2 / 2 on
     ``RHO_FLOOR`` < rho < 0, its gradient -J G, and the Newton direction
     solves J d = -G.  J is factored once, and the factor solves it at the
-    first step; each later direction is ``_pcg`` on -J d = G, preconditioned
-    by that factor, to the forcing term of ``FORCING_MAX`` and
-    ``FORCING_FLOOR``.  When CG misses it within ``CG_MAX_ITER`` iterations,
-    J is refactored at the iterate, and the new factor solves it and
-    preconditions from then on.  It has converged when every G_f is within
-    ``DUAL_TOL`` times its rounding bound (``_Pattern.G_ulps``).  Raises
-    ``NoConvergence`` naming the reason when it declines: the seed is None,
-    a factor of J is singular, the line search stalls, ``max_iter`` steps
-    do not converge, or the member's interior margin is below
+    first step; each later direction is SciPy's ``cg`` on -J d = G,
+    preconditioned by that factor, until its residual r has
+    norm(r) < eta norm(G), a test made before each iteration, eta the
+    forcing term of ``FORCING_MAX`` and ``FORCING_FLOOR``.  Failing that
+    within ``CG_MAX_ITER`` iterations, J is refactored at the iterate, and
+    the new factor solves it and preconditions from then on.  It has
+    converged when every G_f is within ``DUAL_TOL`` times its rounding bound
+    (``_Pattern.G_ulps``).  Raises ``NoConvergence`` naming the reason when
+    it declines: the seed is below the margin floor, a factor of J is
+    singular, the line search stalls or ``max_iter`` steps do not converge
+    (named with the largest |G_f|), or the member's interior margin is below
     ``MARGIN_FLOOR``.
     """
+    # imported here: scipy.sparse.linalg is slow to load, as for ``factorized``
+    from scipy.sparse.linalg import LinearOperator, cg
+
     rho = _seed_radii(spec)
-    if rho is None:
-        raise NoConvergence(f"seed below the margin floor: mean defect under {MARGIN_FLOOR:.0e}")
     kite = _kite(spec)
 
     def objective(p: _Pattern) -> float:
@@ -254,8 +239,10 @@ def _dual_member(spec: ConformalClassSpec, max_iter: int) -> AngleSystem:
         nonlocal solve
         if solve is not None:
             eta = max(FORCING_FLOOR, min(FORCING_MAX, float(np.max(np.abs(p.G)))))
-            d = _pcg(-p.J, p.G, lambda r: -solve(r), eta, CG_MAX_ITER)
-            if d is not None:
+            M = LinearOperator(p.J.shape, matvec=lambda r: -solve(r), dtype=float)
+            d, info = cg(-p.J, p.G, rtol=eta, maxiter=CG_MAX_ITER, M=M)
+            # info 0 with d = 0 is cg's answer to maxiter=0, not a solve
+            if info == 0 and d.any():
                 return d
         solve = factorized(p.J)
         return solve(-p.G)
@@ -265,17 +252,26 @@ def _dual_member(spec: ConformalClassSpec, max_iter: int) -> AngleSystem:
         # factor or solve that raised LinAlgError lands here
         raise NoConvergence("singular Jacobian: no Newton direction for the pattern equations")
 
-    p, _ = ascend(
-        _Pattern(kite, rho),
-        objective=objective,
-        gradient=lambda p: -(p.J @ p.G),
-        residual=lambda p: p.G_ulps,
-        converged=lambda _, r: r < DUAL_TOL,
-        newton_dir=newton_dir,
-        fallback_dir=decline,
-        move=lambda p, step, d: _Pattern(kite, p.rho + step * d),
-        max_iter=max_iter,
-    )
+    try:
+        p, _ = ascend(
+            _Pattern(kite, rho),
+            objective=objective,
+            gradient=lambda p: -(p.J @ p.G),
+            residual=lambda p: p.G_ulps,
+            converged=lambda _, r: r < DUAL_TOL,
+            newton_dir=newton_dir,
+            fallback_dir=decline,
+            move=lambda p, step, d: _Pattern(kite, p.rho + step * d),
+            max_iter=max_iter,
+        )
+    except NoConvergence as exc:
+        if exc.best is None:  # from ``decline``
+            raise
+        # ascend names |J G|_inf, the gradient of -|G|^2 / 2: name G itself
+        k, worst = len(exc.trace), float(np.max(np.abs(exc.best.G)))
+        where = (f"line search stalled at iteration {k}" if k < max_iter
+                 else f"no convergence in {k} iterations")
+        raise NoConvergence(f"{where} (largest pattern residual |G_f| = {worst:.3e})") from exc
     y = p.member(spec.complex)
     margin = interior_margin(y)
     if margin < MARGIN_FLOOR:

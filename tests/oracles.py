@@ -380,9 +380,6 @@ def dual_member_lu_each_step(spec: ConformalClassSpec, max_iter: int) -> AngleSy
     is the ``sparse_solve`` of J d = -G at its iterate, with the same seed,
     objective, stop and step cap as ``uniformize._dual_member``; None where
     that raises ``NoConvergence``."""
-    rho = _seed_radii(spec)
-    if rho is None:
-        return None
     kite = _kite(spec)
 
     def objective(p):
@@ -395,7 +392,7 @@ def dual_member_lu_each_step(spec: ConformalClassSpec, max_iter: int) -> AngleSy
 
     try:
         p, _ = ascend(
-            _Pattern(kite, rho),
+            _Pattern(kite, _seed_radii(spec)),
             objective=objective,
             gradient=lambda p: -(p.J @ p.G),
             residual=lambda p: p.G_ulps,

@@ -285,6 +285,17 @@ def test_line_search_stall_reports_best(canonical24_spec, monkeypatch):
     assert [r.iteration for r in trace] == [0] and trace[0].step > 0
 
 
+def test_a_capped_dual_names_its_pattern_residual(canonical24_spec):
+    # ascend's grad_inf is |J G|_inf of the dual's objective, not the class
+    # gradient of the trace's grad_inf column: the decline names the largest
+    # |G_f| of the circle-pattern equations at the seed instead
+    with pytest.raises(NoConvergence, match="no convergence in 0 iterations") as exc:
+        uniformize(canonical24_spec, max_iter=0)
+    G = circle_pattern_residual(canonical24_spec, un._seed_radii(canonical24_spec))
+    assert "grad_inf=" not in str(exc.value) and exc.value.trace == []
+    assert f"largest pattern residual |G_f| = {np.max(np.abs(G)):.3e}" in str(exc.value)
+
+
 def test_a_member_below_the_margin_floor_is_declined_at_once():
     # a feasible class 1e-2 of the way from the LP's feasibility boundary:
     # the dual finds its root, whose interior margin (8.0e-7) is below the
@@ -496,7 +507,10 @@ def test_the_dual_converges_exactly_on_the_lp_feasible_classes():
         assert dual == ok
         feasible += ok
         converged += dual
-        no_seed += un._seed_radii(spec) is None
+        try:
+            un._seed_radii(spec)
+        except NoConvergence:
+            no_seed += 1
     assert (feasible, converged, no_seed) == (189, 189, 109)
 
 
@@ -607,6 +621,39 @@ def test_a_cg_cap_of_zero_refactors_every_step(monkeypatch):
     y0, lu0, steps0 = _counted_dual(spec, monkeypatch)
     assert lu0 == steps0 == steps
     assert np.max(np.abs(y0.psi - y.psi)) <= 1e-13
+
+
+@pytest.mark.parametrize("cap", ["default", 0])
+def test_every_cg_direction_the_dual_takes_meets_its_forcing_term(cap, monkeypatch):
+    # cg answers maxiter=0 with zeros and info 0, and never tests the update
+    # of its last iteration: the dual takes a direction from it only when
+    # that direction is nonzero and |b - A d| < rtol |b|
+    import scipy.sparse.linalg
+
+    cg, ascend, solves, taken = scipy.sparse.linalg.cg, un.ascend, [], []
+
+    def spying_cg(A, b, **kwargs):
+        d, info = cg(A, b, **kwargs)
+        solves.append((A, b, kwargs["rtol"], d))
+        return d, info
+
+    def recording_ascend(x, *, newton_dir, **kwargs):
+        def recorded(p, g):
+            taken.append(newton_dir(p, g))
+            return taken[-1]
+
+        return ascend(x, newton_dir=recorded, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", spying_cg)
+    monkeypatch.setattr(un, "ascend", recording_ascend)
+    if cap == 0:
+        monkeypatch.setattr(un, "CG_MAX_ITER", 0)
+    un._dual_member(_canonical_f384_spec(), MAX_ITER)
+    from_cg = [s for s in solves if any(s[3] is d for d in taken)]
+    assert solves and len(from_cg) == (0 if cap == 0 else len(taken) - 1)
+    for A, b, rtol, d in from_cg:
+        assert np.any(d != 0.0)
+        assert np.linalg.norm(b - A @ d) < rtol * np.linalg.norm(b)
 
 
 def test_the_dual_matches_one_lu_per_step_on_random_classes():
